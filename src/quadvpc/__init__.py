@@ -22,7 +22,6 @@ from .dynamics import (
     CameraTwist,
     ControlInput,
     QuadVisualState,
-    StateDerivative,
     camera_twist,
     dynamics_jacobians,
     full_dynamics,
@@ -54,7 +53,6 @@ from .ocp import (
     SolveStatus,
     VisualPredictiveController,
     build_problem,
-    controller_step,
     kkt_residual,
     shift_warm_start,
     solve,

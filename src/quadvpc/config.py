@@ -171,6 +171,8 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
             "qp_tol": cfg.ocp.qp_tol,
             "slack_weight": cfg.ocp.slack_weight,
             "sqp_tol": cfg.ocp.sqp_tol,
+            "reg": cfg.ocp.reg,
+            "qp_max_iter": cfg.ocp.qp_max_iter,
             "constraint_margin": cfg.ocp.constraint_margin,
         },
         "noise": {
@@ -249,6 +251,8 @@ def config_from_dict(data: dict) -> ScenarioConfig:
                 qp_tol=float(ocp["qp_tol"]),
                 slack_weight=float(ocp["slack_weight"]),
                 sqp_tol=float(ocp["sqp_tol"]),
+                reg=float(ocp["reg"]),
+                qp_max_iter=int(ocp["qp_max_iter"]),
                 constraint_margin=float(ocp["constraint_margin"]),
             ),
             noise=NoiseModel(

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import ControlInput, QuadVisualState, _vec3
+from .dynamics import ControlInput, QuadVisualState, _vec3, fd_jacobian_batch
 from .geometry import (
     Array,
     DegenerateProjection,
@@ -161,20 +161,8 @@ def action_cost(x: QuadVisualState, ref: ReferencePoint, w: CostWeights) -> floa
     return float(dv @ (w.q_v * dv) + dq @ (w.q_q * dq))
 
 
-def stage_cost(x: QuadVisualState, ref: ReferencePoint, w: CostWeights, q_bc: Array) -> float:
-    """Sum of the three objectives at one horizon node."""
-    return visual_servo_cost(x, ref, w, q_bc) + perception_cost(x, w) + action_cost(x, ref, w)
-
-
 def _grad_flat(fun, x_flat: Array, h: float = 1e-6) -> Array:
-    g = np.zeros_like(x_flat)
-    for i in range(x_flat.size):
-        step = h * max(1.0, abs(x_flat[i]))
-        xp, xm = x_flat.copy(), x_flat.copy()
-        xp[i] += step
-        xm[i] -= step
-        g[i] = (fun(xp) - fun(xm)) / (2.0 * step)
-    return g
+    return fd_jacobian_batch(lambda z: np.array([[fun(row)] for row in z]), x_flat, h)[0, 0]
 
 
 def visual_servo_gradient(x: QuadVisualState, ref: ReferencePoint, w: CostWeights, q_bc: Array) -> Array:

@@ -140,17 +140,35 @@ class CameraTwist:
         object.__setattr__(self, "w_c", _vec3(self.w_c))
 
 
-@dataclass(frozen=True)
-class StateDerivative:
-    """Time derivative of the flat controller state."""
+def _body_rates(q_wb: Array, c, omega: Array):
+    """Velocity and attitude rates: thrust along body z plus gravity."""
+    dv = quat_rotate(q_wb, c * EZ) + GRAVITY_W
+    dq_wb = 0.5 * quat_prod(q_wb, pure_quat(omega))
+    return dv, dq_wb
 
-    dv_w: Array
-    dq_wb: Array
-    dq_cl: Array
-    dd: float
 
-    def as_vector(self) -> Array:
-        return np.concatenate([self.dv_w, self.dq_wb, self.dq_cl, [self.dd]])
+def _camera_twist(v_w: Array, q_wb: Array, omega: Array, p_b_cb: Array, q_bc: Array):
+    """Camera-frame linear and angular velocity, with the lever arm."""
+    q_cb = quat_conj(q_bc)
+    v_b = quat_rotate(quat_conj(q_wb), v_w) + _cross(omega, p_b_cb)
+    return quat_rotate(q_cb, v_b), quat_rotate(q_cb, omega)
+
+
+def _bearing_rates(q_cl: Array, d: Array, v_c: Array, w_c: Array):
+    """Tangent rate ``u_mu``, quaternion rate and distance rate of the bearing.
+
+    ``d`` carries a trailing axis of length 1 so it broadcasts against
+    the 3-vectors.
+    """
+    n = quat_rotate(q_cl, EZ)
+    t1 = quat_rotate(q_cl, EX)
+    t2 = quat_rotate(q_cl, EY)
+    w_eff = -w_c - _cross(n, v_c) / d
+    u1 = np.sum(t1 * w_eff, axis=-1, keepdims=True)
+    u2 = np.sum(t2 * w_eff, axis=-1, keepdims=True)
+    dq_cl = 0.5 * quat_prod(pure_quat(u1 * t1 + u2 * t2), q_cl)
+    dd = -np.sum(n * v_c, axis=-1, keepdims=True)
+    return np.concatenate([u1, u2], axis=-1), dq_cl, dd
 
 
 def quad_dynamics(v_w: Array, q_wb: Array, u: ControlInput):
@@ -159,16 +177,13 @@ def quad_dynamics(v_w: Array, q_wb: Array, u: ControlInput):
     ``dv_w = q_wb @ (0,0,c) + g_w`` and the body-rate quaternion
     kinematics.  Thrust and gravity only; no drag, no rotor dynamics.
     """
-    dv = quat_rotate(q_wb, u.c * EZ) + GRAVITY_W
-    dq = 0.5 * quat_prod(q_wb, pure_quat(u.omega_b))
-    return dv, dq
+    return _body_rates(q_wb, u.c, u.omega_b)
 
 
 def camera_twist(v_w: Array, omega_b: Array, q_wb: Array, ext: CameraExtrinsics) -> CameraTwist:
     """Map body velocity/rates into the camera frame, with lever arm."""
-    q_cb = quat_conj(ext.q_bc)
-    v_b = quat_rotate(quat_conj(q_wb), v_w) + np.cross(omega_b, ext.p_b_cb)
-    return CameraTwist(quat_rotate(q_cb, v_b), quat_rotate(q_cb, omega_b))
+    omega_b = np.asarray(omega_b, dtype=np.float64)
+    return CameraTwist(*_camera_twist(v_w, q_wb, omega_b, ext.p_b_cb, ext.q_bc))
 
 
 def image_dynamics(q_cl: Array, d: float, twist: CameraTwist):
@@ -179,48 +194,25 @@ def image_dynamics(q_cl: Array, d: float, twist: CameraTwist):
     bearing projected onto its tangent basis; the quaternion rate is
     ``dq_cl = 1/2 [0, N(q_cl) u_mu] (x) q_cl``.
     """
-    n = quat_rotate(q_cl, EZ)
-    w_eff = -twist.w_c - np.cross(n, twist.v_c) / d
-    u_mu = np.array([quat_rotate(q_cl, EX) @ w_eff, quat_rotate(q_cl, EY) @ w_eff])
-    dd = -float(n @ twist.v_c)
-    return u_mu, dd
+    u_mu, _, dd = _bearing_rates(q_cl, np.array([d], dtype=np.float64), twist.v_c, twist.w_c)
+    return u_mu, float(dd[0])
 
 
 def _f_flat(x: Array, u: Array, p_b_cb: Array, q_bc: Array) -> Array:
     """Flat-state derivative, broadcasting over leading axes."""
     x = np.asarray(x, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
-    v_w = x[..., _V]
     q_wb = x[..., _QWB]
-    q_cl = x[..., _QCL]
-    d = x[..., _D : _D + 1]
-    c = u[..., 0:1]
     omega = u[..., 1:4]
-
-    dv = quat_rotate(q_wb, c * EZ) + GRAVITY_W
-    dq_wb = 0.5 * quat_prod(q_wb, pure_quat(omega))
-
-    q_cb = quat_conj(q_bc)
-    v_b = quat_rotate(quat_conj(q_wb), v_w) + _cross(omega, np.broadcast_to(p_b_cb, omega.shape))
-    v_c = quat_rotate(q_cb, v_b)
-    w_c = quat_rotate(q_cb, omega)
-
-    n = quat_rotate(q_cl, EZ)
-    t1 = quat_rotate(q_cl, EX)
-    t2 = quat_rotate(q_cl, EY)
-    w_eff = -w_c - _cross(n, v_c) / d
-    u1 = np.sum(t1 * w_eff, axis=-1, keepdims=True)
-    u2 = np.sum(t2 * w_eff, axis=-1, keepdims=True)
-    dq_cl = 0.5 * quat_prod(pure_quat(u1 * t1 + u2 * t2), q_cl)
-    dd = -np.sum(n * v_c, axis=-1, keepdims=True)
-
+    dv, dq_wb = _body_rates(q_wb, u[..., 0:1], omega)
+    v_c, w_c = _camera_twist(x[..., _V], q_wb, omega, p_b_cb, q_bc)
+    _, dq_cl, dd = _bearing_rates(x[..., _QCL], x[..., _D : _D + 1], v_c, w_c)
     return np.concatenate([dv, dq_wb, dq_cl, dd], axis=-1)
 
 
-def full_dynamics(x: QuadVisualState, u: ControlInput, ext: CameraExtrinsics) -> StateDerivative:
-    """Concatenated quadrotor + image dynamics, dx/dt = f(x, u)."""
-    dx = _f_flat(x.as_vector(), u.as_vector(), ext.p_b_cb, ext.q_bc)
-    return StateDerivative(dx[_V], dx[_QWB], dx[_QCL], float(dx[_D]))
+def full_dynamics(x: QuadVisualState, u: ControlInput, ext: CameraExtrinsics) -> Array:
+    """Concatenated quadrotor + image dynamics ``dx/dt = f(x, u)`` as a flat 12-vector."""
+    return _f_flat(x.as_vector(), u.as_vector(), ext.p_b_cb, ext.q_bc)
 
 
 def _rotmat_cols(qw, qx, qy, qz):
@@ -291,12 +283,17 @@ def _f_single(x: Array, u: Array, p_b_cb: Array, r_bc) -> Array:
     return np.array([dvx, dvy, dvz, dqw, dqx, dqy, dqz, dbw, dbx, dby, dbz, dd])
 
 
+def rk4(f, x: Array, dt: float) -> Array:
+    """Classical 4th-order Runge-Kutta step of ``dx/dt = f(x)``."""
+    k1 = f(x)
+    k2 = f(x + 0.5 * dt * k1)
+    k3 = f(x + 0.5 * dt * k2)
+    k4 = f(x + dt * k3)
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def _rk4_single(x: Array, u: Array, dt: float, p_b_cb: Array, r_bc) -> Array:
-    k1 = _f_single(x, u, p_b_cb, r_bc)
-    k2 = _f_single(x + (0.5 * dt) * k1, u, p_b_cb, r_bc)
-    k3 = _f_single(x + (0.5 * dt) * k2, u, p_b_cb, r_bc)
-    k4 = _f_single(x + dt * k3, u, p_b_cb, r_bc)
-    out = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    out = rk4(lambda z: _f_single(z, u, p_b_cb, r_bc), x, dt)
     nq = (out[3] * out[3] + out[4] * out[4] + out[5] * out[5] + out[6] * out[6]) ** 0.5
     out[3:7] /= nq
     nb = (out[7] * out[7] + out[8] * out[8] + out[9] * out[9] + out[10] * out[10]) ** 0.5
@@ -306,20 +303,12 @@ def _rk4_single(x: Array, u: Array, dt: float, p_b_cb: Array, r_bc) -> Array:
     return out
 
 
-def _renormalize_flat(x: Array) -> Array:
-    x = x.copy()
-    x[..., _QWB] = quat_normalize(x[..., _QWB])
-    x[..., _QCL] = quat_normalize(x[..., _QCL])
-    x[..., _D] = np.maximum(x[..., _D], D_FLOOR)
-    return x
-
-
 def _rk4_flat(x: Array, u: Array, dt: float, p_b_cb: Array, q_bc: Array) -> Array:
-    k1 = _f_flat(x, u, p_b_cb, q_bc)
-    k2 = _f_flat(x + 0.5 * dt * k1, u, p_b_cb, q_bc)
-    k3 = _f_flat(x + 0.5 * dt * k2, u, p_b_cb, q_bc)
-    k4 = _f_flat(x + dt * k3, u, p_b_cb, q_bc)
-    return _renormalize_flat(x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    out = rk4(lambda z: _f_flat(z, u, p_b_cb, q_bc), x, dt)
+    out[..., _QWB] = quat_normalize(out[..., _QWB])
+    out[..., _QCL] = quat_normalize(out[..., _QCL])
+    out[..., _D] = np.maximum(out[..., _D], D_FLOOR)
+    return out
 
 
 def rk4_step(x: QuadVisualState, u: ControlInput, dt: float, ext: CameraExtrinsics) -> QuadVisualState:

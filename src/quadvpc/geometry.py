@@ -61,15 +61,13 @@ def quat_prod(q1: Array, q2: Array) -> Array:
     q2 = np.asarray(q2, dtype=np.float64)
     w1, x1, y1, z1 = (q1[..., i] for i in range(4))
     w2, x2, y2, z2 = (q2[..., i] for i in range(4))
-    return np.stack(
-        [
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-        ],
-        axis=-1,
-    )
+    w = w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2
+    out = np.empty(np.shape(w) + (4,))
+    out[..., 0] = w
+    out[..., 1] = w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2
+    out[..., 2] = w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2
+    out[..., 3] = w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2
+    return out
 
 
 def quat_mul(q1: Array, q2: Array) -> Array:
@@ -86,10 +84,19 @@ def pure_quat(v: Array) -> Array:
 
 
 def _cross(a: Array, b: Array) -> Array:
-    """Componentwise cross product; avoids np.cross axis bookkeeping."""
+    """Componentwise cross product, broadcasting over leading axes.
+
+    Writes into a preallocated output: for single vectors the per-call
+    overhead of np.cross or np.stack dominates the six products.
+    """
     ax, ay, az = a[..., 0], a[..., 1], a[..., 2]
     bx, by, bz = b[..., 0], b[..., 1], b[..., 2]
-    return np.stack([ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx], axis=-1)
+    x = ay * bz - az * by
+    out = np.empty(np.shape(x) + (3,))
+    out[..., 0] = x
+    out[..., 1] = az * bx - ax * bz
+    out[..., 2] = ax * by - ay * bx
+    return out
 
 
 def quat_rotate(q: Array, v: Array) -> Array:
@@ -101,9 +108,8 @@ def quat_rotate(q: Array, v: Array) -> Array:
     q = np.asarray(q, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     qv = q[..., 1:]
-    v_b = np.broadcast_to(v, np.broadcast_shapes(qv.shape, v.shape))
-    t = 2.0 * _cross(qv, v_b)
-    return v_b + q[..., :1] * t + _cross(qv, t)
+    t = 2.0 * _cross(qv, v)
+    return v + q[..., :1] * t + _cross(qv, t)
 
 
 def quat_to_rotmat(q: Array) -> Array:

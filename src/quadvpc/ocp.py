@@ -30,6 +30,7 @@ from .dynamics import (
     QuadVisualState,
     _rk4_flat,
     _rk4_single,
+    fd_jacobian_batch,
     rk4_jacobians,
 )
 from .geometry import (
@@ -201,24 +202,14 @@ def _stage_outputs(x: Array, ref: _RefArrays, w: CostWeights, q_bc: Array, dt: f
 
 def _stage_jacobians(x: Array, ref: _RefArrays, w: CostWeights, q_bc: Array, dt: float, h: float = 1e-6):
     """FD Jacobians of residuals and image coordinates per node."""
-    m = x.shape[0]
-    steps = h * np.maximum(1.0, np.abs(x))
-    pert = np.eye(NX)[None, :, :] * steps[:, :, None]
-    xp = (x[:, None, :] + pert).reshape(m * NX, NX)
-    xm = (x[:, None, :] - pert).reshape(m * NX, NX)
+    ref_tiled = _RefArrays(*(np.repeat(a, NX, axis=0) for a in (ref.s, ref.d, ref.v, ref.q)))
 
-    ref_tiled = _RefArrays(
-        s=np.repeat(ref.s, NX, axis=0),
-        d=np.repeat(ref.d, NX, axis=0),
-        v=np.repeat(ref.v, NX, axis=0),
-        q=np.repeat(ref.q, NX, axis=0),
-    )
-    rp, sp, _ = _stage_outputs(xp, ref_tiled, w, q_bc, dt)
-    rm, sm, _ = _stage_outputs(xm, ref_tiled, w, q_bc, dt)
-    denom = 2.0 * steps[:, None, :]
-    j_res = (rp.reshape(m, NX, 12) - rm.reshape(m, NX, 12)).swapaxes(1, 2) / denom
-    j_s = (sp.reshape(m, NX, 2) - sm.reshape(m, NX, 2)).swapaxes(1, 2) / denom
-    return j_res, j_s
+    def fun(z):
+        res, s_c, _ = _stage_outputs(z, ref_tiled, w, q_bc, dt)
+        return np.concatenate([res, s_c], axis=1)
+
+    jac = fd_jacobian_batch(fun, x, h)
+    return jac[:, :12], jac[:, 12:]
 
 
 def _rollout(x0: Array, u: Array, dt: float, ext: CameraExtrinsics) -> Array:
@@ -242,48 +233,6 @@ def _hinge(s: Array, ok: Array, s_min: Array, s_max: Array) -> Array:
     return np.where(ok, v, 0.0)
 
 
-def _box_qp(h_mat, g_vec, lb, ub, tol, max_iter=60):
-    """Projected-Newton solve of  min 1/2 z'Hz + g'z  s.t.  lb <= z <= ub.
-
-    H must be positive definite.  Starts at the origin (always feasible
-    here: the box is centered on the current, box-feasible inputs).
-    """
-    z = np.clip(np.zeros_like(g_vec), lb, ub)
-    it = 0
-
-    def obj(v):
-        return 0.5 * float(v @ h_mat @ v) + float(g_vec @ v)
-
-    for it in range(1, max_iter + 1):
-        grad = h_mat @ z + g_vec
-        if np.max(np.abs(z - np.clip(z - grad, lb, ub))) < tol:
-            break
-        eps = 1e-12
-        active = ((z <= lb + eps) & (grad > 0.0)) | ((z >= ub - eps) & (grad < 0.0))
-        free = ~active
-        if not np.any(free):
-            break
-        dz = np.zeros_like(z)
-        h_ff = h_mat[np.ix_(free, free)]
-        try:
-            dz[free] = -np.linalg.solve(h_ff, grad[free])
-        except np.linalg.LinAlgError:
-            dz[free] = -grad[free]
-        f0 = obj(z)
-        alpha = 1.0
-        improved = False
-        for _ in range(30):
-            z_t = np.clip(z + alpha * dz, lb, ub)
-            if obj(z_t) < f0 - 1e-15:
-                z = z_t
-                improved = True
-                break
-            alpha *= 0.5
-        if not improved:
-            break
-    return z, it
-
-
 def _solve_step_qp(h_mat, g_vec, lb, ub, vis_rows, vis_base, vis_lo, vis_hi, rho, tol, max_iter):
     """Box QP with L1-penalized slacks on the linear visibility rows.
 
@@ -291,14 +240,12 @@ def _solve_step_qp(h_mat, g_vec, lb, ub, vis_rows, vis_base, vis_lo, vis_hi, rho
     hinge violation) and the resulting piecewise-quadratic problem is
     solved by an augmented Lagrangian whose row multipliers are capped
     at the penalty weight, which reproduces the exact L1 penalty.  Each
-    inner minimization is a smooth box QP handled by projected Newton.
+    inner minimization is a smooth box QP handled by projected Newton;
+    with no rows it is the whole problem and one outer pass solves it.
 
     Returns (step, row multipliers lo/hi, slack values, violation sum).
     """
     n_rows = len(vis_rows)
-    if n_rows == 0:
-        z, _ = _box_qp(h_mat, g_vec, lb, ub, tol, max_iter)
-        return z, np.zeros(0), np.zeros(0), np.zeros(0), 0.0
 
     def hinge(y):
         return np.maximum(0.0, vis_lo - y) + np.maximum(0.0, y - vis_hi)
@@ -403,8 +350,9 @@ class _Model:
 def _reduced_model(x, u, problem):
     """Condensed Gauss-Newton model at (X, U).
 
-    Returns (H, g, M, m, s_rows, s_off, ok_vis) where the visibility
-    linearization per node k >= 1 is  s_c[k] + s_rows[k] @ dU + s_off[k].
+    The visibility linearization of node k >= 1 becomes one pair of rows
+    ``vis_base + vis_rows @ dU`` between ``vis_lo`` and ``vis_hi``; nodes
+    whose projection is degenerate contribute no rows.
     """
     p = problem.params
     n = p.horizon
@@ -514,7 +462,6 @@ def solve(problem: OcpProblem, warm: OcpSolution | None = None) -> OcpSolution:
     merits = [ws.merit]
     best_u, best_ws = u, ws
     status = SolveStatus.MAX_ITERS
-    slack_max = 0.0
     qp_passes = 0
     iters_done = 0
     kkt_of_u: tuple | None = None  # (u snapshot, kkt value)
@@ -533,7 +480,7 @@ def solve(problem: OcpProblem, warm: OcpSolution | None = None) -> OcpSolution:
 
         lb_step = np.maximum(lb - u.ravel(), -tr_radius * tr_scale)
         ub_step = np.minimum(ub - u.ravel(), tr_radius * tr_scale)
-        du, lam_lo, lam_hi, slack, lin_viol = _solve_step_qp(
+        du, lam_lo, lam_hi, _, lin_viol = _solve_step_qp(
             model.h, model.g, lb_step, ub_step,
             model.vis_rows, model.vis_base, model.vis_lo, model.vis_hi,
             p.slack_weight, p.qp_tol, p.qp_max_iter,
@@ -542,7 +489,6 @@ def solve(problem: OcpProblem, warm: OcpSolution | None = None) -> OcpSolution:
         if not np.all(np.isfinite(du)):
             status = SolveStatus.INFEASIBLE
             break
-        slack_max = max(slack_max, float(np.max(slack, initial=0.0)))
 
         kkt_val = _kkt_from_model(u.ravel(), model, problem, lam_lo, lam_hi)
         kkt_of_u = (u.copy(), kkt_val)
@@ -722,8 +668,3 @@ class VisualPredictiveController:
         self._prev = sol
         self._queue = [sol.inputs[k].copy() for k in range(1, sol.inputs.shape[0])]
         return clamp_input(ControlInput.from_vector(sol.inputs[0]), self.bounds), sol
-
-
-def controller_step(controller: VisualPredictiveController, measurement: QuadVisualState, refs):
-    """Functional alias for one receding-horizon cycle."""
-    return controller.step(measurement, refs)

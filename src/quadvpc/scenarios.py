@@ -20,8 +20,10 @@ from .config import ScenarioConfig, config_from_dict, config_to_dict
 from .costs import ReferencePoint
 from .dynamics import (
     CameraTwist,
+    _bearing_rates,
     homogeneous_image_dynamics,
     propagate_camera_pose,
+    rk4,
 )
 from .geometry import (
     EZ,
@@ -30,7 +32,6 @@ from .geometry import (
     quat_conj,
     quat_identity,
     quat_normalize,
-    quat_prod,
     quat_rotate,
     quat_yaw,
 )
@@ -461,40 +462,24 @@ def _twist_at(cfg: ScenarioConfig, t: float) -> CameraTwist:
 
 def bearing_prediction_step(q_cl: Array, d: float, twist: CameraTwist, dt: float):
     """RK4 step of the bearing-distance feature state under a frozen twist."""
-    x = np.zeros(12)
-    x[3] = 1.0  # identity attitude; motion enters through the twist below
-    x[7:11] = q_cl
-    x[11] = d
 
-    def deriv(q, dd_):
-        n = quat_rotate(q, EZ)
-        t1 = quat_rotate(q, np.array([1.0, 0.0, 0.0]))
-        t2 = quat_rotate(q, np.array([0.0, 1.0, 0.0]))
-        w_eff = -twist.w_c - np.cross(n, twist.v_c) / dd_
-        w = (t1 @ w_eff) * t1 + (t2 @ w_eff) * t2
-        dq = 0.5 * quat_prod(np.concatenate([[0.0], w]), q)
-        return dq, -float(n @ twist.v_c)
+    def deriv(z):
+        _, dq, dd = _bearing_rates(z[:4], z[4:], twist.v_c, twist.w_c)
+        return np.concatenate([dq, dd])
 
-    k1q, k1d = deriv(q_cl, d)
-    k2q, k2d = deriv(q_cl + 0.5 * dt * k1q, d + 0.5 * dt * k1d)
-    k3q, k3d = deriv(q_cl + 0.5 * dt * k2q, d + 0.5 * dt * k2d)
-    k4q, k4d = deriv(q_cl + dt * k3q, d + dt * k3d)
-    q_new = quat_normalize(q_cl + (dt / 6.0) * (k1q + 2 * k2q + 2 * k3q + k4q))
-    d_new = d + (dt / 6.0) * (k1d + 2 * k2d + 2 * k3d + k4d)
-    return q_new, d_new
+    out = rk4(deriv, np.append(q_cl, d), dt)
+    return quat_normalize(out[:4]), float(out[4])
 
 
 def homogeneous_prediction_step(s: Array, z_depth: float, twist: CameraTwist, dt: float):
     """RK4 step of the homogeneous-coordinate feature state."""
 
-    def deriv(ss, zz):
-        return homogeneous_image_dynamics(ss, zz, twist)
+    def deriv(z):
+        ds, dz = homogeneous_image_dynamics(z[:2], z[2], twist)
+        return np.append(ds, dz)
 
-    k1s, k1z = deriv(s, z_depth)
-    k2s, k2z = deriv(s + 0.5 * dt * k1s, z_depth + 0.5 * dt * k1z)
-    k3s, k3z = deriv(s + 0.5 * dt * k2s, z_depth + 0.5 * dt * k2z)
-    k4s, k4z = deriv(s + dt * k3s, z_depth + dt * k3z)
-    return s + (dt / 6.0) * (k1s + 2 * k2s + 2 * k3s + k4s), z_depth + (dt / 6.0) * (k1z + 2 * k2z + 2 * k3z + k4z)
+    out = rk4(deriv, np.append(s, z_depth), dt)
+    return out[:2], out[2]
 
 
 def predict_compare(cfg: ScenarioConfig):

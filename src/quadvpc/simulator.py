@@ -15,25 +15,24 @@ import numpy as np
 
 from .costs import ReferencePoint
 from .dynamics import (
-    GRAVITY_W,
     CameraExtrinsics,
     ControlInput,
     QuadVisualState,
+    _body_rates,
     _vec3,
+    rk4,
 )
 from .geometry import (
     EPS_Z,
     EZ,
     Array,
     bearing_from_image,
-    pure_quat,
     quat_conj,
     quat_exp,
     quat_from_rotmat,
     quat_identity,
     quat_mul,
     quat_normalize,
-    quat_prod,
     quat_rotate,
     quat_yaw,
 )
@@ -123,24 +122,16 @@ class NoiseModel:
         return self.sigma_v == self.sigma_att == self.sigma_d_rel == self.sigma_px == 0.0
 
 
-def _plant_deriv(x: Array, u: ControlInput) -> Array:
-    v = x[3:6]
-    q = x[6:10]
-    dv = quat_rotate(q, u.c * EZ) + GRAVITY_W
-    dq = 0.5 * quat_prod(q, pure_quat(u.omega_b))
-    return np.concatenate([v, dv, dq])
-
-
 def plant_step(ps: PlantState, u: ControlInput, dt: float) -> PlantState:
     """RK4 step of position, velocity and attitude; quaternion renormalized."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    x = ps.as_vector()
-    k1 = _plant_deriv(x, u)
-    k2 = _plant_deriv(x + 0.5 * dt * k1, u)
-    k3 = _plant_deriv(x + 0.5 * dt * k2, u)
-    k4 = _plant_deriv(x + dt * k3, u)
-    out = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+    def deriv(x):
+        dv, dq = _body_rates(x[6:10], u.c, u.omega_b)
+        return np.concatenate([x[3:6], dv, dq])
+
+    out = rk4(deriv, ps.as_vector(), dt)
     out[6:10] /= np.linalg.norm(out[6:10])
     return PlantState.from_vector(out)
 
@@ -281,18 +272,17 @@ def run_closed_loop(
     dt: float,
     seed: int = 0,
     sensor_bounds=DEFAULT_SENSOR_BOUNDS,
-    substep: float = PLANT_SUBSTEP,
 ) -> RunLog:
     """Fixed-rate observe / solve / actuate loop.
 
-    The plant is substepped between control ticks.  Terminates on
+    The plant is substepped at ``PLANT_SUBSTEP`` between control ticks.  Terminates on
     duration, feature loss, or the divergence guard; failures are
     recorded as outcomes, never raised.
     """
     rng = np.random.default_rng(seed)
     ps = plant0
     n_ticks = int(round(duration / dt))
-    n_sub = max(1, int(round(dt / substep)))
+    n_sub = max(1, int(round(dt / PLANT_SUBSTEP)))
 
     rows = {key: [] for key in ("t", "p_w", "v_w", "q_wb", "s_c", "d", "u", "ref_s", "ref_d", "solve_ms", "kkt", "sqp_iters", "slack_max", "visible")}
     status: list = []

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -25,6 +26,7 @@ from quadvpc.scenarios import (
     scenario_hover,
     scenario_success_sweep,
 )
+from quadvpc.ocp import OcpParams
 from quadvpc.outputs import CSV_HEADER, write_run_csv, write_summary_json
 
 
@@ -44,11 +46,17 @@ class TestConfig:
         cfg = default_config("quarter_circle")
         cfg.seed = 17
         cfg.max_ref_speed = 4.5
+        cfg.ocp = OcpParams(
+            horizon=7, dt=0.04, max_sqp_iters=3, qp_tol=1e-9, slack_weight=150.0,
+            sqp_tol=1e-5, reg=1e-3, qp_max_iter=30, constraint_margin=0.07,
+        )
+        for f in dataclasses.fields(OcpParams):
+            assert getattr(cfg.ocp, f.name) != f.default, f.name
         again = config_from_dict(json.loads(json.dumps(config_to_dict(cfg))))
         assert again.seed == 17
         assert again.max_ref_speed == 4.5
         assert np.allclose(again.weights.q_s, cfg.weights.q_s)
-        assert again.ocp.horizon == cfg.ocp.horizon
+        assert again.ocp == cfg.ocp
 
     def test_unknown_key_rejected(self):
         data = config_to_dict(default_config())

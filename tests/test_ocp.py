@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from quadvpc.ocp import (
     OcpParams,
     SolveStatus,
     VisualPredictiveController,
+    _solve_step_qp,
     build_problem,
     kkt_residual,
     shift_warm_start,
@@ -140,6 +143,55 @@ class TestKktResidual:
         x = _rollout(problem.x0.as_vector(), u, problem.params.dt, problem.extrinsics)
         model = _reduced_model(x, u, problem)
         assert np.max(np.abs(model.defects)) == 0.0
+
+
+def box_qp_oracle(h_mat, g_vec, lb, ub, tol=1e-9):
+    """Brute force over every lower / free / upper active set.
+
+    Each set fixes its bounded components and solves the free block of
+    the stationarity equations; the best point that is inside the box
+    and has bound multipliers of the right sign is the minimizer.
+    """
+    n = len(g_vec)
+    best, best_obj = None, np.inf
+    for code in itertools.product((-1, 0, 1), repeat=n):
+        code = np.array(code)
+        z = np.where(code < 0, lb, np.where(code > 0, ub, 0.0))
+        free = code == 0
+        if np.any(free):
+            rhs = -(g_vec[free] + h_mat[np.ix_(free, ~free)] @ z[~free])
+            z[free] = np.linalg.solve(h_mat[np.ix_(free, free)], rhs)
+        grad = h_mat @ z + g_vec
+        if np.any(z < lb - tol) or np.any(z > ub + tol):
+            continue
+        if np.any(grad[code < 0] < -tol) or np.any(grad[code > 0] > tol):
+            continue
+        obj = 0.5 * z @ h_mat @ z + g_vec @ z
+        if obj < best_obj:
+            best, best_obj = z, obj
+    return best
+
+
+class TestStepQpWithoutRows:
+    def test_matches_active_set_oracle(self, rng):
+        # with no visibility rows the step QP is a plain box QP
+        n_active = 0
+        for _ in range(200):
+            n = int(rng.integers(1, 5))
+            a = rng.normal(size=(n, n))
+            h_mat = a @ a.T + 0.5 * np.eye(n)
+            g_vec = rng.normal(0.0, 3.0, n)
+            lb = -rng.uniform(0.1, 1.0, n)
+            ub = rng.uniform(0.1, 1.0, n)
+            z, lam_lo, lam_hi, slack, viol = _solve_step_qp(
+                h_mat, g_vec, lb, ub, np.zeros((0, n)), np.zeros(0), np.zeros(0), np.zeros(0), 200.0, 1e-10, 60
+            )
+            want = box_qp_oracle(h_mat, g_vec, lb, ub)
+            assert np.max(np.abs(z - want)) < 1e-8
+            assert lam_lo.shape == lam_hi.shape == slack.shape == (0,)
+            assert viol == 0.0
+            n_active += int(np.any((want == lb) | (want == ub)))
+        assert n_active > 50
 
 
 class TestShiftWarmStart:
