@@ -9,13 +9,9 @@ from .costs import (
     Bounds,
     CostWeights,
     ReferencePoint,
-    action_cost,
     clamp_input,
     dynamic_visual_weight,
-    perception_cost,
-    rotation_compensated_image,
     visibility_residual,
-    visual_servo_cost,
 )
 from .dynamics import (
     CameraExtrinsics,

@@ -1,9 +1,13 @@
-"""Objectives and constraint residuals for the visual servoing OCP.
+"""Weights, bounds, references and constraint residuals of the servoing OCP.
 
-Three stage objectives: visual servoing (rotation-compensated image error
-plus distance error), perception (feature pulled toward the image
-center), and action (velocity and attitude tracking).  Constraints are
-the image-plane visibility box and the thrust/body-rate input boxes.
+The three stage objectives (visual servoing: rotation-compensated image
+error plus distance error; perception: feature pulled toward the image
+center; action: velocity and attitude tracking) are defined once, as the
+solver's batched residuals in :func:`quadvpc.ocp._stage_outputs`.  This
+module holds what they are weighted and bounded by: the cost weights, the
+image-plane visibility box and the thrust/body-rate input boxes, the
+per-node reference, the dynamic distance-based visual weight, and the
+scalar visibility residual and input clamp.
 
 All weights are diagonal and stored as vectors of diagonal entries.
 """
@@ -14,15 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import ControlInput, QuadVisualState, _vec3, fd_jacobian_batch
-from .geometry import (
-    Array,
-    DegenerateProjection,
-    bearing_n,
-    quat_conj,
-    quat_mul,
-    to_homogeneous,
-)
+from .dynamics import ControlInput, QuadVisualState, _vec3
+from .geometry import Array, bearing_n
 
 # Stage-cost value substituted when a projection is degenerate: keeps the
 # NLP finite while making behind-camera states strongly repellent.
@@ -109,73 +106,6 @@ class ReferencePoint:
         object.__setattr__(self, "q_star", q / np.linalg.norm(q))
         if self.d_star <= 0.0:
             raise ValueError("d_star must be positive")
-
-
-def rotation_compensated_image(q_wb: Array, q_cl: Array, q_bc: Array) -> Array:
-    """Image coordinate of the bearing after attitude compensation.
-
-    Re-expresses the current bearing as seen by a camera whose body had
-    identity attitude:  s = [n(q_bc^-1 (x) q_wb (x) q_bc (x) q_cl)]_z.
-    Raises :class:`DegenerateProjection` if the compensated bearing
-    points away from the image plane.
-    """
-    q = quat_mul(quat_mul(quat_conj(q_bc), quat_mul(q_wb, q_bc)), q_cl)
-    return to_homogeneous(bearing_n(q))
-
-
-def visual_servo_cost(x: QuadVisualState, ref: ReferencePoint, w: CostWeights, q_bc: Array) -> float:
-    """Weighted image-coordinate and distance tracking error.
-
-    The compensation uses the attitude deviation from the reference,
-    ``q_star^-1 (x) q_wb``, so the cost vanishes exactly at the reference
-    pose for any reference heading; with an identity reference attitude
-    this reduces to plain attitude compensation.
-    """
-    q_rel = quat_mul(quat_conj(ref.q_star), x.q_wb)
-    try:
-        s_comp = rotation_compensated_image(q_rel, x.q_cl, q_bc)
-    except DegenerateProjection:
-        return PENALTY_CEILING
-    err = s_comp - ref.s_star
-    return float(err @ (w.q_s * err) + w.q_d * (x.d - ref.d_star) ** 2)
-
-
-def perception_cost(x: QuadVisualState, w: CostWeights) -> float:
-    """Weighted distance of the (uncompensated) feature from image center."""
-    try:
-        s_c = to_homogeneous(bearing_n(x.q_cl))
-    except DegenerateProjection:
-        return PENALTY_CEILING
-    return float(s_c @ (w.q_p * s_c))
-
-
-def action_cost(x: QuadVisualState, ref: ReferencePoint, w: CostWeights) -> float:
-    """Velocity tracking plus attitude tracking.
-
-    The attitude error is the raw quaternion difference after sign
-    alignment, which removes the double-cover discontinuity.
-    """
-    dv = x.v_w - ref.v_star
-    q = x.q_wb if x.q_wb @ ref.q_star >= 0.0 else -x.q_wb
-    dq = q - ref.q_star
-    return float(dv @ (w.q_v * dv) + dq @ (w.q_q * dq))
-
-
-def _grad_flat(fun, x_flat: Array, h: float = 1e-6) -> Array:
-    return fd_jacobian_batch(lambda z: np.array([[fun(row)] for row in z]), x_flat, h)[0, 0]
-
-
-def visual_servo_gradient(x: QuadVisualState, ref: ReferencePoint, w: CostWeights, q_bc: Array) -> Array:
-    """Gradient of the visual servoing cost on the flat state."""
-    return _grad_flat(lambda z: visual_servo_cost(QuadVisualState.from_vector(z), ref, w, q_bc), x.as_vector())
-
-
-def perception_gradient(x: QuadVisualState, w: CostWeights) -> Array:
-    return _grad_flat(lambda z: perception_cost(QuadVisualState.from_vector(z), w), x.as_vector())
-
-
-def action_gradient(x: QuadVisualState, ref: ReferencePoint, w: CostWeights) -> Array:
-    return _grad_flat(lambda z: action_cost(QuadVisualState.from_vector(z), ref, w), x.as_vector())
 
 
 def dynamic_visual_weight(d_measured: float, base: Array, d_cap: float = D_CAP) -> Array:

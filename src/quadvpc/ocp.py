@@ -41,6 +41,7 @@ from .geometry import (
     quat_normalize,
     quat_prod,
     quat_rotate,
+    quat_to_rotmat,
 )
 
 NX = 12
@@ -80,6 +81,8 @@ class OcpParams:
     def __post_init__(self):
         if self.horizon < 1 or self.dt <= 0.0 or self.max_sqp_iters < 1:
             raise ValueError("horizon >= 1, dt > 0 and max_sqp_iters >= 1 required")
+        if self.qp_tol <= 0.0 or self.qp_max_iter < 1:
+            raise ValueError("qp_tol > 0 and qp_max_iter >= 1 required")
 
 
 @dataclass(frozen=True)
@@ -161,10 +164,19 @@ def build_problem(
 def _stage_outputs(x: Array, ref: _RefArrays, w: CostWeights, q_bc: Array, dt: float):
     """Batched stage residuals and image coordinates.
 
-    ``x`` is ``(M, 12)`` with one row per horizon node (possibly tiled
-    for finite differencing).  Returns the sqrt-weighted residual vector
-    ``(M, 12)`` whose squared norm is the stage cost times dt, the
-    uncompensated image coordinate ``(M, 2)``, and its validity mask.
+    This is the one definition of the three objectives.  ``x`` is
+    ``(M, 12)`` with one row per horizon node (possibly tiled for finite
+    differencing).  Returns the sqrt-weighted residual vector ``(M, 12)``
+    whose squared norm is the stage cost times dt, the uncompensated
+    image coordinate ``(M, 2)``, and its validity mask.  The residual
+    columns are, in blocks:
+
+    - ``0:2`` rotation-compensated image error and ``2`` distance error
+      (visual servoing);
+    - ``3:5`` uncompensated image coordinate (perception);
+    - ``5:8`` velocity error and ``8:12`` sign-aligned attitude error
+      (action).
+
     Degenerate projections contribute the penalty-ceiling cost through
     constant residual entries.
     """
@@ -213,8 +225,6 @@ def _stage_jacobians(x: Array, ref: _RefArrays, w: CostWeights, q_bc: Array, dt:
 
 
 def _rollout(x0: Array, u: Array, dt: float, ext: CameraExtrinsics) -> Array:
-    from .geometry import quat_to_rotmat
-
     r_bc = quat_to_rotmat(ext.q_bc)
     n = u.shape[0]
     x = np.empty((n + 1, NX))
@@ -264,7 +274,7 @@ def _solve_step_qp(h_mat, g_vec, lb, ub, vis_rows, vis_base, vis_lo, vis_hi, rho
             a_hi = f_hi > 0.0
             grad = h_mat @ z + g_vec - vis_rows.T @ (f_lo * a_lo) + vis_rows.T @ (f_hi * a_hi)
             pg = np.max(np.abs(z - np.clip(z - grad, lb, ub)))
-            if pg < max(tol, 1e-10):
+            if pg < tol:
                 break
             rows_act = vis_rows[a_lo | a_hi]
             h_eff = h_mat + mu * rows_act.T @ rows_act if len(rows_act) else h_mat

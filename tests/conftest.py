@@ -3,12 +3,17 @@
 The oracles here deliberately avoid the package's own quaternion
 helpers: rotations go through explicitly assembled 3x3 matrices so the
 library code is checked against a second, independent formulation.
+``stage_block`` is not an oracle: it exposes one objective of the
+solver's own stage residuals so the cost tests check the code that runs.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+
+from quadvpc.costs import ReferencePoint
+from quadvpc.ocp import _RefArrays, _stage_jacobians, _stage_outputs
 
 
 def rotmat_oracle(q) -> np.ndarray:
@@ -70,6 +75,42 @@ def fd_jacobian(fun, x, h=1e-7) -> np.ndarray:
         xm[i] -= step
         cols.append((np.asarray(fun(xp)) - np.asarray(fun(xm))) / (2 * step))
     return np.stack(cols, axis=-1)
+
+
+# residual columns of each objective in ocp._stage_outputs
+STAGE_BLOCKS = {"visual_servo": slice(0, 3), "perception": slice(3, 5), "action": slice(5, 12)}
+
+
+def _stage_node(x, ref, q_bc):
+    x = np.asarray(x.as_vector() if hasattr(x, "as_vector") else x, dtype=float)
+    if ref is None:  # the perception block does not read the reference
+        ref = ReferencePoint(np.zeros(2), 1.0, np.zeros(3), np.array([1.0, 0.0, 0.0, 0.0]))
+    q_bc = np.array([1.0, 0.0, 0.0, 0.0]) if q_bc is None else q_bc
+    return x[None, :], _RefArrays.stack([ref]), q_bc
+
+
+def stage_block(x, ref, w, block, q_bc=None):
+    """One node's objective through the solver's own residuals, at dt = 1.
+
+    Evaluates ``ocp._stage_outputs`` on the raw flat state (quaternions
+    are not renormalized) and returns ``(cost, r, ok)``: the sum of
+    squares of the ``block`` residuals, those residuals, and the
+    perception validity flag.
+    """
+    x, refs, q_bc = _stage_node(x, ref, q_bc)
+    res, _, ok = _stage_outputs(x, refs, w, q_bc, 1.0)
+    r = res[0, STAGE_BLOCKS[block]]
+    return float(np.sum(r * r)), r, bool(ok[0])
+
+
+def stage_block_gradient(x, ref, w, block, q_bc=None):
+    """The solver's gradient of ``stage_block``: ``2 J[block]^T r[block]``,
+    with ``J`` from ``ocp._stage_jacobians``."""
+    x, refs, q_bc = _stage_node(x, ref, q_bc)
+    res, _, _ = _stage_outputs(x, refs, w, q_bc, 1.0)
+    j_res, _ = _stage_jacobians(x, refs, w, q_bc, 1.0)
+    cols = STAGE_BLOCKS[block]
+    return 2.0 * j_res[0, cols].T @ res[0, cols]
 
 
 @pytest.fixture

@@ -8,20 +8,23 @@ from quadvpc.costs import (
     ControlInput,
     CostWeights,
     ReferencePoint,
-    action_cost,
-    action_gradient,
     clamp_input,
     dynamic_visual_weight,
-    perception_cost,
-    perception_gradient,
-    rotation_compensated_image,
     visibility_residual,
-    visual_servo_cost,
-    visual_servo_gradient,
 )
 from quadvpc.dynamics import QuadVisualState
 
-from conftest import fd_gradient, quat_oracle_from_axis_angle, random_quat, rotmat_oracle
+from conftest import (
+    fd_gradient,
+    quat_oracle_from_axis_angle,
+    random_quat,
+    rotmat_oracle,
+    stage_block,
+    stage_block_gradient,
+)
+
+# residual entry that replaces a degenerate projection's image error at dt = 1
+FILL = np.sqrt(PENALTY_CEILING / 2.0)
 
 
 def make_state(rng, front_only=True):
@@ -46,28 +49,41 @@ def make_ref(rng):
     )
 
 
+def compensated_image(q_wb, q_cl):
+    """Image residual of the visual servoing block with unit image weight,
+    no distance weight, ``s* = 0``, an identity reference attitude and an
+    identity camera mounting: the rotation-compensated image coordinate."""
+    x = QuadVisualState(np.zeros(3), q_wb, q_cl, 3.0)
+    ref = ReferencePoint(np.zeros(2), 3.0, np.zeros(3), g.quat_identity())
+    w = CostWeights(q_s=np.ones(2), q_d=0.0)
+    _, r, _ = stage_block(x, ref, w, "visual_servo")
+    return r[:2]
+
+
 class TestRotationCompensatedImage:
     def test_identity_attitude_collapses(self, rng):
         q_cl = g.bearing_from_image(np.array([0.3, -0.2]))
-        out = rotation_compensated_image(g.quat_identity(), q_cl, g.quat_identity())
+        out = compensated_image(g.quat_identity(), q_cl)
         assert np.allclose(out, g.image_from_bearing(q_cl), atol=1e-15)
 
     def test_yaw_about_bearing_axis_at_center(self):
         q_wb = g.quat_yaw(0.7)
-        out = rotation_compensated_image(q_wb, g.quat_identity(), g.quat_identity())
+        out = compensated_image(q_wb, g.quat_identity())
         assert np.allclose(out, [0, 0], atol=1e-12)
 
     def test_pitch_matches_matrix_oracle(self):
         pitch = np.radians(10)
         q_wb = quat_oracle_from_axis_angle([0, 1, 0], pitch)
-        out = rotation_compensated_image(q_wb, g.quat_identity(), g.quat_identity())
+        out = compensated_image(q_wb, g.quat_identity())
         v = rotmat_oracle(q_wb) @ np.array([0, 0, 1.0])
         assert np.allclose(out, v[:2] / v[2], atol=1e-12)
 
     def test_degenerate_raises(self):
+        # the compensated bearing points away from the image plane; the
+        # solver fills the image residual instead of raising
         q_wb = quat_oracle_from_axis_angle([0, 1, 0], np.pi)
-        with pytest.raises(g.DegenerateProjection):
-            rotation_compensated_image(q_wb, g.quat_identity(), g.quat_identity())
+        out = compensated_image(q_wb, g.quat_identity())
+        assert np.all(out == FILL)
 
 
 class TestVisualServoCost:
@@ -75,7 +91,8 @@ class TestVisualServoCost:
         q_cl = g.bearing_from_image(np.array([0.2, 0.1]))
         x = QuadVisualState(np.zeros(3), g.quat_identity(), q_cl, 3.0)
         ref = ReferencePoint(g.image_from_bearing(q_cl), 3.0, np.zeros(3), g.quat_identity())
-        assert visual_servo_cost(x, ref, CostWeights(), g.quat_identity()) == pytest.approx(0.0, abs=1e-18)
+        cost, _, _ = stage_block(x, ref, CostWeights(), "visual_servo")
+        assert cost == pytest.approx(0.0, abs=1e-18)
 
     def test_zero_at_reference_with_heading(self):
         # the compensation is relative to the reference attitude, so a
@@ -84,45 +101,53 @@ class TestVisualServoCost:
         q_cl = g.bearing_from_image(np.array([0.2, 0.1]))
         x = QuadVisualState(np.zeros(3), g.quat_yaw(psi), q_cl, 3.0)
         ref = ReferencePoint(g.image_from_bearing(q_cl), 3.0, np.zeros(3), g.quat_yaw(psi))
-        assert visual_servo_cost(x, ref, CostWeights(), g.quat_identity()) == pytest.approx(0.0, abs=1e-18)
+        cost, _, _ = stage_block(x, ref, CostWeights(), "visual_servo")
+        assert cost == pytest.approx(0.0, abs=1e-18)
 
     def test_single_distance_term(self):
         x = QuadVisualState(np.zeros(3), g.quat_identity(), g.quat_identity(), 4.0)
         ref = ReferencePoint(np.zeros(2), 3.0, np.zeros(3), g.quat_identity())
         w = CostWeights(q_s=np.zeros(2), q_d=2.0, q_p=np.zeros(2), q_v=np.zeros(3), q_q=np.zeros(4))
-        assert visual_servo_cost(x, ref, w, g.quat_identity()) == pytest.approx(2.0)
+        cost, _, _ = stage_block(x, ref, w, "visual_servo")
+        assert cost == pytest.approx(2.0)
 
     def test_quadratic_homogeneity(self):
         w = CostWeights(q_s=np.array([1.0, 1.0]), q_d=0.0)
         ref = ReferencePoint(np.zeros(2), 3.0, np.zeros(3), g.quat_identity())
         x1 = QuadVisualState(np.zeros(3), g.quat_identity(), g.bearing_from_image([0.1, 0.0]), 3.0)
         x2 = QuadVisualState(np.zeros(3), g.quat_identity(), g.bearing_from_image([0.2, 0.0]), 3.0)
-        c1 = visual_servo_cost(x1, ref, w, g.quat_identity())
-        c2 = visual_servo_cost(x2, ref, w, g.quat_identity())
+        c1, _, _ = stage_block(x1, ref, w, "visual_servo")
+        c2, _, _ = stage_block(x2, ref, w, "visual_servo")
         assert c2 / c1 == pytest.approx(4.0, rel=1e-9)
 
     def test_degenerate_returns_ceiling(self):
         q_cl = quat_oracle_from_axis_angle([1, 0, 0], np.pi)
         x = QuadVisualState(np.zeros(3), g.quat_identity(), q_cl, 3.0)
         ref = ReferencePoint(np.zeros(2), 3.0, np.zeros(3), g.quat_identity())
-        assert visual_servo_cost(x, ref, CostWeights(), g.quat_identity()) == PENALTY_CEILING
+        cost, r, _ = stage_block(x, ref, CostWeights(), "visual_servo")
+        _, r_per, ok = stage_block(x, ref, CostWeights(), "perception")
+        assert np.all(r[:2] == FILL) and r[2] == 0.0
+        assert np.all(r_per == FILL) and not ok
+        # two fill entries carry the ceiling (FILL**2 rounds to 5e5 + 6e-11)
+        assert cost == 2.0 * FILL**2 == 1000000.0000000001
 
 
 class TestPerceptionCost:
     def test_zero_at_center(self):
         x = QuadVisualState(np.zeros(3), g.quat_identity(), g.quat_identity(), 3.0)
-        assert perception_cost(x, CostWeights()) == 0.0
+        assert stage_block(x, None, CostWeights(), "perception")[0] == 0.0
 
     def test_quadratic_value(self):
         x = QuadVisualState(np.zeros(3), g.quat_identity(), g.bearing_from_image([0.5, 0.0]), 3.0)
         w = CostWeights(q_p=np.array([4.0, 4.0]))
-        assert perception_cost(x, w) == pytest.approx(1.0, rel=1e-12)
+        assert stage_block(x, None, w, "perception")[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_invariant_to_attitude(self, rng):
         q_cl = g.bearing_from_image(np.array([0.3, -0.4]))
         w = CostWeights()
         vals = [
-            perception_cost(QuadVisualState(np.zeros(3), random_quat(rng), q_cl, 3.0), w) for _ in range(10)
+            stage_block(QuadVisualState(np.zeros(3), random_quat(rng), q_cl, 3.0), None, w, "perception")[0]
+            for _ in range(10)
         ]
         assert np.ptp(vals) == 0.0
 
@@ -131,60 +156,52 @@ class TestActionCost:
     def test_zero_at_reference(self, rng):
         ref = make_ref(rng)
         x = QuadVisualState(ref.v_star, ref.q_star, g.quat_identity(), ref.d_star)
-        assert action_cost(x, ref, CostWeights()) == pytest.approx(0.0, abs=1e-18)
+        assert stage_block(x, ref, CostWeights(), "action")[0] == pytest.approx(0.0, abs=1e-18)
 
     def test_double_cover(self, rng):
         ref = make_ref(rng)
         x = QuadVisualState(ref.v_star, -ref.q_star, g.quat_identity(), ref.d_star)
-        assert action_cost(x, ref, CostWeights()) == pytest.approx(0.0, abs=1e-18)
+        assert stage_block(x, ref, CostWeights(), "action")[0] == pytest.approx(0.0, abs=1e-18)
 
     def test_double_cover_invariance(self, rng):
         ref, x = make_ref(rng), make_state(rng)
         flipped = QuadVisualState(x.v_w, -x.q_wb, x.q_cl, x.d)
-        assert action_cost(x, ref, CostWeights()) == action_cost(flipped, ref, CostWeights())
+        assert stage_block(x, ref, CostWeights(), "action")[0] == stage_block(flipped, ref, CostWeights(), "action")[0]
 
     def test_velocity_term(self):
         ref = ReferencePoint(np.zeros(2), 3.0, np.zeros(3), g.quat_identity())
         w = CostWeights(q_v=np.array([3.0, 1.0, 1.0]), q_q=np.zeros(4))
         x = QuadVisualState([1.0, 0, 0], g.quat_identity(), g.quat_identity(), 3.0)
-        assert action_cost(x, ref, w) == pytest.approx(3.0)
+        assert stage_block(x, ref, w, "action")[0] == pytest.approx(3.0)
+
+
+def assert_gradient_matches_fd(x, ref, w, block):
+    """Solver gradient of one block against central differences of the
+    same block on the raw flat state."""
+    got = stage_block_gradient(x, ref, w, block)
+    ref_g = fd_gradient(lambda z: stage_block(z, ref, w, block)[0], x.as_vector())
+    scale = np.maximum(np.abs(ref_g), 1.0)
+    assert np.max(np.abs(got - ref_g) / scale) < 1e-5
 
 
 class TestGradients:
     def test_visual_servo_gradient_matches_fd(self, rng):
         for _ in range(40):
-            x, ref = make_state(rng), make_ref(rng)
-            w = CostWeights()
-            got = visual_servo_gradient(x, ref, w, g.quat_identity())
-            ref_g = fd_gradient(
-                lambda z: visual_servo_cost(QuadVisualState.from_vector(z), ref, w, g.quat_identity()),
-                x.as_vector(),
-            )
-            scale = np.maximum(np.abs(ref_g), 1.0)
-            assert np.max(np.abs(got - ref_g) / scale) < 1e-5
+            assert_gradient_matches_fd(make_state(rng), make_ref(rng), CostWeights(), "visual_servo")
 
     def test_perception_gradient_matches_fd(self, rng):
         for _ in range(30):
-            x, w = make_state(rng), CostWeights()
-            got = perception_gradient(x, w)
-            ref_g = fd_gradient(lambda z: perception_cost(QuadVisualState.from_vector(z), w), x.as_vector())
-            scale = np.maximum(np.abs(ref_g), 1.0)
-            assert np.max(np.abs(got - ref_g) / scale) < 1e-5
+            assert_gradient_matches_fd(make_state(rng), None, CostWeights(), "perception")
 
     def test_action_gradient_matches_fd(self, rng):
         for _ in range(30):
-            x, ref, w = make_state(rng), make_ref(rng), CostWeights()
-            got = action_gradient(x, ref, w)
-            ref_g = fd_gradient(lambda z: action_cost(QuadVisualState.from_vector(z), ref, w), x.as_vector())
-            scale = np.maximum(np.abs(ref_g), 1.0)
-            assert np.max(np.abs(got - ref_g) / scale) < 1e-5
+            assert_gradient_matches_fd(make_state(rng), make_ref(rng), CostWeights(), "action")
 
     def test_costs_nonnegative(self, rng):
         for _ in range(50):
             x, ref, w = make_state(rng, front_only=False), make_ref(rng), CostWeights()
-            assert visual_servo_cost(x, ref, w, g.quat_identity()) >= 0.0
-            assert perception_cost(x, w) >= 0.0
-            assert action_cost(x, ref, w) >= 0.0
+            for block in ("visual_servo", "perception", "action"):
+                assert stage_block(x, ref, w, block)[0] >= 0.0
 
 
 class TestDynamicVisualWeight:

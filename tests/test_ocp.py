@@ -12,7 +12,9 @@ from quadvpc.ocp import (
     OcpParams,
     SolveStatus,
     VisualPredictiveController,
+    _RefArrays,
     _solve_step_qp,
+    _stage_jacobians,
     build_problem,
     kkt_residual,
     shift_warm_start,
@@ -20,6 +22,8 @@ from quadvpc.ocp import (
     solve,
 )
 from quadvpc.simulator import DEFAULT_EXTRINSICS
+
+from conftest import random_quat
 
 
 def hover_setup(d=1.9, horizon=20, **param_kw):
@@ -61,6 +65,35 @@ class TestBuildProblem:
     def test_dynamic_weight_applied_once(self):
         _, _, problem = hover_setup(d=3.0)
         assert np.allclose(problem.weights.q_s, CostWeights().q_s * 9.0)
+
+
+class TestOcpParams:
+    @pytest.mark.parametrize("kw", [{"qp_tol": 0.0}, {"qp_tol": -1e-8}, {"qp_max_iter": 0}, {"qp_max_iter": -1}])
+    def test_rejects_invalid_qp_settings(self, kw):
+        with pytest.raises(ValueError):
+            OcpParams(**kw)
+
+
+class TestStageJacobians:
+    def test_reference_tiling(self, rng):
+        # every node of a batch is linearised about its own reference
+        n = 21
+        x = np.column_stack([
+            rng.uniform(-3, 3, (n, 3)),
+            random_quat(rng, n),
+            np.array([g.bearing_from_image(s) for s in rng.uniform(-0.8, 0.8, (n, 2))]),
+            rng.uniform(1.0, 8.0, n),
+        ])
+        refs = [
+            ReferencePoint(rng.uniform(-0.5, 0.5, 2), rng.uniform(1, 8), rng.uniform(-2, 2, 3), random_quat(rng))
+            for _ in range(n)
+        ]
+        w, q_bc, dt = CostWeights(), DEFAULT_EXTRINSICS.q_bc, 0.05
+        j_res, j_s = _stage_jacobians(x, _RefArrays.stack(refs), w, q_bc, dt)
+        for k in range(n):
+            j_res_k, j_s_k = _stage_jacobians(x[k : k + 1], _RefArrays.stack(refs[k : k + 1]), w, q_bc, dt)
+            assert np.array_equal(j_res[k], j_res_k[0])
+            assert np.array_equal(j_s[k], j_s_k[0])
 
 
 class TestHoverSolve:
