@@ -281,7 +281,10 @@ def config_from_dict(data: dict) -> ScenarioConfig:
                 duration=float(predict["duration"]),
             ),
         )
-    except (KeyError, TypeError) as exc:
+    except ConfigError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        # ValueError also covers the field checks of the dataclasses
         raise ConfigError(f"malformed config: {exc}") from exc
 
 

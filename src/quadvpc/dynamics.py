@@ -16,8 +16,10 @@ by the finite-difference oracle in the test suite: the analytic rates
 must reproduce exact geometric propagation of a camera past a static
 landmark.
 
-Core functions operate on flat float64 arrays and broadcast over leading
-axes; thin dataclass wrappers provide the typed public surface.
+The broadcasting pieces (body rates, camera twist, bearing rates) take
+components on the last axis; the solver's kernel ``_f`` takes them on the
+first axis, for one state or a batch.  Thin dataclass wrappers provide
+the typed public surface.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .geometry import (
     quat_normalize,
     quat_prod,
     quat_rotate,
+    quat_to_rotmat,
 )
 
 GRAVITY_W = np.array([0.0, 0.0, -9.81])
@@ -198,25 +201,13 @@ def image_dynamics(q_cl: Array, d: float, twist: CameraTwist):
     return u_mu, float(dd[0])
 
 
-def _f_flat(x: Array, u: Array, p_b_cb: Array, q_bc: Array) -> Array:
-    """Flat-state derivative, broadcasting over leading axes."""
-    x = np.asarray(x, dtype=np.float64)
-    u = np.asarray(u, dtype=np.float64)
-    q_wb = x[..., _QWB]
-    omega = u[..., 1:4]
-    dv, dq_wb = _body_rates(q_wb, u[..., 0:1], omega)
-    v_c, w_c = _camera_twist(x[..., _V], q_wb, omega, p_b_cb, q_bc)
-    _, dq_cl, dd = _bearing_rates(x[..., _QCL], x[..., _D : _D + 1], v_c, w_c)
-    return np.concatenate([dv, dq_wb, dq_cl, dd], axis=-1)
-
-
 def full_dynamics(x: QuadVisualState, u: ControlInput, ext: CameraExtrinsics) -> Array:
     """Concatenated quadrotor + image dynamics ``dx/dt = f(x, u)`` as a flat 12-vector."""
-    return _f_flat(x.as_vector(), u.as_vector(), ext.p_b_cb, ext.q_bc)
+    return _f(x.as_vector(), u.as_vector(), ext.p_b_cb, quat_to_rotmat(ext.q_bc))
 
 
 def _rotmat_cols(qw, qx, qy, qz):
-    """Rotation-matrix columns of a scalar quaternion, as plain floats."""
+    """Rotation-matrix columns of a quaternion given by its components (floats or arrays)."""
     xx, yy, zz = qx * qx, qy * qy, qz * qz
     xy, xz, yz = qx * qy, qx * qz, qy * qz
     wx, wy, wz = qw * qx, qw * qy, qw * qz
@@ -226,12 +217,17 @@ def _rotmat_cols(qw, qx, qy, qz):
     return c0, c1, c2
 
 
-def _f_single(x: Array, u: Array, p_b_cb: Array, r_bc) -> Array:
-    """Scalar-math twin of :func:`_f_flat` for tight rollout loops.
+def _f(x: Array, u: Array, p_b_cb: Array, r_bc) -> Array:
+    """Flat-state derivative ``dx/dt``, the one kernel of the coupled dynamics.
 
-    Hand-expanded quaternion algebra on plain floats; roughly 30x faster
-    than the broadcasting path for a single state.  ``r_bc`` is the 3x3
-    camera-to-body rotation (rows usable as the transpose).
+    Arrays are component-major: ``x`` is ``(12, ...)`` and ``u`` is
+    ``(4, ...)``, one state or a batch of states along the trailing
+    axes; the result has the shape of ``x``.  Hand-expanded quaternion
+    algebra with one elementwise operation per term, so a single state
+    costs plain float arithmetic and a batch costs the same few hundred
+    numpy calls whatever its size.  Each batch column is bit-identical
+    to the same state taken alone.  ``r_bc`` is the 3x3 camera-to-body
+    rotation (rows usable as the transpose).
     """
     vx, vy, vz = x[0], x[1], x[2]
     qw, qx, qy, qz = x[3], x[4], x[5], x[6]
@@ -292,23 +288,18 @@ def rk4(f, x: Array, dt: float) -> Array:
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _rk4_single(x: Array, u: Array, dt: float, p_b_cb: Array, r_bc) -> Array:
-    out = rk4(lambda z: _f_single(z, u, p_b_cb, r_bc), x, dt)
-    nq = (out[3] * out[3] + out[4] * out[4] + out[5] * out[5] + out[6] * out[6]) ** 0.5
-    out[3:7] /= nq
-    nb = (out[7] * out[7] + out[8] * out[8] + out[9] * out[9] + out[10] * out[10]) ** 0.5
-    out[7:11] /= nb
-    if out[11] < D_FLOOR:
-        out[11] = D_FLOOR
+def _rk4(x: Array, u: Array, dt: float, p_b_cb: Array, r_bc) -> Array:
+    """RK4 step of :func:`_f` on component-major arrays; quaternions renormalized, d floored."""
+    out = rk4(lambda z: _f(z, u, p_b_cb, r_bc), x, dt)
+    out[3:7] /= np.sqrt(out[3] * out[3] + out[4] * out[4] + out[5] * out[5] + out[6] * out[6])
+    out[7:11] /= np.sqrt(out[7] * out[7] + out[8] * out[8] + out[9] * out[9] + out[10] * out[10])
+    out[11] = np.maximum(out[11], D_FLOOR)
     return out
 
 
 def _rk4_flat(x: Array, u: Array, dt: float, p_b_cb: Array, q_bc: Array) -> Array:
-    out = rk4(lambda z: _f_flat(z, u, p_b_cb, q_bc), x, dt)
-    out[..., _QWB] = quat_normalize(out[..., _QWB])
-    out[..., _QCL] = quat_normalize(out[..., _QCL])
-    out[..., _D] = np.maximum(out[..., _D], D_FLOOR)
-    return out
+    """Row-major adapter of :func:`_rk4`: ``x`` is ``(M, 12)``, ``u`` is ``(M, 4)``."""
+    return _rk4(x.T, u.T, dt, p_b_cb, quat_to_rotmat(q_bc)).T
 
 
 def rk4_step(x: QuadVisualState, u: ControlInput, dt: float, ext: CameraExtrinsics) -> QuadVisualState:
@@ -321,16 +312,18 @@ def rk4_step(x: QuadVisualState, u: ControlInput, dt: float, ext: CameraExtrinsi
 def fd_jacobian_batch(fun, z: Array, h: float = 1e-6) -> Array:
     """Central-difference Jacobians of a batched map.
 
-    ``fun`` maps ``(B, n) -> (B, m)``; returns ``(B, m, n)``.  Step sizes
-    scale per component as ``h * max(1, |z_i|)``.
+    ``fun`` maps ``(M, n) -> (M, m)`` row by row; returns ``(B, m, n)``.
+    Step sizes scale per component as ``h * max(1, |z_i|)``.  ``fun`` is
+    called once, on all ``2 B n`` perturbed points: the ``+`` steps then
+    the ``-`` steps, each ordered by batch row, then by component.
     """
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
     b, n = z.shape
     steps = h * np.maximum(1.0, np.abs(z))
     pert = np.eye(n)[None, :, :] * steps[:, :, None]  # (B, n, n), row j = e_j * step_j
-    fp = fun((z[:, None, :] + pert).reshape(b * n, n)).reshape(b, n, -1)
-    fm = fun((z[:, None, :] - pert).reshape(b * n, n)).reshape(b, n, -1)
-    return (fp - fm).swapaxes(1, 2) / (2.0 * steps[:, None, :])
+    zz = z[:, None, :] + np.stack([pert, -pert])  # (2, B, n, n)
+    f = fun(zz.reshape(2 * b * n, n)).reshape(2, b, n, -1)
+    return (f[0] - f[1]).swapaxes(1, 2) / (2.0 * steps[:, None, :])
 
 
 def dynamics_jacobians(x: QuadVisualState, u: ControlInput, ext: CameraExtrinsics, h: float = 1e-6):
@@ -340,9 +333,10 @@ def dynamics_jacobians(x: QuadVisualState, u: ControlInput, ext: CameraExtrinsic
     quaternions are treated as raw 4-vectors.
     """
     z0 = np.concatenate([x.as_vector(), u.as_vector()])[None, :]
+    r_bc = quat_to_rotmat(ext.q_bc)
 
     def fun(z):
-        return _f_flat(z[:, :12], z[:, 12:], ext.p_b_cb, ext.q_bc)
+        return _f(z[:, :12].T, z[:, 12:].T, ext.p_b_cb, r_bc).T
 
     jac = fd_jacobian_batch(fun, z0, h)[0]
     return jac[:, :12], jac[:, 12:]

@@ -28,8 +28,8 @@ from .dynamics import (
     CameraExtrinsics,
     ControlInput,
     QuadVisualState,
+    _rk4,
     _rk4_flat,
-    _rk4_single,
     fd_jacobian_batch,
     rk4_jacobians,
 )
@@ -214,7 +214,8 @@ def _stage_outputs(x: Array, ref: _RefArrays, w: CostWeights, q_bc: Array, dt: f
 
 def _stage_jacobians(x: Array, ref: _RefArrays, w: CostWeights, q_bc: Array, dt: float, h: float = 1e-6):
     """FD Jacobians of residuals and image coordinates per node."""
-    ref_tiled = _RefArrays(*(np.repeat(a, NX, axis=0) for a in (ref.s, ref.d, ref.v, ref.q)))
+    # one reference row per perturbed point: (+/- step, node, component)
+    ref_tiled = _RefArrays(*(np.concatenate([np.repeat(a, NX, axis=0)] * 2) for a in (ref.s, ref.d, ref.v, ref.q)))
 
     def fun(z):
         res, s_c, _ = _stage_outputs(z, ref_tiled, w, q_bc, dt)
@@ -230,7 +231,7 @@ def _rollout(x0: Array, u: Array, dt: float, ext: CameraExtrinsics) -> Array:
     x = np.empty((n + 1, NX))
     x[0] = x0
     for k in range(n):
-        x[k + 1] = _rk4_single(x[k], u[k], dt, ext.p_b_cb, r_bc)
+        x[k + 1] = _rk4(x[k], u[k], dt, ext.p_b_cb, r_bc)
     return x
 
 

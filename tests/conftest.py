@@ -3,6 +3,8 @@
 The oracles here deliberately avoid the package's own quaternion
 helpers: rotations go through explicitly assembled 3x3 matrices so the
 library code is checked against a second, independent formulation.
+``composed_dynamics`` is a second formulation of the solver's dynamics
+kernel, built from the package's public rate functions.
 ``stage_block`` is not an oracle: it exposes one objective of the
 solver's own stage residuals so the cost tests check the code that runs.
 """
@@ -12,7 +14,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from quadvpc import geometry as g
 from quadvpc.costs import ReferencePoint
+from quadvpc.dynamics import ControlInput, camera_twist, image_dynamics, quad_dynamics
 from quadvpc.ocp import _RefArrays, _stage_jacobians, _stage_outputs
 
 
@@ -75,6 +79,22 @@ def fd_jacobian(fun, x, h=1e-7) -> np.ndarray:
         xm[i] -= step
         cols.append((np.asarray(fun(xp)) - np.asarray(fun(xm))) / (2 * step))
     return np.stack(cols, axis=-1)
+
+
+def composed_dynamics(z, ext) -> np.ndarray:
+    """Flat derivative of ``z = [x (12), u (4)]`` composed from the public
+    rate functions on the raw vector (quaternions are not renormalized).
+
+    A second formulation of the coupled dynamics, through the broadcasting
+    quaternion helpers instead of the solver's hand-expanded kernel.
+    """
+    v_w, q_wb, q_cl, d = z[0:3], z[3:7], z[7:11], z[11]
+    u = ControlInput(z[12], z[13:16])
+    dv, dq_wb = quad_dynamics(v_w, q_wb, u)
+    u_mu, dd = image_dynamics(q_cl, d, camera_twist(v_w, u.omega_b, q_wb, ext))
+    w_bear = u_mu[0] * g.quat_rotate(q_cl, g.EX) + u_mu[1] * g.quat_rotate(q_cl, g.EY)
+    dq_cl = 0.5 * g.quat_prod(g.pure_quat(w_bear), q_cl)
+    return np.concatenate([dv, dq_wb, dq_cl, [dd]])
 
 
 # residual columns of each objective in ocp._stage_outputs

@@ -34,7 +34,7 @@ from quadvpc.scenarios import (
 )
 from quadvpc.simulator import DEFAULT_EXTRINSICS
 
-from conftest import STAGE_BLOCKS, fd_gradient, fd_jacobian, random_quat, stage_block, stage_block_gradient
+from conftest import STAGE_BLOCKS, composed_dynamics, fd_gradient, fd_jacobian, random_quat, stage_block, stage_block_gradient
 
 
 def report(criterion: str, detail: str):
@@ -141,8 +141,6 @@ def test_criterion_02_cross_model_prediction():
 def test_criterion_03_derivative_checks():
     """Dynamics and cost derivatives vs central finite differences."""
     rng = np.random.default_rng(303)
-    from quadvpc.dynamics import _f_flat
-
     ext = DEFAULT_EXTRINSICS
     worst = 0.0
     for _ in range(100):
@@ -150,7 +148,7 @@ def test_criterion_03_derivative_checks():
         u = ControlInput(rng.uniform(2, 20), rng.uniform(-3, 3, 3))
         a, b = dynamics_jacobians(x, u, ext)
         z0 = np.concatenate([x.as_vector(), u.as_vector()])
-        jac = fd_jacobian(lambda z: _f_flat(z[:12], z[12:], ext.p_b_cb, ext.q_bc), z0, h=1e-7)
+        jac = fd_jacobian(lambda z: composed_dynamics(z, ext), z0, h=1e-7)
         scale = np.maximum(np.abs(jac), 1.0)
         worst = max(worst, float(np.max(np.abs(np.hstack([a, b]) - jac) / scale)))
     assert worst < 1e-5

@@ -9,17 +9,19 @@ from quadvpc.dynamics import (
     QuadVisualState,
     camera_twist,
     dynamics_jacobians,
+    fd_jacobian_batch,
     full_dynamics,
     homogeneous_image_dynamics,
     image_dynamics,
     propagate_camera_pose,
     quad_dynamics,
+    rk4_jacobians,
     rk4_step,
 )
 from quadvpc.scenarios import bearing_prediction_step, homogeneous_prediction_step
 from quadvpc.simulator import DEFAULT_EXTRINSICS
 
-from conftest import fd_jacobian, quat_oracle_from_axis_angle, random_quat
+from conftest import composed_dynamics, fd_jacobian, quat_oracle_from_axis_angle, random_quat
 
 IDENTITY_EXT = CameraExtrinsics()
 
@@ -206,32 +208,46 @@ class TestRk4:
         assert x1.d >= 0.05
 
 
-class TestScalarFastPath:
-    def test_f_single_matches_batched(self, rng):
-        from quadvpc.dynamics import _f_flat, _f_single
-        from quadvpc.geometry import quat_to_rotmat
+class TestOneKernel:
+    # one kernel serves single states and batches: a batch column is the
+    # same state taken alone, bit for bit
+    @staticmethod
+    def batch(rng, n, ext):
+        x = np.array([random_state(rng).as_vector() for _ in range(n)])
+        u = np.array([random_input(rng).as_vector() for _ in range(n)])
+        for k in range(0, n, 5):
+            # head straight at a landmark 0.1 m away, so an RK4 step hits the floor
+            u[k, 1:] = 0.0
+            v_c = camera_twist(x[k, :3], np.zeros(3), x[k, 3:7], ext).v_c
+            if v_c[2] < 0.0:
+                x[k, :3], v_c = -x[k, :3], -v_c
+            x[k, 7:11] = g.bearing_from_image(v_c[:2] / v_c[2])
+            x[k, 11] = 0.1
+        return x, u
+
+    def test_f_batch_columns_match_single_states(self, rng):
+        from quadvpc.dynamics import _f
 
         ext = DEFAULT_EXTRINSICS
-        r_bc = quat_to_rotmat(ext.q_bc)
-        for _ in range(200):
-            x = random_state(rng).as_vector()
-            u = random_input(rng).as_vector()
-            a = _f_single(x, u, ext.p_b_cb, r_bc)
-            b = _f_flat(x, u, ext.p_b_cb, ext.q_bc)
-            assert np.max(np.abs(a - b)) < 1e-14
+        r_bc = g.quat_to_rotmat(ext.q_bc)
+        x, u = self.batch(rng, 200, ext)
+        cols = _f(x.T, u.T, ext.p_b_cb, r_bc)
+        for k in range(len(x)):
+            assert np.array_equal(cols[:, k], _f(x[k], u[k], ext.p_b_cb, r_bc))
 
-    def test_rk4_single_matches_batched(self, rng):
-        from quadvpc.dynamics import _rk4_flat, _rk4_single
-        from quadvpc.geometry import quat_to_rotmat
+    def test_rk4_batch_columns_match_single_states(self, rng):
+        from quadvpc.dynamics import D_FLOOR, _rk4, _rk4_flat
 
         ext = DEFAULT_EXTRINSICS
-        r_bc = quat_to_rotmat(ext.q_bc)
-        for _ in range(50):
-            x = random_state(rng).as_vector()
-            u = random_input(rng).as_vector()
-            a = _rk4_single(x.copy(), u, 0.05, ext.p_b_cb, r_bc)
-            b = _rk4_flat(x, u, 0.05, ext.p_b_cb, ext.q_bc)
-            assert np.max(np.abs(a - b)) < 1e-13
+        r_bc = g.quat_to_rotmat(ext.q_bc)
+        x, u = self.batch(rng, 50, ext)
+        cols = _rk4(x.T.copy(), u.T, 0.05, ext.p_b_cb, r_bc)
+        rows = _rk4_flat(x, u, 0.05, ext.p_b_cb, ext.q_bc)
+        assert np.any(rows[:, 11] == D_FLOOR)
+        for k in range(len(x)):
+            single = _rk4(x[k], u[k], 0.05, ext.p_b_cb, r_bc)
+            assert np.array_equal(cols[:, k], single)
+            assert np.array_equal(rows[k], single)
 
 
 class TestDynamicsJacobians:
@@ -248,18 +264,44 @@ class TestDynamicsJacobians:
         assert abs(a[11, 11]) < 1e-6
 
     def test_matches_independent_finite_differences(self, rng):
-        from quadvpc.dynamics import _f_flat
-
         ext = DEFAULT_EXTRINSICS
         for _ in range(100):
             x = random_state(rng, d_lo=1.0)
             u = random_input(rng)
             a, b = dynamics_jacobians(x, u, ext)
             z0 = np.concatenate([x.as_vector(), u.as_vector()])
-            jac = fd_jacobian(lambda z: _f_flat(z[:12], z[12:], ext.p_b_cb, ext.q_bc), z0, h=1e-7)
+            jac = fd_jacobian(lambda z: composed_dynamics(z, ext), z0, h=1e-7)
             full = np.hstack([a, b])
             scale = np.maximum(np.abs(jac), 1.0)
             assert np.max(np.abs(full - jac) / scale) < 1e-5
+
+
+class TestFdJacobianBatch:
+    def test_linear_map_per_row(self, rng):
+        # the + and - halves and the (row, component) order of the one
+        # batched call: a linear map's Jacobian is its matrix in every row.
+        # Central differences are exact on it; h = 1e-4 keeps roundoff ~1e-12.
+        m = rng.normal(size=(5, 7))
+        z = rng.uniform(-3.0, 3.0, (4, 7))
+        jac = fd_jacobian_batch(lambda zz: zz @ m.T, z, h=1e-4)
+        assert jac.shape == (4, 5, 7)
+        for row in jac:
+            assert np.max(np.abs(row - m)) < 1e-9
+
+    def test_rk4_jacobians_match_single_node_oracle(self, rng):
+        from quadvpc.dynamics import _rk4
+
+        ext = DEFAULT_EXTRINSICS
+        r_bc = g.quat_to_rotmat(ext.q_bc)
+        for _ in range(3):
+            x = np.array([random_state(rng, d_lo=1.0).as_vector() for _ in range(20)])
+            u = np.array([random_input(rng).as_vector() for _ in range(20)])
+            a, b = rk4_jacobians(x, u, 0.05, ext)
+            for k in range(20):
+                z0 = np.concatenate([x[k], u[k]])
+                jac = fd_jacobian(lambda z: _rk4(z[:12], z[12:], 0.05, ext.p_b_cb, r_bc), z0, h=1e-7)
+                scale = np.maximum(np.abs(jac), 1.0)
+                assert np.max(np.abs(np.hstack([a[k], b[k]]) - jac) / scale) < 1e-5
 
 
 class TestHomogeneousBaseline:

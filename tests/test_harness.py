@@ -68,6 +68,16 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ScenarioConfig(kind="wat")
 
+    def test_field_checks_raise_config_error(self):
+        data = config_to_dict(default_config())
+        data["ocp"]["qp_max_iter"] = 0
+        with pytest.raises(ConfigError, match="qp_max_iter >= 1"):
+            config_from_dict(data)
+        data = config_to_dict(default_config())
+        data["sweep"]["trials"] = 0
+        with pytest.raises(ConfigError, match="^sweep trials must be >= 1$"):
+            config_from_dict(data)
+
     def test_load_config_file(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(dump_config(default_config("hover")))
@@ -281,6 +291,18 @@ class TestCli:
         bad.write_text('{"kind": "nope"}')
         rc = cli_main(["run", str(bad), "--out", str(tmp_path / "o"), "--quiet"])
         assert rc == 2
+
+    @pytest.mark.parametrize("key", ["qp_max_iter", "horizon"])
+    def test_rejected_field_value_nonzero_exit(self, tmp_path, capsys, key):
+        data = config_to_dict(default_config("hover"))
+        data["ocp"][key] = 0
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        rc = cli_main(["run", str(bad), "--out", str(tmp_path / "o"), "--quiet"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
     def test_missing_file_nonzero_exit(self, tmp_path):
         rc = cli_main(["run", str(tmp_path / "absent.json"), "--out", str(tmp_path / "o"), "--quiet"])

@@ -167,15 +167,18 @@ class TestKktResidual:
         perturbed.states = sol.states + rng.normal(0, 0.05, sol.states.shape)
         assert kkt_residual(problem, perturbed) > base + 1e-3
 
-    def test_feasible_rollout_zero_dynamics_component(self):
-        # a rollout trajectory has exact shooting; only stationarity remains
+    def test_feasible_rollout_zero_dynamics_component(self, rng):
+        # a rollout trajectory has exact shooting, so only stationarity
+        # remains: the solver linearises the very map its rollout steps
         _, _, problem = gate_setup()
-        from quadvpc.ocp import _reduced_model, _rollout
+        from quadvpc.ocp import _reduced_model, _Workspace
 
-        u = np.tile(ControlInput.hover().as_vector(), (20, 1))
-        x = _rollout(problem.x0.as_vector(), u, problem.params.dt, problem.extrinsics)
-        model = _reduced_model(x, u, problem)
-        assert np.max(np.abs(model.defects)) == 0.0
+        hover = np.tile(ControlInput.hover().as_vector(), (20, 1))
+        inputs = [hover, solve(problem).inputs]
+        inputs += [hover + rng.normal(0.0, [2.0, 0.5, 0.5, 0.5], (20, 4)) for _ in range(3)]
+        for u in inputs:
+            defects = _reduced_model(_Workspace(u, problem).x, u, problem).defects
+            assert np.array_equal(defects, np.zeros_like(defects))
 
 
 def box_qp_oracle(h_mat, g_vec, lb, ub, tol=1e-9):
