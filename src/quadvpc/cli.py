@@ -96,6 +96,7 @@ def cmd_sweep(args) -> int:
         "trials": cfg.sweep.trials,
         "table": {mode: {f"{speed:g}": rate for speed, rate in cells.items()} for mode, cells in out["table"].items()},
         "records": out["records"],
+        "timing": timing_dict(out["metrics"]) if out["metrics"] else {},
     }
     write_summary_json(summary, outdir / "sweep_summary.json")
     if not args.quiet:

@@ -226,13 +226,22 @@ def _stage_jacobians(x: Array, ref: _RefArrays, w: CostWeights, q_bc: Array, dt:
 
 
 def _rollout(x0: Array, u: Array, dt: float, ext: CameraExtrinsics) -> Array:
+    """States of the inputs ``u`` stepped from ``x0`` by :func:`_rk4`.
+
+    The steps run on Python floats; numpy scalars would cost several times
+    more per operation.  After a float division by zero the rest is stepped
+    on arrays, whose inf/NaN equal the batched kernel's.
+    """
     r_bc = quat_to_rotmat(ext.q_bc)
-    n = u.shape[0]
-    x = np.empty((n + 1, NX))
-    x[0] = x0
-    for k in range(n):
-        x[k + 1] = _rk4(x[k], u[k], dt, ext.p_b_cb, r_bc)
-    return x
+    floats = (float(dt), ext.p_b_cb.tolist(), r_bc.tolist())
+    states = [np.asarray(x0, dtype=np.float64).tolist()]
+    try:
+        for uk in u.tolist():
+            states.append(_rk4(states[-1], uk, *floats))
+    except ZeroDivisionError:
+        for uk in u[len(states) - 1 :]:
+            states.append(_rk4(np.array(states[-1]), uk, dt, ext.p_b_cb, r_bc))
+    return np.array(states)
 
 
 def _hinge(s: Array, ok: Array, s_min: Array, s_max: Array) -> Array:
@@ -358,12 +367,13 @@ class _Model:
     defects: Array
 
 
-def _reduced_model(x, u, problem):
+def _reduced_model(x, u, problem, defects=None):
     """Condensed Gauss-Newton model at (X, U).
 
     The visibility linearization of node k >= 1 becomes one pair of rows
     ``vis_base + vis_rows @ dU`` between ``vis_lo`` and ``vis_hi``; nodes
-    whose projection is degenerate contribute no rows.
+    whose projection is degenerate contribute no rows.  The shooting
+    defects default to zero, as they are exactly on rolled-out iterates.
     """
     p = problem.params
     n = p.horizon
@@ -372,8 +382,8 @@ def _reduced_model(x, u, problem):
     a_k, b_k = rk4_jacobians(x[:-1], u, p.dt, ext)
     j_res, j_s = _stage_jacobians(x, problem.ref_arrays, problem.weights, ext.q_bc, p.dt)
     res, s_c, ok = _stage_outputs(x, problem.ref_arrays, problem.weights, ext.q_bc, p.dt)
-    f_next = _rk4_flat(x[:-1], u, p.dt, ext.p_b_cb, ext.q_bc)
-    defects = f_next - x[1:]
+    if defects is None:
+        defects = np.zeros((n, NX))
 
     big_m = np.zeros((n, NX, n * NU))
     small_m = np.zeros((n, NX))
@@ -596,7 +606,9 @@ def kkt_residual_arrays(problem: OcpProblem, x: Array, u: Array) -> float:
     """
     p = problem.params
     n = p.horizon
-    model = _reduced_model(x, u, problem)
+    ext = problem.extrinsics
+    defects = _rk4_flat(x[:-1], u, p.dt, ext.p_b_cb, ext.q_bc) - x[1:]
+    model = _reduced_model(x, u, problem, defects)
     lb = np.tile(problem.bounds.input_lower(), n) - u.ravel()
     ub = np.tile(problem.bounds.input_upper(), n) - u.ravel()
     _, lam_lo, lam_hi, _, _ = _solve_step_qp(
@@ -624,13 +636,14 @@ def solution_cost(problem: OcpProblem, x: Array, u: Array) -> float:
 def shift_warm_start(prev: OcpSolution) -> OcpSolution:
     """Receding-horizon shift: drop the executed input, duplicate the last.
 
-    States are re-rolled from the previous solution's second node so the
-    shooting equalities hold by construction.
+    States are the previous ones from the second node on, plus one step
+    with the duplicated input, so the shooting equalities still hold.
     """
     if prev.inputs.shape[0] < 2:
         raise ValueError("shift needs at least 2 inputs")
     inputs = np.vstack([prev.inputs[1:], prev.inputs[-1:]])
-    states = _rollout(prev.states[1], inputs, prev.params.dt, prev.extrinsics)
+    last = _rollout(prev.states[-1], prev.inputs[-1:], prev.params.dt, prev.extrinsics)[1:]
+    states = np.vstack([prev.states[1:], last])
     return OcpSolution(
         inputs=inputs,
         states=states,

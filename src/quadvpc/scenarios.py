@@ -369,8 +369,8 @@ def _sweep_run_seed(base_seed: int, speed_idx: int, mode_idx: int, trial: int) -
     return base_seed * 1_000_000 + speed_idx * 10_000 + mode_idx * 1_000 + trial
 
 
-def _sweep_trial(payload: dict) -> dict:
-    """One seeded tracking run of a sweep cell (top level for pickling)."""
+def _sweep_trial(payload: dict) -> tuple[dict, Metrics]:
+    """One seeded tracking run of a sweep cell (top level for pickling): record, metrics."""
     cfg = config_from_dict(payload["config"])
     speed = payload["speed"]
     perception = payload["perception"]
@@ -406,7 +406,9 @@ def _sweep_trial(payload: dict) -> dict:
         "rms_distance_err": m.rms_distance_err,
         "max_altitude_dev": m.max_altitude_dev,
         "min_border_margin": m.min_border_margin,
-    }
+        "ticks": log.n_ticks,
+        "sqp_iters": int(np.sum(log.sqp_iters)),
+    }, m
 
 
 def scenario_success_sweep(cfg: ScenarioConfig):
@@ -414,7 +416,8 @@ def scenario_success_sweep(cfg: ScenarioConfig):
 
     A trial succeeds when the track completes with no feature loss and
     no divergence.  Cells run as independent parallel processes; results
-    are collected and written by the parent only.
+    are collected and written by the parent only.  ``metrics`` add the
+    wall-clock solve times to the deterministic ``records``.
     """
     cfg_dict = config_to_dict(cfg)
     cfg_dict.pop("schema_version", None)
@@ -434,16 +437,17 @@ def scenario_success_sweep(cfg: ScenarioConfig):
     jobs = cfg.sweep.jobs if cfg.sweep.jobs > 0 else (os.cpu_count() or 1)
     if jobs > 1 and len(payloads) > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
-            records = list(pool.map(_sweep_trial, payloads))
+            trials = list(pool.map(_sweep_trial, payloads))
     else:
-        records = [_sweep_trial(p) for p in payloads]
+        trials = [_sweep_trial(p) for p in payloads]
+    records = [record for record, _ in trials]
 
     table: dict = {"with": {}, "without": {}}
     for speed in cfg.sweep.speeds:
         for mode in ("with", "without"):
             cell = [r for r in records if r["mode"] == mode and r["speed"] == float(speed)]
             table[mode][float(speed)] = sum(r["success"] for r in cell) / len(cell)
-    return {"table": table, "records": records}
+    return {"table": table, "records": records, "metrics": [m for _, m in trials]}
 
 
 # ---------------------------------------------------------------------------
@@ -462,24 +466,13 @@ def _twist_at(cfg: ScenarioConfig, t: float) -> CameraTwist:
 
 def bearing_prediction_step(q_cl: Array, d: float, twist: CameraTwist, dt: float):
     """RK4 step of the bearing-distance feature state under a frozen twist."""
-
-    def deriv(z):
-        _, dq, dd = _bearing_rates(z[:4], z[4:], twist.v_c, twist.w_c)
-        return np.concatenate([dq, dd])
-
-    out = rk4(deriv, np.append(q_cl, d), dt)
-    return quat_normalize(out[:4]), float(out[4])
+    q, dd = rk4(lambda z: _bearing_rates(*z, twist.v_c, twist.w_c)[1:], (q_cl, np.array([d])), dt)
+    return quat_normalize(q), float(dd[0])
 
 
 def homogeneous_prediction_step(s: Array, z_depth: float, twist: CameraTwist, dt: float):
     """RK4 step of the homogeneous-coordinate feature state."""
-
-    def deriv(z):
-        ds, dz = homogeneous_image_dynamics(z[:2], z[2], twist)
-        return np.append(ds, dz)
-
-    out = rk4(deriv, np.append(s, z_depth), dt)
-    return out[:2], out[2]
+    return tuple(rk4(lambda z: homogeneous_image_dynamics(*z, twist), (s, z_depth), dt))
 
 
 def predict_compare(cfg: ScenarioConfig):

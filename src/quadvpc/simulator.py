@@ -82,10 +82,6 @@ class PlantState:
     def as_vector(self) -> Array:
         return np.concatenate([self.p_w, self.v_w, self.q_wb])
 
-    @staticmethod
-    def from_vector(x: Array) -> "PlantState":
-        return PlantState(x[0:3], x[3:6], x[6:10])
-
 
 @dataclass(frozen=True)
 class Landmark:
@@ -127,13 +123,11 @@ def plant_step(ps: PlantState, u: ControlInput, dt: float) -> PlantState:
     if dt <= 0.0:
         raise ValueError("dt must be positive")
 
-    def deriv(x):
-        dv, dq = _body_rates(x[6:10], u.c, u.omega_b)
-        return np.concatenate([x[3:6], dv, dq])
+    def deriv(z):  # the 10-vector as one component: fewer numpy calls than three
+        return (np.concatenate([z[0][3:6], *_body_rates(z[0][6:10], u.c, u.omega_b)]),)
 
-    out = rk4(deriv, ps.as_vector(), dt)
-    out[6:10] /= np.linalg.norm(out[6:10])
-    return PlantState.from_vector(out)
+    (out,) = rk4(deriv, (ps.as_vector(),), dt)
+    return PlantState(out[0:3], out[3:6], out[6:10] / np.linalg.norm(out[6:10]))
 
 
 def camera_pose(ps: PlantState, ext: CameraExtrinsics):

@@ -7,6 +7,7 @@ from quadvpc.dynamics import (
     CameraTwist,
     ControlInput,
     QuadVisualState,
+    _rk4_flat,
     camera_twist,
     dynamics_jacobians,
     fd_jacobian_batch,
@@ -225,29 +226,134 @@ class TestOneKernel:
             x[k, 11] = 0.1
         return x, u
 
+    @staticmethod
+    def floats(ext):
+        # the float path's arguments, as ocp._rollout passes them
+        return ext.p_b_cb.tolist(), g.quat_to_rotmat(ext.q_bc).tolist()
+
     def test_f_batch_columns_match_single_states(self, rng):
         from quadvpc.dynamics import _f
 
         ext = DEFAULT_EXTRINSICS
         r_bc = g.quat_to_rotmat(ext.q_bc)
         x, u = self.batch(rng, 200, ext)
-        cols = _f(x.T, u.T, ext.p_b_cb, r_bc)
+        cols = np.array(_f(x.T, u.T, ext.p_b_cb, r_bc))
         for k in range(len(x)):
-            assert np.array_equal(cols[:, k], _f(x[k], u[k], ext.p_b_cb, r_bc))
+            assert np.array_equal(cols[:, k], np.array(_f(x[k], u[k], ext.p_b_cb, r_bc)))
 
     def test_rk4_batch_columns_match_single_states(self, rng):
-        from quadvpc.dynamics import D_FLOOR, _rk4, _rk4_flat
+        from quadvpc.dynamics import D_FLOOR, _rk4
 
         ext = DEFAULT_EXTRINSICS
         r_bc = g.quat_to_rotmat(ext.q_bc)
         x, u = self.batch(rng, 50, ext)
-        cols = _rk4(x.T.copy(), u.T, 0.05, ext.p_b_cb, r_bc)
+        cols = np.array(_rk4(x.T.copy(), u.T, 0.05, ext.p_b_cb, r_bc))
         rows = _rk4_flat(x, u, 0.05, ext.p_b_cb, ext.q_bc)
         assert np.any(rows[:, 11] == D_FLOOR)
         for k in range(len(x)):
-            single = _rk4(x[k], u[k], 0.05, ext.p_b_cb, r_bc)
+            single = np.array(_rk4(x[k], u[k], 0.05, ext.p_b_cb, r_bc))
             assert np.array_equal(cols[:, k], single)
             assert np.array_equal(rows[k], single)
+
+    def test_float_path_matches_batch_columns(self, rng):
+        from quadvpc.dynamics import D_FLOOR, _f, _rk4
+
+        ext = DEFAULT_EXTRINSICS
+        p_b_cb, r_bc = self.floats(ext)
+        x, u = self.batch(rng, 200, ext)
+        f_cols = np.array(_f(x.T, u.T, ext.p_b_cb, g.quat_to_rotmat(ext.q_bc)))
+        rows = _rk4_flat(x, u, 0.05, ext.p_b_cb, ext.q_bc)
+        assert np.any(rows[:, 11] == D_FLOOR)
+        for k in range(len(x)):
+            xk, uk = x[k].tolist(), u[k].tolist()
+            assert np.array_equal(np.array(_f(xk, uk, p_b_cb, r_bc)), f_cols[:, k])
+            assert np.array_equal(np.array(_rk4(xk, uk, 0.05, p_b_cb, r_bc)), rows[k])
+
+    def test_float_path_returns_floats(self, rng, monkeypatch):
+        # a numpy scalar in the float path is several times slower per
+        # operation; it must fail here, not slow the solver
+        import quadvpc.ocp as ocp
+        from quadvpc.dynamics import _f, _rk4
+
+        ext = DEFAULT_EXTRINSICS
+        p_b_cb, r_bc = self.floats(ext)
+        x, u = self.batch(rng, 10, ext)
+        for k in range(len(x)):
+            xk, uk = x[k].tolist(), u[k].tolist()
+            assert all(type(v) is float for v in _f(xk, uk, p_b_cb, r_bc))
+            assert all(type(v) is float for v in _rk4(xk, uk, 0.05, p_b_cb, r_bc))
+        seen = []
+
+        def spy(*args):
+            out = _rk4(*args)
+            seen.extend(type(v) for v in out)
+            return out
+
+        monkeypatch.setattr(ocp, "_rk4", spy)
+        # numpy inputs and a numpy dt, as callers may pass them
+        ocp._rollout(x[0], u, np.float64(0.05), ext)
+        assert len(seen) == 12 * len(u) and set(seen) == {float}
+
+    @staticmethod
+    def sequential_oracle(x0, u, ext):
+        # one _rk4_flat row at a time: the batch kernel's own arithmetic
+        x = np.empty((len(u) + 1, 12))
+        x[0] = x0
+        with np.errstate(all="ignore"):
+            for k in range(len(u)):
+                x[k + 1] = _rk4_flat(x[k : k + 1], u[k : k + 1], 0.05, ext.p_b_cb, ext.q_bc)[0]
+        return x
+
+    def test_rollout_matches_sequential_flat_oracle(self, rng):
+        from quadvpc.ocp import _rollout
+
+        ext = DEFAULT_EXTRINSICS
+        diverged = 0
+        for _ in range(120):
+            x0 = random_state(rng, d_lo=0.06, d_hi=8.0).as_vector()
+            u = np.array([random_input(rng).as_vector() for _ in range(20)])
+            want = self.sequential_oracle(x0, u, ext)
+            with np.errstate(all="ignore"):
+                got = _rollout(x0, u, 0.05, ext)
+            assert np.array_equal(got, want, equal_nan=True)
+            diverged += int(not np.all(np.isfinite(want)))
+        # some random rollouts blow up; floats then divide by zero where
+        # numpy gives inf/NaN, and the rollout must still match
+        assert 0 < diverged < 60
+
+    def test_nan_component_propagates_like_batch(self, rng):
+        from quadvpc.dynamics import _f, _rk4
+
+        ext = DEFAULT_EXTRINSICS
+        p_b_cb, r_bc = self.floats(ext)
+        x, u = self.batch(rng, 16, ext)
+        for k in range(12):
+            x[k, k] = np.nan
+        for k in range(4):
+            u[12 + k, k] = np.nan
+        with np.errstate(invalid="ignore"):
+            f_cols = np.array(_f(x.T, u.T, ext.p_b_cb, g.quat_to_rotmat(ext.q_bc)))
+            rows = _rk4_flat(x, u, 0.05, ext.p_b_cb, ext.q_bc)
+        for k in range(16):
+            xk, uk = x[k].tolist(), u[k].tolist()
+            f_k = np.array(_f(xk, uk, p_b_cb, r_bc))
+            step = np.array(_rk4(xk, uk, 0.05, p_b_cb, r_bc))
+            assert np.any(np.isnan(step))
+            assert np.array_equal(f_k, f_cols[:, k], equal_nan=True)
+            assert np.array_equal(step, rows[k], equal_nan=True)
+
+    def test_rollout_zero_distance_matches_batch(self):
+        # an exactly zero distance divides by zero: Python floats raise
+        # where numpy returns inf/NaN; the rollout returns numpy's values
+        from quadvpc.ocp import _rollout
+
+        x0 = QuadVisualState([1.0, 0.0, 0.0], g.quat_identity(), g.quat_identity(), 1.0).as_vector()
+        x0[11] = 0.0
+        u = np.tile(ControlInput.hover().as_vector(), (5, 1))
+        with np.errstate(all="ignore"):
+            x = _rollout(x0, u, 0.05, DEFAULT_EXTRINSICS)
+        assert not np.all(np.isfinite(x[1:]))
+        assert np.array_equal(x, self.sequential_oracle(x0, u, DEFAULT_EXTRINSICS), equal_nan=True)
 
 
 class TestDynamicsJacobians:

@@ -323,6 +323,29 @@ class TestCli:
         assert set(data["table"].keys()) == {"with", "without"}
         assert len(data["records"]) == 2
 
+    def test_sweep_records_work_and_timing(self, tmp_path):
+        # ticks and SQP iterations are deterministic and go into the
+        # records; wall-clock solve times go into a separate timing block
+        cfg = default_config("success_sweep")
+        cfg.duration = 1.0
+        cfg.sweep.speeds = (2.0,)
+        cfg.sweep.trials = 1
+        cfg.sweep.jobs = 1
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(dump_config(cfg))
+        runs = []
+        for name in ("a", "b"):
+            assert cli_main(["sweep", str(cfg_path), "--out", str(tmp_path / name), "--quiet"]) == 0
+            runs.append(json.loads((tmp_path / name / "sweep_summary.json").read_text()))
+        assert runs[0]["records"] == runs[1]["records"]
+        for rec in runs[0]["records"]:
+            assert rec["ticks"] == 20
+            assert isinstance(rec["sqp_iters"], int) and rec["sqp_iters"] >= rec["ticks"]
+            assert not any("solve_ms" in key for key in rec)
+        timing = runs[0]["timing"]
+        assert set(timing) == {"mean_solve_ms", "max_solve_ms"}
+        assert 0.0 < timing["mean_solve_ms"] <= timing["max_solve_ms"]
+
     def test_predict_subcommand(self, tmp_path):
         cfg_path = self.write_cfg(tmp_path, kind="predict_compare")
         out = tmp_path / "out"

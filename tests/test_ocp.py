@@ -5,18 +5,20 @@ import pytest
 
 from quadvpc import geometry as g
 from quadvpc.costs import Bounds, CostWeights, ReferencePoint
-from quadvpc.dynamics import ControlInput, QuadVisualState, rk4_step
+from quadvpc.dynamics import ControlInput, QuadVisualState, _rk4_flat, rk4_step
 from quadvpc.ocp import (
     BadReferenceLength,
     InvalidInitialState,
     OcpParams,
     SolveStatus,
     VisualPredictiveController,
+    _reduced_model,
     _RefArrays,
     _solve_step_qp,
     _stage_jacobians,
     build_problem,
     kkt_residual,
+    kkt_residual_arrays,
     shift_warm_start,
     solution_cost,
     solve,
@@ -171,14 +173,72 @@ class TestKktResidual:
         # a rollout trajectory has exact shooting, so only stationarity
         # remains: the solver linearises the very map its rollout steps
         _, _, problem = gate_setup()
-        from quadvpc.ocp import _reduced_model, _Workspace
+        from quadvpc.ocp import _Workspace
 
+        ext = problem.extrinsics
         hover = np.tile(ControlInput.hover().as_vector(), (20, 1))
         inputs = [hover, solve(problem).inputs]
         inputs += [hover + rng.normal(0.0, [2.0, 0.5, 0.5, 0.5], (20, 4)) for _ in range(3)]
         for u in inputs:
-            defects = _reduced_model(_Workspace(u, problem).x, u, problem).defects
+            x = _Workspace(u, problem).x
+            defects = _rk4_flat(x[:-1], u, problem.params.dt, ext.p_b_cb, ext.q_bc) - x[1:]
             assert np.array_equal(defects, np.zeros_like(defects))
+
+    def test_off_manifold_reports_defect(self):
+        # kkt_residual_arrays takes any (X, U), so it computes the defects
+        # that solve's own models skip: one node moved off the rollout
+        _, _, problem = hover_setup()
+        sol = solve(problem)
+        assert sol.kkt < 1e-9
+        x = sol.states.copy()
+        x[5, 11] += 0.3
+        assert kkt_residual_arrays(problem, x, sol.inputs) == pytest.approx(0.3, abs=1e-12)
+
+
+class TestSkippedDefects:
+    # solve builds its models without recomputing the shooting defects;
+    # on its own iterates they are exactly zero, so the models equal the
+    # ones built with the defects of the batched RK4
+    @staticmethod
+    def solver_iterates(monkeypatch, run):
+        import quadvpc.ocp as ocp
+
+        seen = []
+        build = ocp._reduced_model
+
+        def spy(x, u, problem, *defects):
+            if not defects:
+                seen.append((x.copy(), u.copy(), problem))
+            return build(x, u, problem, *defects)
+
+        monkeypatch.setattr(ocp, "_reduced_model", spy)
+        run()
+        monkeypatch.undo()
+        assert seen
+        return seen
+
+    @staticmethod
+    def check(iterates):
+        for x, u, problem in iterates:
+            ext = problem.extrinsics
+            defects = _rk4_flat(x[:-1], u, problem.params.dt, ext.p_b_cb, ext.q_bc) - x[1:]
+            built = _reduced_model(x, u, problem)
+            full = _reduced_model(x, u, problem, defects)
+            assert len(built.vis_rows) > 0
+            for name in ("h", "g", "vis_rows", "vis_base"):
+                assert np.array_equal(getattr(built, name), getattr(full, name))
+
+    def test_gate_iterates(self, monkeypatch):
+        _, _, problem = gate_setup(max_sqp_iters=8)
+        self.check(self.solver_iterates(monkeypatch, lambda: solve(problem)))
+
+    def test_fast_tracking_iterates(self, monkeypatch):
+        from quadvpc.config import default_config
+        from quadvpc.scenarios import scenario_quarter_circle
+
+        cfg = default_config("quarter_circle")
+        cfg.duration = 1.0
+        self.check(self.solver_iterates(monkeypatch, lambda: scenario_quarter_circle(cfg, 9.0)))
 
 
 def box_qp_oracle(h_mat, g_vec, lb, ub, tol=1e-9):
@@ -249,6 +309,7 @@ class TestShiftWarmStart:
         sol = solve(problem)
         shifted = shift_warm_start(sol)
         assert np.array_equal(shifted.states[0], sol.states[1])
+        assert np.array_equal(shifted.states[:-1], sol.states[1:])
         for k in range(problem.params.horizon):
             step = rk4_step(
                 shifted.state_at(k), shifted.input_at(k), problem.params.dt, problem.extrinsics
