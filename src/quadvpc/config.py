@@ -1,14 +1,20 @@
 """Scenario configuration: defaults, JSON round-trip, validation.
 
-The on-disk format is a JSON object with nested sections; every field
-has a default, so a config file only needs the values it overrides.
-Unknown keys are rejected so typos fail loudly.
+The on-disk format is a JSON object that mirrors the dataclass tree of
+:class:`ScenarioConfig`: one key per field, one nested object per
+nested dataclass, tuples and arrays as lists of numbers, plus
+``schema_version``.  Both directions walk ``dataclasses.fields``, so a
+new field needs no edit here.  A file only needs the values it
+overrides; the rest come from ``default_config`` of its ``kind``.
+Unknown keys, values of the wrong type and other schema versions are
+rejected with the dotted path of the offending key.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +33,7 @@ SCENARIO_KINDS = (
     "predict_compare",
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class ConfigError(ValueError):
@@ -106,10 +112,7 @@ class ScenarioConfig:
     def effective_weights(self, perception: bool | None = None) -> CostWeights:
         """Weights with the perception term switched per the config."""
         on = self.perception_enabled if perception is None else perception
-        if on:
-            return self.weights
-        w = self.weights
-        return CostWeights(q_s=w.q_s, q_d=w.q_d, q_p=np.zeros(2), q_v=w.q_v, q_q=w.q_q, q_u=w.q_u)
+        return self.weights if on else replace(self.weights, q_p=np.zeros(2))
 
 
 def default_config(kind: str = "hover") -> ScenarioConfig:
@@ -124,166 +127,82 @@ def default_config(kind: str = "hover") -> ScenarioConfig:
         # for seeded trials to differ; levels sit where the perception
         # objective's extra image-border margin decides survival
         cfg.noise = NoiseModel(sigma_v=0.02, sigma_att=0.003, sigma_d_rel=0.02, sigma_px=0.03)
-        cfg.sweep = SweepSettings(speeds=(5.0, 9.0, 10.0), trials=20, jobs=0, position_jitter=0.1)
+        cfg.sweep = SweepSettings(speeds=(5.0, 9.0, 10.0))
     return cfg
 
 
-def _merge(section: dict, allowed: dict, name: str) -> dict:
-    unknown = set(section) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown key(s) in {name}: {sorted(unknown)}")
-    out = dict(allowed)
-    out.update(section)
+def _dump(obj) -> dict:
+    out = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            out[f.name] = _dump(value)
+        elif isinstance(value, (tuple, np.ndarray)):
+            out[f.name] = [float(v) for v in value]
+        else:
+            out[f.name] = value
     return out
 
 
 def config_to_dict(cfg: ScenarioConfig) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": cfg.kind,
-        "duration": cfg.duration,
-        "seed": cfg.seed,
-        "initial": {"position": list(cfg.initial_position), "heading_deg": cfg.initial_heading_deg},
-        "speed": {"max_ref_speed": cfg.max_ref_speed, "accel_limit": cfg.accel_limit},
-        "perception": cfg.perception_enabled,
-        "goal_distance": cfg.goal_distance,
-        "landmark": {"position": list(cfg.landmark_position)},
-        "weights": {
-            "q_s": cfg.weights.q_s.tolist(),
-            "q_d": cfg.weights.q_d,
-            "q_p": cfg.weights.q_p.tolist(),
-            "q_v": cfg.weights.q_v.tolist(),
-            "q_q": cfg.weights.q_q.tolist(),
-            "q_u": cfg.weights.q_u.tolist(),
-        },
-        "bounds": {
-            "s_min": cfg.bounds.s_min.tolist(),
-            "s_max": cfg.bounds.s_max.tolist(),
-            "c_min": cfg.bounds.c_min,
-            "c_max": cfg.bounds.c_max,
-            "omega_min": cfg.bounds.omega_min.tolist(),
-            "omega_max": cfg.bounds.omega_max.tolist(),
-        },
-        "ocp": {
-            "horizon": cfg.ocp.horizon,
-            "dt": cfg.ocp.dt,
-            "max_sqp_iters": cfg.ocp.max_sqp_iters,
-            "qp_tol": cfg.ocp.qp_tol,
-            "slack_weight": cfg.ocp.slack_weight,
-            "sqp_tol": cfg.ocp.sqp_tol,
-            "reg": cfg.ocp.reg,
-            "qp_max_iter": cfg.ocp.qp_max_iter,
-            "constraint_margin": cfg.ocp.constraint_margin,
-        },
-        "noise": {
-            "sigma_v": cfg.noise.sigma_v,
-            "sigma_att": cfg.noise.sigma_att,
-            "sigma_d_rel": cfg.noise.sigma_d_rel,
-            "sigma_px": cfg.noise.sigma_px,
-        },
-        "camera": {
-            "p_b_cb": cfg.extrinsics.p_b_cb.tolist(),
-            "q_bc": cfg.extrinsics.q_bc.tolist(),
-        },
-        "sweep": {
-            "speeds": list(cfg.sweep.speeds),
-            "trials": cfg.sweep.trials,
-            "jobs": cfg.sweep.jobs,
-            "position_jitter": cfg.sweep.position_jitter,
-        },
-        "predict": {
-            "kind": cfg.predict.kind,
-            "v_c": list(cfg.predict.v_c),
-            "w_c": list(cfg.predict.w_c),
-            "d0": cfg.predict.d0,
-            "s0": list(cfg.predict.s0),
-            "dt": cfg.predict.dt,
-            "duration": cfg.predict.duration,
-        },
-    }
+    return {"schema_version": SCHEMA_VERSION, **_dump(cfg)}
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
+def _checked(default, value, where: str):
+    """``value`` converted to the type of ``default``; ConfigError if it has another."""
+    if isinstance(default, (bool, str)):
+        if type(value) is type(default):
+            return value
+        raise ConfigError(f"{where} must be {'true or false' if isinstance(default, bool) else 'a string'}")
+    if isinstance(default, int):
+        if _is_number(value) and isinstance(value, Integral):
+            return int(value)
+        raise ConfigError(f"{where} must be an integer")
+    if isinstance(default, float) or default is None:
+        if _is_number(value) or (value is None and default is None):
+            return None if value is None else float(value)
+        raise ConfigError(f"{where} must be a number" + (" or null" if default is None else ""))
+    if isinstance(value, (list, tuple)) and all(map(_is_number, value)):
+        values = [float(v) for v in value]
+        return tuple(values) if isinstance(default, tuple) else np.array(values)
+    raise ConfigError(f"{where} must be a list of numbers")
+
+
+def _load(obj, data: dict, path: str):
+    """``obj`` with the values of ``data`` put in, section by section."""
+    unknown = set(data) - {f.name for f in fields(obj)}
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {path or 'config'}: {sorted(unknown)}")
+    changes = {}
+    for key, value in data.items():
+        default = getattr(obj, key)
+        where = f"{path}.{key}" if path else key
+        if not is_dataclass(default):
+            changes[key] = _checked(default, value, where)
+        elif isinstance(value, dict):
+            changes[key] = _load(default, value, where)
+        else:
+            raise ConfigError(f"{where} must be an object")
+    return replace(obj, **changes)
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:
-    base = config_to_dict(ScenarioConfig(kind=data.get("kind", "hover")))
-    top = _merge(data, base, "config")
+    """The defaults of the config's kind, overridden by ``data``."""
+    if not isinstance(data, dict):
+        raise ConfigError("config must be an object")
+    data = dict(data)
+    version = data.pop("schema_version", SCHEMA_VERSION)
+    if version != SCHEMA_VERSION:
+        raise ConfigError(f"schema_version {version!r} is not supported; expected {SCHEMA_VERSION}")
     try:
-        initial = _merge(top["initial"], base["initial"], "initial")
-        speed = _merge(top["speed"], base["speed"], "speed")
-        weights = _merge(top["weights"], base["weights"], "weights")
-        bounds = _merge(top["bounds"], base["bounds"], "bounds")
-        ocp = _merge(top["ocp"], base["ocp"], "ocp")
-        noise = _merge(top["noise"], base["noise"], "noise")
-        camera = _merge(top["camera"], base["camera"], "camera")
-        sweep = _merge(top["sweep"], base["sweep"], "sweep")
-        predict = _merge(top["predict"], base["predict"], "predict")
-        landmark = _merge(top["landmark"], base["landmark"], "landmark")
-        return ScenarioConfig(
-            kind=top["kind"],
-            duration=float(top["duration"]),
-            seed=int(top["seed"]),
-            initial_position=tuple(initial["position"]),
-            initial_heading_deg=float(initial["heading_deg"]),
-            max_ref_speed=float(speed["max_ref_speed"]),
-            accel_limit=None if speed["accel_limit"] is None else float(speed["accel_limit"]),
-            perception_enabled=bool(top["perception"]),
-            goal_distance=float(top["goal_distance"]),
-            landmark_position=tuple(landmark["position"]),
-            weights=CostWeights(
-                q_s=np.array(weights["q_s"], dtype=float),
-                q_d=float(weights["q_d"]),
-                q_p=np.array(weights["q_p"], dtype=float),
-                q_v=np.array(weights["q_v"], dtype=float),
-                q_q=np.array(weights["q_q"], dtype=float),
-                q_u=np.array(weights["q_u"], dtype=float),
-            ),
-            bounds=Bounds(
-                s_min=np.array(bounds["s_min"], dtype=float),
-                s_max=np.array(bounds["s_max"], dtype=float),
-                c_min=float(bounds["c_min"]),
-                c_max=float(bounds["c_max"]),
-                omega_min=np.array(bounds["omega_min"], dtype=float),
-                omega_max=np.array(bounds["omega_max"], dtype=float),
-            ),
-            ocp=OcpParams(
-                horizon=int(ocp["horizon"]),
-                dt=float(ocp["dt"]),
-                max_sqp_iters=int(ocp["max_sqp_iters"]),
-                qp_tol=float(ocp["qp_tol"]),
-                slack_weight=float(ocp["slack_weight"]),
-                sqp_tol=float(ocp["sqp_tol"]),
-                reg=float(ocp["reg"]),
-                qp_max_iter=int(ocp["qp_max_iter"]),
-                constraint_margin=float(ocp["constraint_margin"]),
-            ),
-            noise=NoiseModel(
-                sigma_v=float(noise["sigma_v"]),
-                sigma_att=float(noise["sigma_att"]),
-                sigma_d_rel=float(noise["sigma_d_rel"]),
-                sigma_px=float(noise["sigma_px"]),
-            ),
-            extrinsics=CameraExtrinsics(
-                p_b_cb=np.array(camera["p_b_cb"], dtype=float),
-                q_bc=np.array(camera["q_bc"], dtype=float),
-            ),
-            sweep=SweepSettings(
-                speeds=tuple(float(s) for s in sweep["speeds"]),
-                trials=int(sweep["trials"]),
-                jobs=int(sweep["jobs"]),
-                position_jitter=float(sweep["position_jitter"]),
-            ),
-            predict=PredictSettings(
-                kind=predict["kind"],
-                v_c=tuple(float(v) for v in predict["v_c"]),
-                w_c=tuple(float(v) for v in predict["w_c"]),
-                d0=float(predict["d0"]),
-                s0=tuple(float(v) for v in predict["s0"]),
-                dt=float(predict["dt"]),
-                duration=float(predict["duration"]),
-            ),
-        )
+        return _load(default_config(data.get("kind", "hover")), data, "")
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         # ValueError also covers the field checks of the dataclasses
         raise ConfigError(f"malformed config: {exc}") from exc
 
@@ -293,9 +212,6 @@ def load_config(path: str | Path) -> ScenarioConfig:
         data = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: top-level JSON must be an object")
-    data.pop("schema_version", None)
     return config_from_dict(data)
 
 

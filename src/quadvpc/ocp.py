@@ -333,15 +333,15 @@ _HOVER_U = np.array([9.81, 0.0, 0.0, 0.0])
 
 
 class _Workspace:
-    """Evaluation of one feasible iterate: rolled-out states for given inputs."""
+    """Evaluation of one feasible iterate: rolled-out states and their stage outputs."""
 
-    __slots__ = ("x", "cost", "viol_sum", "viol_max", "merit", "finite")
+    __slots__ = ("x", "outputs", "cost", "viol_sum", "viol_max", "merit", "finite")
 
     def __init__(self, u, problem):
         p = problem.params
         ext = problem.extrinsics
         self.x = _rollout(problem.x0.as_vector(), u, p.dt, ext)
-        res, s_c, ok = _stage_outputs(self.x, problem.ref_arrays, problem.weights, ext.q_bc, p.dt)
+        self.outputs = res, s_c, ok = _stage_outputs(self.x, problem.ref_arrays, problem.weights, ext.q_bc, p.dt)
         du = u - _HOVER_U
         self.cost = float(np.sum(res**2)) + p.dt * float(np.sum(du * du * problem.weights.q_u))
         m = p.constraint_margin
@@ -367,10 +367,11 @@ class _Model:
     defects: Array
 
 
-def _reduced_model(x, u, problem, defects=None):
+def _reduced_model(x, u, problem, outputs, defects=None):
     """Condensed Gauss-Newton model at (X, U).
 
-    The visibility linearization of node k >= 1 becomes one pair of rows
+    ``outputs`` are the ``_stage_outputs`` of ``x``.  The visibility
+    linearization of node k >= 1 becomes one pair of rows
     ``vis_base + vis_rows @ dU`` between ``vis_lo`` and ``vis_hi``; nodes
     whose projection is degenerate contribute no rows.  The shooting
     defects default to zero, as they are exactly on rolled-out iterates.
@@ -381,7 +382,7 @@ def _reduced_model(x, u, problem, defects=None):
 
     a_k, b_k = rk4_jacobians(x[:-1], u, p.dt, ext)
     j_res, j_s = _stage_jacobians(x, problem.ref_arrays, problem.weights, ext.q_bc, p.dt)
-    res, s_c, ok = _stage_outputs(x, problem.ref_arrays, problem.weights, ext.q_bc, p.dt)
+    res, s_c, ok = outputs
     if defects is None:
         defects = np.zeros((n, NX))
 
@@ -497,7 +498,7 @@ def solve(problem: OcpProblem, warm: OcpSolution | None = None) -> OcpSolution:
 
     for _ in range(p.max_sqp_iters):
         iters_done += 1
-        model = _reduced_model(ws.x, u, problem)
+        model = _reduced_model(ws.x, u, problem, ws.outputs)
 
         lb_step = np.maximum(lb - u.ravel(), -tr_radius * tr_scale)
         ub_step = np.minimum(ub - u.ravel(), tr_radius * tr_scale)
@@ -608,7 +609,8 @@ def kkt_residual_arrays(problem: OcpProblem, x: Array, u: Array) -> float:
     n = p.horizon
     ext = problem.extrinsics
     defects = _rk4_flat(x[:-1], u, p.dt, ext.p_b_cb, ext.q_bc) - x[1:]
-    model = _reduced_model(x, u, problem, defects)
+    outputs = _stage_outputs(x, problem.ref_arrays, problem.weights, ext.q_bc, p.dt)
+    model = _reduced_model(x, u, problem, outputs, defects)
     lb = np.tile(problem.bounds.input_lower(), n) - u.ravel()
     ub = np.tile(problem.bounds.input_upper(), n) - u.ravel()
     _, lam_lo, lam_hi, _, _ = _solve_step_qp(

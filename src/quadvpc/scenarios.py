@@ -127,8 +127,20 @@ def make_controller(cfg: ScenarioConfig, perception: bool | None = None) -> Visu
     )
 
 
-def _sensor_bounds(cfg: ScenarioConfig):
-    return (cfg.bounds.s_min, cfg.bounds.s_max)
+def _fly(cfg: ScenarioConfig, plant0: PlantState, refs_fn, duration: float, seed: int, perception=None) -> RunLog:
+    """One closed-loop flight of a fresh controller from ``plant0``."""
+    return run_closed_loop(
+        make_controller(cfg, perception),
+        refs_fn,
+        plant0,
+        cfg.landmark,
+        cfg.extrinsics,
+        cfg.noise,
+        duration=duration,
+        dt=cfg.ocp.dt,
+        seed=seed,
+        sensor_bounds=(cfg.bounds.s_min, cfg.bounds.s_max),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -270,23 +282,14 @@ def gate_goal_waypoint(cfg: ScenarioConfig) -> Array:
     return lm - np.array([cfg.goal_distance, 0.0, 0.0]) - cfg.extrinsics.p_b_cb
 
 
-def _run_tracking(cfg: ScenarioConfig, arc: ArcReference, perception: bool | None = None, seed=None) -> RunLog:
+def _run_tracking(cfg: ScenarioConfig, arc: ArcReference, perception=None, seed=None, jitter=None) -> RunLog:
+    """Fly ``arc`` from its start, offset by ``jitter`` if given."""
     wp0, _, heading0 = arc.sample(0.0)
+    if jitter is not None:
+        wp0 = wp0 + jitter
     plant0 = PlantState(p_w=wp0, v_w=np.zeros(3), q_wb=quat_yaw(heading0))
-    controller = make_controller(cfg, perception)
     duration = min(cfg.duration, arc.profile.t_total + SETTLE_MARGIN)
-    return run_closed_loop(
-        controller,
-        _arc_refs_fn(cfg, arc),
-        plant0,
-        cfg.landmark,
-        cfg.extrinsics,
-        cfg.noise,
-        duration=duration,
-        dt=cfg.ocp.dt,
-        seed=cfg.seed if seed is None else seed,
-        sensor_bounds=_sensor_bounds(cfg),
-    )
+    return _fly(cfg, plant0, _arc_refs_fn(cfg, arc), duration, cfg.seed if seed is None else seed, perception)
 
 
 def scenario_hover(cfg: ScenarioConfig):
@@ -295,25 +298,14 @@ def scenario_hover(cfg: ScenarioConfig):
     plant0 = PlantState(p_w=np.asarray(cfg.initial_position, float), v_w=np.zeros(3), q_wb=quat_yaw(heading))
     rng = np.random.default_rng(cfg.seed)
     try:
-        meas = observe(plant0, cfg.landmark, cfg.extrinsics, NoiseModel(), rng, _sensor_bounds(cfg))
+        meas = observe(plant0, cfg.landmark, cfg.extrinsics, NoiseModel(), rng, (cfg.bounds.s_min, cfg.bounds.s_max))
     except FeatureLost as exc:
         log = RunLog.empty(cfg.ocp.dt, cfg.seed, "feature_lost", exc.reason)
         return {"log": log, "metrics": evaluate_run(log, cfg)}
     n = quat_rotate(meas.q_cl, EZ)
     ref = ReferencePoint(s_star=n[:2] / n[2], d_star=meas.d, v_star=np.zeros(3), q_star=quat_yaw(heading))
     refs = [ref] * (cfg.ocp.horizon + 1)
-    log = run_closed_loop(
-        make_controller(cfg),
-        lambda t: refs,
-        plant0,
-        cfg.landmark,
-        cfg.extrinsics,
-        cfg.noise,
-        duration=cfg.duration,
-        dt=cfg.ocp.dt,
-        seed=cfg.seed,
-        sensor_bounds=_sensor_bounds(cfg),
-    )
+    log = _fly(cfg, plant0, lambda t: refs, cfg.duration, cfg.seed)
     return {"log": log, "metrics": evaluate_run(log, cfg, goal_p=np.asarray(cfg.initial_position, float))}
 
 
@@ -325,18 +317,7 @@ def scenario_gate_reaching(cfg: ScenarioConfig, poses=GATE_POSES):
     results = []
     for i, (pos, heading_deg) in enumerate(poses):
         plant0 = PlantState(p_w=np.asarray(pos, float), v_w=np.zeros(3), q_wb=quat_yaw(math.radians(heading_deg)))
-        log = run_closed_loop(
-            make_controller(cfg),
-            lambda t: refs,
-            plant0,
-            cfg.landmark,
-            cfg.extrinsics,
-            cfg.noise,
-            duration=cfg.duration,
-            dt=cfg.ocp.dt,
-            seed=cfg.seed + i,
-            sensor_bounds=_sensor_bounds(cfg),
-        )
+        log = _fly(cfg, plant0, lambda t: refs, cfg.duration, cfg.seed + i)
         results.append(
             {
                 "pose": {"position": list(pos), "heading_deg": heading_deg},
@@ -375,26 +356,9 @@ def _sweep_trial(payload: dict) -> tuple[dict, Metrics]:
     speed = payload["speed"]
     perception = payload["perception"]
     run_seed = payload["run_seed"]
-
-    arc = quarter_circle_arc(cfg, speed)
-    jitter_rng = np.random.default_rng(run_seed + 13)
-    wp0, _, heading0 = arc.sample(0.0)
-    jitter = jitter_rng.normal(0.0, cfg.sweep.position_jitter, 3) if cfg.sweep.position_jitter > 0 else np.zeros(3)
-    plant0 = PlantState(p_w=wp0 + jitter, v_w=np.zeros(3), q_wb=quat_yaw(heading0))
-    controller = make_controller(cfg, perception)
-    duration = min(cfg.duration, arc.profile.t_total + SETTLE_MARGIN)
-    log = run_closed_loop(
-        controller,
-        _arc_refs_fn(cfg, arc),
-        plant0,
-        cfg.landmark,
-        cfg.extrinsics,
-        cfg.noise,
-        duration=duration,
-        dt=cfg.ocp.dt,
-        seed=run_seed,
-        sensor_bounds=_sensor_bounds(cfg),
-    )
+    sigma = cfg.sweep.position_jitter
+    jitter = np.random.default_rng(run_seed + 13).normal(0.0, sigma, 3) if sigma > 0 else np.zeros(3)
+    log = _run_tracking(cfg, quarter_circle_arc(cfg, speed), perception, run_seed, jitter)
     m = evaluate_run(log, cfg)
     return {
         "speed": speed,
@@ -420,7 +384,6 @@ def scenario_success_sweep(cfg: ScenarioConfig):
     wall-clock solve times to the deterministic ``records``.
     """
     cfg_dict = config_to_dict(cfg)
-    cfg_dict.pop("schema_version", None)
     payloads = []
     for si, speed in enumerate(cfg.sweep.speeds):
         for mi, perception in enumerate((True, False)):

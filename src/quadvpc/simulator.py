@@ -106,7 +106,6 @@ class NoiseModel:
     sigma_att: float = 0.0
     sigma_d_rel: float = 0.0
     sigma_px: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("sigma_v", "sigma_att", "sigma_d_rel", "sigma_px"):

@@ -2,12 +2,15 @@ import dataclasses
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from quadvpc.cli import main as cli_main
 from quadvpc.config import (
+    SCENARIO_KINDS,
+    SCHEMA_VERSION,
     ConfigError,
     ScenarioConfig,
     config_from_dict,
@@ -28,6 +31,31 @@ from quadvpc.scenarios import (
 )
 from quadvpc.ocp import OcpParams
 from quadvpc.outputs import CSV_HEADER, write_run_csv, write_summary_json
+
+
+# config overrides of the wrong type, each with the dotted key it names
+BAD_VALUES = [
+    ({"perception_enabled": "false"}, "perception_enabled"),
+    ({"ocp": {"horizon": 20.7}}, "ocp.horizon"),
+    ({"sweep": {"trials": True}}, "sweep.trials"),
+    ({"duration": "5"}, "duration"),
+]
+
+
+def key_tree(data: dict) -> dict:
+    return {k: key_tree(v) if isinstance(v, dict) else None for k, v in data.items()}
+
+
+def field_tree(obj) -> dict:
+    tree = {}
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        tree[f.name] = field_tree(value) if dataclasses.is_dataclass(value) else None
+    return tree
+
+
+def all_keys(data: dict) -> set:
+    return set(data).union(*(all_keys(v) for v in data.values() if isinstance(v, dict)))
 
 
 def strip_solve_ms(csv_text: str) -> str:
@@ -89,6 +117,51 @@ class TestConfig:
         path.write_text("{nope")
         with pytest.raises(ConfigError):
             load_config(path)
+
+    @pytest.mark.parametrize("kind", SCENARIO_KINDS)
+    def test_partial_config_gets_kind_defaults(self, kind):
+        assert dump_config(config_from_dict({"kind": kind})) == dump_config(default_config(kind))
+
+    @pytest.mark.parametrize("kind", SCENARIO_KINDS)
+    def test_dump_keys_are_field_names(self, kind):
+        cfg = default_config(kind)
+        assert key_tree(config_to_dict(cfg)) == {"schema_version": None, **field_tree(cfg)}
+
+    @pytest.mark.parametrize("kind", SCENARIO_KINDS)
+    def test_dump_load_dump(self, kind):
+        data = json.loads(dump_config(default_config(kind)))
+        assert config_to_dict(config_from_dict(data)) == data
+
+    @pytest.mark.parametrize("override,where", BAD_VALUES)
+    def test_wrong_value_type_rejected(self, override, where):
+        with pytest.raises(ConfigError, match=f"^{where} must be "):
+            config_from_dict(override)
+
+    def test_number_and_null_values(self):
+        cfg = config_from_dict({"duration": 7, "accel_limit": 4, "ocp": {"horizon": 8}})
+        assert (cfg.duration, cfg.accel_limit, cfg.ocp.horizon) == (7.0, 4.0, 8)
+        assert isinstance(cfg.duration, float) and isinstance(cfg.accel_limit, float)
+        assert config_from_dict({"accel_limit": None}).accel_limit is None
+        with pytest.raises(ConfigError, match="^accel_limit must be a number or null$"):
+            config_from_dict({"accel_limit": "fast"})
+        with pytest.raises(ConfigError, match="^weights.q_s must be a list of numbers$"):
+            config_from_dict({"weights": {"q_s": [1.0, True]}})
+        with pytest.raises(ConfigError, match="^ocp must be an object$"):
+            config_from_dict({"ocp": 5})
+
+    @pytest.mark.parametrize("version", [1, 99])
+    def test_other_schema_version_rejected(self, version):
+        data = config_to_dict(default_config())
+        data["schema_version"] = version
+        with pytest.raises(ConfigError, match=f"expected {SCHEMA_VERSION}$"):
+            config_from_dict(data)
+
+    def test_readme_names_every_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+        for kind in SCENARIO_KINDS:
+            for key in all_keys(config_to_dict(default_config(kind))):
+                assert f"`{key}`" in section, key
 
     def test_perception_toggle(self):
         cfg = default_config()
@@ -303,6 +376,19 @@ class TestCli:
         assert rc == 2
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "override,where", BAD_VALUES + [({"schema_version": 1}, "schema_version"), ({"schema_version": 99}, "schema_version")]
+    )
+    def test_rejected_value_type_nonzero_exit(self, tmp_path, capsys, override, where):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(override))
+        rc = cli_main(["run", str(bad), "--out", str(tmp_path / "o"), "--quiet"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: {where} ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_file_nonzero_exit(self, tmp_path):
         rc = cli_main(["run", str(tmp_path / "absent.json"), "--out", str(tmp_path / "o"), "--quiet"])

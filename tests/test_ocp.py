@@ -16,6 +16,7 @@ from quadvpc.ocp import (
     _RefArrays,
     _solve_step_qp,
     _stage_jacobians,
+    _stage_outputs,
     build_problem,
     kkt_residual,
     kkt_residual_arrays,
@@ -196,20 +197,22 @@ class TestKktResidual:
 
 
 class TestSkippedDefects:
-    # solve builds its models without recomputing the shooting defects;
-    # on its own iterates they are exactly zero, so the models equal the
-    # ones built with the defects of the batched RK4
+    # solve builds its models without recomputing the shooting defects or
+    # the stage outputs: on its own iterates the defects are exactly zero
+    # and the outputs are those its workspace evaluated, so the models equal
+    # the ones built with the batched RK4's defects and fresh outputs
     @staticmethod
-    def solver_iterates(monkeypatch, run):
+    def solver_models(monkeypatch, run):
         import quadvpc.ocp as ocp
 
         seen = []
         build = ocp._reduced_model
 
-        def spy(x, u, problem, *defects):
+        def spy(x, u, problem, outputs, *defects):
+            model = build(x, u, problem, outputs, *defects)
             if not defects:
-                seen.append((x.copy(), u.copy(), problem))
-            return build(x, u, problem, *defects)
+                seen.append((x.copy(), u.copy(), problem, model))
+            return model
 
         monkeypatch.setattr(ocp, "_reduced_model", spy)
         run()
@@ -218,19 +221,21 @@ class TestSkippedDefects:
         return seen
 
     @staticmethod
-    def check(iterates):
-        for x, u, problem in iterates:
+    def check(models):
+        for x, u, problem, built in models:
             ext = problem.extrinsics
             defects = _rk4_flat(x[:-1], u, problem.params.dt, ext.p_b_cb, ext.q_bc) - x[1:]
-            built = _reduced_model(x, u, problem)
-            full = _reduced_model(x, u, problem, defects)
+            outputs = _stage_outputs(x, problem.ref_arrays, problem.weights, ext.q_bc, problem.params.dt)
+            fresh = _reduced_model(x, u, problem, outputs)
+            full = _reduced_model(x, u, problem, outputs, defects)
             assert len(built.vis_rows) > 0
-            for name in ("h", "g", "vis_rows", "vis_base"):
+            for name in ("h", "g", "vis_rows", "vis_base", "s_c", "ok"):
+                assert np.array_equal(getattr(built, name), getattr(fresh, name))
                 assert np.array_equal(getattr(built, name), getattr(full, name))
 
     def test_gate_iterates(self, monkeypatch):
         _, _, problem = gate_setup(max_sqp_iters=8)
-        self.check(self.solver_iterates(monkeypatch, lambda: solve(problem)))
+        self.check(self.solver_models(monkeypatch, lambda: solve(problem)))
 
     def test_fast_tracking_iterates(self, monkeypatch):
         from quadvpc.config import default_config
@@ -238,7 +243,7 @@ class TestSkippedDefects:
 
         cfg = default_config("quarter_circle")
         cfg.duration = 1.0
-        self.check(self.solver_iterates(monkeypatch, lambda: scenario_quarter_circle(cfg, 9.0)))
+        self.check(self.solver_models(monkeypatch, lambda: scenario_quarter_circle(cfg, 9.0)))
 
 
 def box_qp_oracle(h_mat, g_vec, lb, ub, tol=1e-9):
