@@ -11,7 +11,6 @@ from .costs import (
     ReferencePoint,
     clamp_input,
     dynamic_visual_weight,
-    visibility_residual,
 )
 from .dynamics import (
     CameraExtrinsics,

@@ -135,7 +135,7 @@ def cmd_selftest(args) -> int:
         print(dump_config(default_config(args.kind)))
         return 0
     from . import geometry
-    from .costs import Bounds, CostWeights
+    from .costs import Bounds, CostWeights, ReferencePoint
     from .ocp import OcpParams, build_problem, solve
     from .simulator import DEFAULT_EXTRINSICS, Landmark, NoiseModel, PlantState, observe
 
@@ -153,10 +153,9 @@ def cmd_selftest(args) -> int:
 
     n = geometry.bearing_n(meas.q_cl)
     ref_s = n[:2] / n[2]
-    from .costs import ReferencePoint
-
-    refs = [ReferencePoint(ref_s, meas.d, np.zeros(3), geometry.quat_identity())] * 21
-    problem = build_problem(meas, refs, CostWeights(), Bounds(), DEFAULT_EXTRINSICS, OcpParams())
+    params = OcpParams()
+    ref = ReferencePoint(ref_s, np.full(params.horizon + 1, meas.d), np.zeros(3), geometry.quat_identity())
+    problem = build_problem(meas, ref, CostWeights(), Bounds(), DEFAULT_EXTRINSICS, params)
     sol = solve(problem)
     checks.append(("hover solve near equilibrium", abs(sol.inputs[0][0] - 9.81) < 0.1 and np.all(np.abs(sol.inputs[:, 1:]) < 0.01)))
 

@@ -40,6 +40,11 @@ class ConfigError(ValueError):
     """Malformed or unknown configuration content."""
 
 
+def _check_vector(value, size: int, where: str) -> None:
+    if np.shape(value) != (size,) or not np.all(np.isfinite(value)):
+        raise ConfigError(f"{where} must be {size} finite numbers")
+
+
 @dataclass
 class SweepSettings:
     """Success-rate sweep: speeds, seeded trials, both perception modes."""
@@ -71,6 +76,11 @@ class PredictSettings:
     def __post_init__(self):
         if self.kind not in ("constant", "sinusoid"):
             raise ConfigError(f"unknown predict profile kind {self.kind!r}")
+        for key, size in (("v_c", 3), ("w_c", 3), ("s0", 2)):
+            _check_vector(getattr(self, key), size, f"predict.{key}")
+        for key in ("dt", "duration"):
+            if not getattr(self, key) > 0.0:
+                raise ConfigError(f"predict.{key} must be positive")
 
 
 @dataclass
@@ -100,6 +110,8 @@ class ScenarioConfig:
             raise ConfigError("duration must be positive")
         if self.max_ref_speed <= 0.0:
             raise ConfigError("max_ref_speed must be positive")
+        for key in ("initial_position", "landmark_position"):
+            _check_vector(getattr(self, key), 3, key)
 
     @property
     def landmark(self) -> Landmark:

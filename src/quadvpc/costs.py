@@ -1,13 +1,13 @@
-"""Weights, bounds, references and constraint residuals of the servoing OCP.
+"""Weights, bounds and references of the servoing OCP.
 
 The three stage objectives (visual servoing: rotation-compensated image
 error plus distance error; perception: feature pulled toward the image
-center; action: velocity and attitude tracking) are defined once, as the
-solver's batched residuals in :func:`quadvpc.ocp._stage_outputs`.  This
-module holds what they are weighted and bounded by: the cost weights, the
-image-plane visibility box and the thrust/body-rate input boxes, the
-per-node reference, the dynamic distance-based visual weight, and the
-scalar visibility residual and input clamp.
+center; action: velocity and attitude tracking) and the image-plane
+visibility box are evaluated once, as the solver's batched residuals and
+hinge in :mod:`quadvpc.ocp`.  This module holds what they are weighted,
+bounded and compared with: the cost weights, the visibility and
+thrust/body-rate boxes, the reference of one node or a whole horizon,
+the dynamic distance-based visual weight, and the input clamp.
 
 All weights are diagonal and stored as vectors of diagonal entries.
 """
@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import ControlInput, QuadVisualState, _vec3
-from .geometry import Array, bearing_n
+from .dynamics import ControlInput, _vec3
+from .geometry import Array
 
 # Stage-cost value substituted when a projection is degenerate: keeps the
 # NLP finite while making behind-camera states strongly repellent.
@@ -91,21 +91,41 @@ class Bounds:
 
 @dataclass(frozen=True)
 class ReferencePoint:
-    """Per-horizon-step target: image coordinate, distance, velocity, attitude."""
+    """Target image coordinate, distance, velocity and attitude.
+
+    One type serves one node and a whole horizon: the fields share any
+    leading shape, ``s_star (..., 2)``, ``d_star (...)``, ``v_star (..., 3)``
+    and ``q_star (..., 4)``, and are broadcast to it.  The solver reads a
+    horizon of leading shape ``(N+1,)``, one row per node.  Each reference
+    is checked and its attitude normalised once, here.
+    """
 
     s_star: Array
-    d_star: float
+    d_star: Array
     v_star: Array
     q_star: Array
 
     def __post_init__(self):
-        object.__setattr__(self, "s_star", np.asarray(self.s_star, dtype=np.float64).reshape(2).copy())
-        object.__setattr__(self, "d_star", float(self.d_star))
-        object.__setattr__(self, "v_star", _vec3(self.v_star))
-        q = np.asarray(self.q_star, dtype=np.float64).reshape(4)
-        object.__setattr__(self, "q_star", q / np.linalg.norm(q))
-        if self.d_star <= 0.0:
+        s, d, v, q = (np.asarray(a, dtype=np.float64) for a in (self.s_star, self.d_star, self.v_star, self.q_star))
+        lead = np.broadcast_shapes(s.shape[:-1], d.shape, v.shape[:-1], q.shape[:-1])
+        object.__setattr__(self, "s_star", np.array(np.broadcast_to(s, lead + (2,))))
+        object.__setattr__(self, "d_star", np.array(np.broadcast_to(d, lead)))
+        object.__setattr__(self, "v_star", np.array(np.broadcast_to(v, lead + (3,))))
+        q = np.broadcast_to(q, lead + (4,))
+        # sqrt(vecdot) rounds each row as the 1-D np.linalg.norm does; norm(axis=-1) does not
+        object.__setattr__(self, "q_star", q / np.sqrt(np.vecdot(q, q))[..., None])
+        if not np.all(self.d_star > 0.0):
             raise ValueError("d_star must be positive")
+        if not np.all(np.isfinite(self.v_star)):
+            raise ValueError("v_star must be finite")
+
+    def _take(self, index) -> "ReferencePoint":
+        # For the solver only: skips __post_init__, as this reference was checked and normalised
+        # when built, and normalising a unit q_star again would change its bits.
+        out = object.__new__(ReferencePoint)
+        for name in ("s_star", "d_star", "v_star", "q_star"):
+            object.__setattr__(out, name, np.take(getattr(self, name), index, axis=0))
+        return out
 
 
 def dynamic_visual_weight(d_measured: float, base: Array, d_cap: float = D_CAP) -> Array:
@@ -120,20 +140,6 @@ def dynamic_visual_weight(d_measured: float, base: Array, d_cap: float = D_CAP) 
         raise ValueError("d_measured must be positive")
     scale = min(max(d_measured * d_measured, 1.0), d_cap * d_cap)
     return np.asarray(base, dtype=np.float64) * scale
-
-
-def visibility_residual(x: QuadVisualState, b: Bounds) -> Array:
-    """Stacked slack of the image-plane visibility box.
-
-    Returns ``(s - s_min, s_max - s)`` for the (u, v) components; the
-    constraint holds iff all four entries are nonnegative.  A bearing
-    behind the camera counts as an arbitrarily large violation.
-    """
-    n = bearing_n(x.q_cl)
-    if n[2] <= 1e-6:
-        return np.full(4, -PENALTY_CEILING)
-    s = n[:2] / n[2]
-    return np.concatenate([s - b.s_min, b.s_max - s])
 
 
 def clamp_input(u: ControlInput, b: Bounds) -> ControlInput:

@@ -163,9 +163,13 @@ def quat_exp(r: Array) -> Array:
     return quat_normalize(np.concatenate([w, sinc_half * r], axis=-1))
 
 
-def quat_yaw(psi: float) -> Array:
-    """Yaw-only quaternion (rotation about the world z axis)."""
-    return np.array([np.cos(psi / 2.0), 0.0, 0.0, np.sin(psi / 2.0)])
+def quat_yaw(psi: float | Array) -> Array:
+    """Yaw-only quaternion(s) (rotation about the world z axis) of angle(s) ``psi``."""
+    half = np.asarray(psi, dtype=np.float64) / 2.0
+    out = np.zeros(half.shape + (4,))
+    out[..., 0] = np.cos(half)
+    out[..., 3] = np.sin(half)
+    return out
 
 
 def rotations_close(q1: Array, q2: Array, tol: float = 1e-9):

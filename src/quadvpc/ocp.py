@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import costs as _costs
-from .costs import Bounds, CostWeights, clamp_input
+from .costs import Bounds, CostWeights, ReferencePoint, clamp_input
 from .dynamics import (
     CameraExtrinsics,
     ControlInput,
@@ -49,7 +49,7 @@ NU = 4
 
 
 class BadReferenceLength(ValueError):
-    """Reference trajectory does not have horizon + 1 entries."""
+    """Reference does not have leading shape (horizon + 1,)."""
 
 
 class InvalidInitialState(ValueError):
@@ -86,33 +86,15 @@ class OcpParams:
 
 
 @dataclass(frozen=True)
-class _RefArrays:
-    s: Array
-    d: Array
-    v: Array
-    q: Array
-
-    @staticmethod
-    def stack(refs) -> "_RefArrays":
-        return _RefArrays(
-            s=np.array([r.s_star for r in refs]),
-            d=np.array([r.d_star for r in refs]),
-            v=np.array([r.v_star for r in refs]),
-            q=np.array([r.q_star for r in refs]),
-        )
-
-
-@dataclass(frozen=True)
 class OcpProblem:
     """One receding-horizon NLP instance."""
 
     x0: QuadVisualState
-    refs: tuple
+    ref: ReferencePoint  # leading shape (N+1,)
     weights: CostWeights
     bounds: Bounds
     extrinsics: CameraExtrinsics
     params: OcpParams
-    ref_arrays: _RefArrays
 
 
 @dataclass
@@ -141,7 +123,7 @@ class OcpSolution:
 
 def build_problem(
     x0: QuadVisualState,
-    refs,
+    ref: ReferencePoint,
     weights: CostWeights,
     bounds: Bounds,
     extrinsics: CameraExtrinsics,
@@ -152,24 +134,24 @@ def build_problem(
     The dynamic visual weight is applied here, once per solve, from the
     measured distance of the initial state.
     """
-    refs = tuple(refs)
-    if len(refs) != params.horizon + 1:
-        raise BadReferenceLength(f"expected {params.horizon + 1} references, got {len(refs)}")
+    if ref.d_star.shape != (params.horizon + 1,):
+        raise BadReferenceLength(f"expected a reference of leading shape ({params.horizon + 1},), got {ref.d_star.shape}")
     if not np.isfinite(x0.d) or x0.d <= 0.0 or not np.all(np.isfinite(x0.as_vector())):
         raise InvalidInitialState("initial state needs d > 0 and finite components")
     w_eff = replace(weights, q_s=_costs.dynamic_visual_weight(x0.d, weights.q_s))
-    return OcpProblem(x0, refs, w_eff, bounds, extrinsics, params, _RefArrays.stack(refs))
+    return OcpProblem(x0, ref, w_eff, bounds, extrinsics, params)
 
 
-def _stage_outputs(x: Array, ref: _RefArrays, w: CostWeights, q_bc: Array, dt: float):
+def _stage_outputs(x: Array, ref: ReferencePoint, w: CostWeights, q_bc: Array, dt: float):
     """Batched stage residuals and image coordinates.
 
     This is the one definition of the three objectives.  ``x`` is
     ``(M, 12)`` with one row per horizon node (possibly tiled for finite
-    differencing).  Returns the sqrt-weighted residual vector ``(M, 12)``
-    whose squared norm is the stage cost times dt, the uncompensated
-    image coordinate ``(M, 2)``, and its validity mask.  The residual
-    columns are, in blocks:
+    differencing), and ``ref`` has leading shape ``(M,)`` or ``()``.
+    Returns the sqrt-weighted residual vector ``(M, 12)`` whose squared
+    norm is the stage cost times dt, the uncompensated image coordinate
+    ``(M, 2)``, and its validity mask.  The residual columns are, in
+    blocks:
 
     - ``0:2`` rotation-compensated image error and ``2`` distance error
       (visual servoing);
@@ -189,14 +171,14 @@ def _stage_outputs(x: Array, ref: _RefArrays, w: CostWeights, q_bc: Array, dt: f
     fill = np.sqrt(_costs.PENALTY_CEILING * dt / 2.0)
 
     # visual servoing: compensate by the attitude deviation from the reference
-    q_rel = quat_normalize(quat_prod(quat_conj(ref.q), q_wb))
+    q_rel = quat_normalize(quat_prod(quat_conj(ref.q_star), q_wb))
     q_comp = quat_normalize(
         quat_prod(quat_prod(quat_conj(q_bc), quat_prod(q_rel, q_bc)), q_cl)
     )
     s_comp, ok_comp = project_guarded(quat_rotate(q_comp, EZ))
-    r_img = np.sqrt(w.q_s) * (s_comp - ref.s) * sdt
+    r_img = np.sqrt(w.q_s) * (s_comp - ref.s_star) * sdt
     r_img = np.where(ok_comp[:, None], r_img, fill)
-    r_dist = (np.sqrt(w.q_d) * (d - ref.d) * sdt)[:, None]
+    r_dist = (np.sqrt(w.q_d) * (d - ref.d_star) * sdt)[:, None]
 
     # perception
     s_c, ok_c = project_guarded(quat_rotate(q_cl, EZ))
@@ -204,18 +186,19 @@ def _stage_outputs(x: Array, ref: _RefArrays, w: CostWeights, q_bc: Array, dt: f
     r_per = np.where(ok_c[:, None], r_per, fill)
 
     # action
-    sgn = np.where(np.sum(q_wb * ref.q, axis=-1) >= 0.0, 1.0, -1.0)[:, None]
-    r_vel = np.sqrt(w.q_v) * (v_w - ref.v) * sdt
-    r_att = np.sqrt(w.q_q) * (sgn * q_wb - ref.q) * sdt
+    sgn = np.where(np.sum(q_wb * ref.q_star, axis=-1) >= 0.0, 1.0, -1.0)[:, None]
+    r_vel = np.sqrt(w.q_v) * (v_w - ref.v_star) * sdt
+    r_att = np.sqrt(w.q_q) * (sgn * q_wb - ref.q_star) * sdt
 
     res = np.concatenate([r_img, r_dist, r_per, r_vel, r_att], axis=1)
     return res, s_c, ok_c
 
 
-def _stage_jacobians(x: Array, ref: _RefArrays, w: CostWeights, q_bc: Array, dt: float, h: float = 1e-6):
-    """FD Jacobians of residuals and image coordinates per node."""
-    # one reference row per perturbed point: (+/- step, node, component)
-    ref_tiled = _RefArrays(*(np.concatenate([np.repeat(a, NX, axis=0)] * 2) for a in (ref.s, ref.d, ref.v, ref.q)))
+def _stage_jacobians(x: Array, ref: ReferencePoint, w: CostWeights, q_bc: Array, dt: float, h: float = 1e-6):
+    """FD Jacobians of residuals and image coordinates per node; ``ref`` is ``(M,)``."""
+    # one reference row per perturbed point: (+/- step, node, component),
+    # taken as it is, since normalising a unit quaternion again moves its bits
+    ref_tiled = ref._take(np.tile(np.repeat(np.arange(len(x)), NX), 2))
 
     def fun(z):
         res, s_c, _ = _stage_outputs(z, ref_tiled, w, q_bc, dt)
@@ -341,7 +324,7 @@ class _Workspace:
         p = problem.params
         ext = problem.extrinsics
         self.x = _rollout(problem.x0.as_vector(), u, p.dt, ext)
-        self.outputs = res, s_c, ok = _stage_outputs(self.x, problem.ref_arrays, problem.weights, ext.q_bc, p.dt)
+        self.outputs = res, s_c, ok = _stage_outputs(self.x, problem.ref, problem.weights, ext.q_bc, p.dt)
         du = u - _HOVER_U
         self.cost = float(np.sum(res**2)) + p.dt * float(np.sum(du * du * problem.weights.q_u))
         m = p.constraint_margin
@@ -381,7 +364,7 @@ def _reduced_model(x, u, problem, outputs, defects=None):
     ext = problem.extrinsics
 
     a_k, b_k = rk4_jacobians(x[:-1], u, p.dt, ext)
-    j_res, j_s = _stage_jacobians(x, problem.ref_arrays, problem.weights, ext.q_bc, p.dt)
+    j_res, j_s = _stage_jacobians(x, problem.ref, problem.weights, ext.q_bc, p.dt)
     res, s_c, ok = outputs
     if defects is None:
         defects = np.zeros((n, NX))
@@ -609,7 +592,7 @@ def kkt_residual_arrays(problem: OcpProblem, x: Array, u: Array) -> float:
     n = p.horizon
     ext = problem.extrinsics
     defects = _rk4_flat(x[:-1], u, p.dt, ext.p_b_cb, ext.q_bc) - x[1:]
-    outputs = _stage_outputs(x, problem.ref_arrays, problem.weights, ext.q_bc, p.dt)
+    outputs = _stage_outputs(x, problem.ref, problem.weights, ext.q_bc, p.dt)
     model = _reduced_model(x, u, problem, outputs, defects)
     lb = np.tile(problem.bounds.input_lower(), n) - u.ravel()
     ub = np.tile(problem.bounds.input_upper(), n) - u.ravel()
@@ -629,7 +612,7 @@ def kkt_residual(problem: OcpProblem, solution: OcpSolution) -> float:
 def solution_cost(problem: OcpProblem, x: Array, u: Array) -> float:
     """Discretized objective of a trajectory (stage cost times dt)."""
     res, _, _ = _stage_outputs(
-        np.atleast_2d(x), problem.ref_arrays, problem.weights, problem.extrinsics.q_bc, problem.params.dt
+        np.atleast_2d(x), problem.ref, problem.weights, problem.extrinsics.q_bc, problem.params.dt
     )
     du = np.atleast_2d(u) - _HOVER_U
     return float(np.sum(res**2)) + problem.params.dt * float(np.sum(du * du * problem.weights.q_u))
@@ -678,9 +661,9 @@ class VisualPredictiveController:
         self._prev = None
         self._queue = []
 
-    def step(self, measurement: QuadVisualState, refs) -> tuple[ControlInput, OcpSolution]:
+    def step(self, measurement: QuadVisualState, ref: ReferencePoint) -> tuple[ControlInput, OcpSolution]:
         """Build, solve, and return the first (clamped) input."""
-        problem = build_problem(measurement, refs, self.weights, self.bounds, self.extrinsics, self.params)
+        problem = build_problem(measurement, ref, self.weights, self.bounds, self.extrinsics, self.params)
         warm = shift_warm_start(self._prev) if self._prev is not None else None
         t0 = time.perf_counter()
         sol = solve(problem, warm)

@@ -172,19 +172,15 @@ class TrapezoidProfile:
         cruise = max(0.0, self.length - self.v_peak * self.t_ramp)
         return 2.0 * self.t_ramp + cruise / self.v_peak
 
-    def sample(self, t: float):
-        """Arc position and speed at time t, clamped to the profile end."""
-        vp, tr, tt = self.v_peak, self.t_ramp, self.t_total
-        if t <= 0.0:
-            return 0.0, 0.0
-        if t >= tt:
-            return self.length, 0.0
-        if t < tr:
-            return 0.5 * self.accel * t * t, self.accel * t
-        if t > tt - tr:
-            tau = tt - t
-            return self.length - 0.5 * self.accel * tau * tau, self.accel * tau
-        return 0.5 * vp * tr + vp * (t - tr), vp
+    def sample(self, t):
+        """Arc position and speed at time(s) t, clamped to the profile end."""
+        t = np.asarray(t, dtype=np.float64)
+        vp, tr, tt, a = self.v_peak, self.t_ramp, self.t_total, self.accel
+        tau = tt - t
+        phases = [t <= 0.0, t >= tt, t < tr, t > tt - tr]  # the first that holds wins
+        cruise = 0.5 * vp * tr + vp * (t - tr)
+        s = np.select(phases, [0.0, self.length, 0.5 * a * t * t, self.length - 0.5 * a * tau * tau], cruise)
+        return s, np.select(phases, [0.0, 0.0, a * t, a * tau], vp)
 
 
 @dataclass(frozen=True)
@@ -205,37 +201,35 @@ class ArcReference:
     landmark: Landmark
     constant_heading: float = 0.0
 
-    def sample(self, t: float):
+    def sample(self, t):
+        """Waypoints ``(..., 3)``, velocities ``(..., 3)`` and headings ``(...)`` at time(s) t.
+
+        A float t gives one waypoint and a float heading, the same bits as
+        the row of an array of times: the trig runs per element in ``math``.
+        """
         s, speed = self.profile.sample(t)
-        alpha = self.alpha0 + math.copysign(1.0, self.sweep) * s / self.radius
-        wp = np.array(
-            [
-                self.center[0] + self.radius * math.cos(alpha),
-                self.center[1] + self.radius * math.sin(alpha),
-                self.altitude,
-            ]
-        )
-        tangent = math.copysign(1.0, self.sweep) * np.array([-math.sin(alpha), math.cos(alpha), 0.0])
-        v = speed * tangent
+        sign = math.copysign(1.0, self.sweep)
+        alpha = self.alpha0 + sign * s / self.radius
+        cos, sin = _math(math.cos, alpha), _math(math.sin, alpha)
+        x, y = self.center[0] + self.radius * cos, self.center[1] + self.radius * sin
+        wp = np.stack([x, y, np.full_like(alpha, self.altitude)], axis=-1)
+        v = speed[..., None] * (sign * np.stack([-sin, cos, np.zeros_like(alpha)], axis=-1))
         if self.heading_mode == "face_landmark":
             to_lm = self.landmark.p_w_lw - wp
-            heading = math.atan2(to_lm[1], to_lm[0])
+            heading = _math(math.atan2, to_lm[..., 1], to_lm[..., 0])
         else:
-            heading = self.constant_heading
-        return wp, v, heading
+            heading = np.full_like(alpha, self.constant_heading)
+        return wp, v, (float(heading) if heading.ndim == 0 else heading)
+
+
+def _math(fn, *args) -> Array:
+    """A ``math`` function per element: numpy's own trig may round differently."""
+    return np.asarray(np.frompyfunc(fn, len(args), 1)(*args), dtype=np.float64)
 
 
 def _arc_refs_fn(cfg: ScenarioConfig, arc: ArcReference):
-    n, dt = cfg.ocp.horizon, cfg.ocp.dt
-
-    def refs_fn(t: float):
-        refs = []
-        for k in range(n + 1):
-            wp, v, heading = arc.sample(t + k * dt)
-            refs.append(make_reference_from_waypoint(wp, v, heading, cfg.landmark, cfg.extrinsics))
-        return refs
-
-    return refs_fn
+    offsets = cfg.ocp.dt * np.arange(cfg.ocp.horizon + 1)
+    return lambda t: make_reference_from_waypoint(*arc.sample(t + offsets), cfg.landmark, cfg.extrinsics)
 
 
 def quarter_circle_arc(cfg: ScenarioConfig, speed: float | None = None) -> ArcReference:
@@ -303,21 +297,21 @@ def scenario_hover(cfg: ScenarioConfig):
         log = RunLog.empty(cfg.ocp.dt, cfg.seed, "feature_lost", exc.reason)
         return {"log": log, "metrics": evaluate_run(log, cfg)}
     n = quat_rotate(meas.q_cl, EZ)
-    ref = ReferencePoint(s_star=n[:2] / n[2], d_star=meas.d, v_star=np.zeros(3), q_star=quat_yaw(heading))
-    refs = [ref] * (cfg.ocp.horizon + 1)
-    log = _fly(cfg, plant0, lambda t: refs, cfg.duration, cfg.seed)
+    d_star = np.full(cfg.ocp.horizon + 1, meas.d)
+    ref = ReferencePoint(s_star=n[:2] / n[2], d_star=d_star, v_star=np.zeros(3), q_star=quat_yaw(heading))
+    log = _fly(cfg, plant0, lambda t: ref, cfg.duration, cfg.seed)
     return {"log": log, "metrics": evaluate_run(log, cfg, goal_p=np.asarray(cfg.initial_position, float))}
 
 
 def scenario_gate_reaching(cfg: ScenarioConfig, poses=GATE_POSES):
     """Reach a fixed reference image and distance from varied initial poses."""
     goal_wp = gate_goal_waypoint(cfg)
-    goal_ref = make_reference_from_waypoint(goal_wp, np.zeros(3), 0.0, cfg.landmark, cfg.extrinsics)
-    refs = [goal_ref] * (cfg.ocp.horizon + 1)
+    heading = np.zeros(cfg.ocp.horizon + 1)
+    goal_ref = make_reference_from_waypoint(goal_wp, np.zeros(3), heading, cfg.landmark, cfg.extrinsics)
     results = []
     for i, (pos, heading_deg) in enumerate(poses):
         plant0 = PlantState(p_w=np.asarray(pos, float), v_w=np.zeros(3), q_wb=quat_yaw(math.radians(heading_deg)))
-        log = _fly(cfg, plant0, lambda t: refs, cfg.duration, cfg.seed + i)
+        log = _fly(cfg, plant0, lambda t: goal_ref, cfg.duration, cfg.seed + i)
         results.append(
             {
                 "pose": {"position": list(pos), "heading_deg": heading_deg},

@@ -129,11 +129,9 @@ def plant_step(ps: PlantState, u: ControlInput, dt: float) -> PlantState:
     return PlantState(out[0:3], out[3:6], out[6:10] / np.linalg.norm(out[6:10]))
 
 
-def camera_pose(ps: PlantState, ext: CameraExtrinsics):
-    """World position and orientation of the camera frame."""
-    p = ps.p_w + quat_rotate(ps.q_wb, ext.p_b_cb)
-    q = quat_mul(ps.q_wb, ext.q_bc)
-    return p, q
+def camera_pose(p_w: Array, q_wb: Array, ext: CameraExtrinsics):
+    """World position and orientation of the camera frame(s) of body pose(s) ``(p_w, q_wb)``."""
+    return p_w + quat_rotate(q_wb, ext.p_b_cb), quat_mul(q_wb, ext.q_bc)
 
 
 def observe(
@@ -151,7 +149,7 @@ def observe(
     camera-to-landmark range.  Raises :class:`FeatureLost` when the
     landmark is behind the camera or projects outside the sensor bounds.
     """
-    p_c, q_wc = camera_pose(ps, ext)
+    p_c, q_wc = camera_pose(ps.p_w, ps.q_wb, ext)
     r = quat_rotate(quat_conj(q_wc), lm.p_w_lw - p_c)
     if r[2] <= EPS_Z:
         raise FeatureLost("behind_camera")
@@ -175,24 +173,26 @@ def observe(
 def make_reference_from_waypoint(
     wp: Array,
     v_ref: Array,
-    heading_ref: float,
+    heading_ref: float | Array,
     lm: Landmark,
     ext: CameraExtrinsics,
 ) -> ReferencePoint:
-    """Reference features of a hypothetical camera at a waypoint pose.
+    """Reference features of hypothetical cameras at waypoint poses.
 
-    The pose is the waypoint position with a level attitude at the given
-    heading; the landmark projection and range become (s*, d*).
+    Each pose is the waypoint position with a level attitude at the given
+    heading; the landmark projection and range become (s*, d*).  ``wp``
+    and ``v_ref`` ``(..., 3)`` and ``heading_ref`` ``(...)`` broadcast to
+    the reference's leading shape, so one call builds a whole horizon.
     """
     q_wb = quat_yaw(heading_ref)
-    hypothetical = PlantState(p_w=wp, v_w=np.zeros(3), q_wb=q_wb)
-    p_c, q_wc = camera_pose(hypothetical, ext)
+    q_wb = q_wb / np.sqrt(np.vecdot(q_wb, q_wb))[..., None]  # as PlantState normalises an attitude
+    p_c, q_wc = camera_pose(np.asarray(wp, dtype=np.float64), q_wb, ext)
     r = quat_rotate(quat_conj(q_wc), lm.p_w_lw - p_c)
-    if r[2] <= EPS_Z:
+    if np.any(r[..., 2] <= EPS_Z):
         raise ReferenceInfeasible("landmark not in front of the waypoint camera")
     return ReferencePoint(
-        s_star=r[:2] / r[2],
-        d_star=float(np.linalg.norm(r)),
+        s_star=r[..., :2] / r[..., 2:],
+        d_star=np.sqrt(np.vecdot(r, r)),
         v_star=v_ref,
         q_star=q_wb,
     )
@@ -292,8 +292,8 @@ def run_closed_loop(
             fail_time = t_k
             fail_reason = exc.reason
             break
-        refs = refs_fn(t_k)
-        u, sol = controller.step(meas, refs)
+        ref = refs_fn(t_k)
+        u, sol = controller.step(meas, ref)
 
         rows["t"].append(t_k)
         rows["p_w"].append(ps.p_w)
@@ -302,8 +302,8 @@ def run_closed_loop(
         rows["s_c"].append(_project_measured(meas))
         rows["d"].append(meas.d)
         rows["u"].append(u.as_vector())
-        rows["ref_s"].append(refs[0].s_star)
-        rows["ref_d"].append(refs[0].d_star)
+        rows["ref_s"].append(ref.s_star[0])
+        rows["ref_d"].append(ref.d_star[0])
         rows["solve_ms"].append(sol.solve_ms)
         rows["kkt"].append(sol.kkt)
         rows["sqp_iters"].append(sol.sqp_iters)

@@ -17,7 +17,7 @@ import pytest
 from quadvpc import geometry as g
 from quadvpc.costs import ReferencePoint
 from quadvpc.dynamics import ControlInput, camera_twist, image_dynamics, quad_dynamics
-from quadvpc.ocp import _RefArrays, _stage_jacobians, _stage_outputs
+from quadvpc.ocp import _stage_jacobians, _stage_outputs
 
 
 def rotmat_oracle(q) -> np.ndarray:
@@ -106,7 +106,8 @@ def _stage_node(x, ref, q_bc):
     if ref is None:  # the perception block does not read the reference
         ref = ReferencePoint(np.zeros(2), 1.0, np.zeros(3), np.array([1.0, 0.0, 0.0, 0.0]))
     q_bc = np.array([1.0, 0.0, 0.0, 0.0]) if q_bc is None else q_bc
-    return x[None, :], _RefArrays.stack([ref]), q_bc
+    # the solver's batch of one node: leading shape (1,)
+    return x[None, :], ReferencePoint(ref.s_star, np.reshape(ref.d_star, 1), ref.v_star, ref.q_star), q_bc
 
 
 def stage_block(x, ref, w, block, q_bc=None):
@@ -117,8 +118,8 @@ def stage_block(x, ref, w, block, q_bc=None):
     squares of the ``block`` residuals, those residuals, and the
     perception validity flag.
     """
-    x, refs, q_bc = _stage_node(x, ref, q_bc)
-    res, _, ok = _stage_outputs(x, refs, w, q_bc, 1.0)
+    x, ref, q_bc = _stage_node(x, ref, q_bc)
+    res, _, ok = _stage_outputs(x, ref, w, q_bc, 1.0)
     r = res[0, STAGE_BLOCKS[block]]
     return float(np.sum(r * r)), r, bool(ok[0])
 
@@ -126,9 +127,9 @@ def stage_block(x, ref, w, block, q_bc=None):
 def stage_block_gradient(x, ref, w, block, q_bc=None):
     """The solver's gradient of ``stage_block``: ``2 J[block]^T r[block]``,
     with ``J`` from ``ocp._stage_jacobians``."""
-    x, refs, q_bc = _stage_node(x, ref, q_bc)
-    res, _, _ = _stage_outputs(x, refs, w, q_bc, 1.0)
-    j_res, _ = _stage_jacobians(x, refs, w, q_bc, 1.0)
+    x, ref, q_bc = _stage_node(x, ref, q_bc)
+    res, _, _ = _stage_outputs(x, ref, w, q_bc, 1.0)
+    j_res, _ = _stage_jacobians(x, ref, w, q_bc, 1.0)
     cols = STAGE_BLOCKS[block]
     return 2.0 * j_res[0, cols].T @ res[0, cols]
 

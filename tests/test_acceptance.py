@@ -177,8 +177,8 @@ def test_criterion_03_derivative_checks():
 def test_criterion_04_hover_fixed_point(hover_result):
     """Solver returns hover at the equilibrium; closed loop holds position."""
     x0 = QuadVisualState(np.zeros(3), g.quat_identity(), g.quat_identity(), 1.9)
-    ref = ReferencePoint(np.zeros(2), 1.9, np.zeros(3), g.quat_identity())
-    problem = build_problem(x0, [ref] * 21, CostWeights(), Bounds(), DEFAULT_EXTRINSICS, OcpParams())
+    ref = ReferencePoint(np.zeros(2), np.full(21, 1.9), np.zeros(3), g.quat_identity())
+    problem = build_problem(x0, ref, CostWeights(), Bounds(), DEFAULT_EXTRINSICS, OcpParams())
     sol = solve(problem)
     assert sol.sqp_iters <= 5
     assert abs(sol.inputs[0, 0] - 9.81) < 0.1
@@ -330,9 +330,9 @@ def test_criterion_10_small_instance_optimality():
     rng = np.random.default_rng(1010)
     horizon = 3
     x0 = QuadVisualState([0.2, 0.1, -0.1], g.quat_identity(), g.bearing_from_image([0.05, -0.1]), 3.0)
-    ref = ReferencePoint(np.zeros(2), 2.5, np.zeros(3), g.quat_identity())
+    ref = ReferencePoint(np.zeros(2), np.full(horizon + 1, 2.5), np.zeros(3), g.quat_identity())
     params = OcpParams(horizon=horizon, max_sqp_iters=80, sqp_tol=1e-9)
-    problem = build_problem(x0, [ref] * (horizon + 1), CostWeights(), Bounds(), DEFAULT_EXTRINSICS, params)
+    problem = build_problem(x0, ref, CostWeights(), Bounds(), DEFAULT_EXTRINSICS, params)
     sol = solve(problem)
 
     from quadvpc.ocp import _rollout

@@ -10,9 +10,10 @@ from quadvpc.costs import (
     ReferencePoint,
     clamp_input,
     dynamic_visual_weight,
-    visibility_residual,
 )
 from quadvpc.dynamics import QuadVisualState
+from quadvpc.ocp import OcpParams, _hinge, _reduced_model, _stage_outputs, build_problem
+from quadvpc.simulator import DEFAULT_EXTRINSICS
 
 from conftest import (
     fd_gradient,
@@ -217,27 +218,64 @@ class TestDynamicVisualWeight:
         assert np.allclose(dynamic_visual_weight(100.0, np.array([1.0, 1.0]), d_cap=10.0), [100.0, 100.0])
 
 
+def visibility(q_cl, b=Bounds()):
+    """One node's visibility as the solver evaluates it, without the margin.
+
+    Returns the box slack ``(s - s_min, s_max - s)`` of the image
+    coordinate from ``ocp._stage_outputs``, its validity flag, and the
+    violation that ``ocp._hinge`` charges for it.
+    """
+    x = QuadVisualState(np.zeros(3), g.quat_identity(), q_cl, 3.0).as_vector()[None, :]
+    ref = ReferencePoint(np.zeros(2), np.full(1, 3.0), np.zeros(3), g.quat_identity())
+    _, s_c, ok = _stage_outputs(x, ref, CostWeights(), g.quat_identity(), 1.0)
+    slack = np.concatenate([s_c[0] - b.s_min, b.s_max - s_c[0]])
+    return slack, bool(ok[0]), float(_hinge(s_c, ok, b.s_min, b.s_max)[0])
+
+
 class TestVisibilityResidual:
     def test_centered(self):
-        x = QuadVisualState(np.zeros(3), g.quat_identity(), g.quat_identity(), 3.0)
-        assert np.allclose(visibility_residual(x, Bounds()), [1, 1, 1, 1])
+        slack, ok, viol = visibility(g.quat_identity())
+        assert ok and viol == 0.0
+        assert np.allclose(slack, [1, 1, 1, 1])
 
     def test_active_border(self):
-        x = QuadVisualState(np.zeros(3), g.quat_identity(), g.bearing_from_image([1.0, 0.0]), 3.0)
-        assert np.allclose(visibility_residual(x, Bounds()), [2, 1, 0, 1], atol=1e-12)
+        slack, ok, viol = visibility(g.bearing_from_image([1.0, 0.0]))
+        assert ok and viol == pytest.approx(0.0, abs=1e-12)
+        assert np.allclose(slack, [2, 1, 0, 1], atol=1e-12)
 
     def test_violated(self):
-        x = QuadVisualState(np.zeros(3), g.quat_identity(), g.bearing_from_image([1.2, 0.0]), 3.0)
-        res = visibility_residual(x, Bounds())
-        assert res[2] == pytest.approx(-0.2, abs=1e-12)
+        slack, ok, viol = visibility(g.bearing_from_image([1.2, 0.0]))
+        assert ok and slack[2] == pytest.approx(-0.2, abs=1e-12)
+        assert viol == pytest.approx(0.2, abs=1e-12)
 
     def test_nonnegative_iff_inside(self, rng):
+        # the slack is nonnegative, and the violation zero, iff s is in the box
         b = Bounds()
         for _ in range(100):
             s = rng.uniform(-1.5, 1.5, 2)
-            x = QuadVisualState(np.zeros(3), g.quat_identity(), g.bearing_from_image(s), 3.0)
+            slack, ok, viol = visibility(g.bearing_from_image(s), b)
             inside = np.all(s >= b.s_min - 1e-12) and np.all(s <= b.s_max + 1e-12)
-            assert (np.all(visibility_residual(x, b) >= -1e-9)) == inside
+            assert ok
+            assert (np.all(slack >= -1e-9)) == inside
+            assert (viol <= 1e-9) == inside
+
+    def test_behind_camera_no_row(self):
+        # repelled through the cost ceiling instead: invalid, no violation,
+        # and no linearised visibility row in the step QP
+        behind = quat_oracle_from_axis_angle([1, 0, 0], np.pi)
+        _, ok, viol = visibility(behind)
+        assert not ok and viol == 0.0
+        params = OcpParams(horizon=2)
+        x0 = QuadVisualState(np.zeros(3), g.quat_identity(), g.quat_identity(), 3.0)
+        ref = ReferencePoint(np.zeros(2), np.full(3, 3.0), np.zeros(3), g.quat_identity())
+        problem = build_problem(x0, ref, CostWeights(), Bounds(), DEFAULT_EXTRINSICS, params)
+        x = np.tile(x0.as_vector(), (3, 1))
+        x[2, 7:11] = behind
+        u = np.tile(ControlInput.hover().as_vector(), (2, 1))
+        outputs = _stage_outputs(x, problem.ref, problem.weights, DEFAULT_EXTRINSICS.q_bc, params.dt)
+        model = _reduced_model(x, u, problem, outputs)
+        assert list(model.ok) == [True, True, False]
+        assert model.vis_rows.shape == (2, 8)  # the (u, v) rows of node 1 only
 
 
 class TestClampInput:

@@ -90,8 +90,9 @@ class TestCameraTwist:
             u = random_input(rng)
             tw = camera_twist(ps.v_w, u.omega_b, ps.q_wb, DEFAULT_EXTRINSICS)
             eps = 1e-6
-            pp, qp = camera_pose(plant_step(ps, u, eps), DEFAULT_EXTRINSICS)
-            p0, q0 = camera_pose(ps, DEFAULT_EXTRINSICS)
+            ps_eps = plant_step(ps, u, eps)
+            pp, qp = camera_pose(ps_eps.p_w, ps_eps.q_wb, DEFAULT_EXTRINSICS)
+            p0, q0 = camera_pose(ps.p_w, ps.q_wb, DEFAULT_EXTRINSICS)
             v_c_fd = g.quat_rotate(g.quat_conj(q0), (pp - p0) / eps)
             assert np.allclose(v_c_fd, tw.v_c, atol=1e-5)
 

@@ -42,6 +42,22 @@ BAD_VALUES = [
 ]
 
 
+# config values of the right type that a dataclass check rejects, each with
+# the dotted key it names
+BAD_SHAPES = [
+    ({"initial_position": [4.0, 0.0]}, "initial_position"),
+    ({"initial_position": [4.0, float("nan"), 3.0]}, "initial_position"),
+    ({"landmark_position": [6.0, 0.0]}, "landmark_position"),
+    ({"kind": "predict_compare", "predict": {"v_c": [0.8, 0.4]}}, "predict.v_c"),
+    ({"kind": "predict_compare", "predict": {"w_c": [0.3, -0.5, 0.4, 0.0]}}, "predict.w_c"),
+    ({"kind": "predict_compare", "predict": {"s0": [0.1]}}, "predict.s0"),
+    ({"kind": "predict_compare", "predict": {"dt": 0.0}}, "predict.dt"),
+    ({"kind": "predict_compare", "predict": {"duration": -1.0}}, "predict.duration"),
+]
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
 def key_tree(data: dict) -> dict:
     return {k: key_tree(v) if isinstance(v, dict) else None for k, v in data.items()}
 
@@ -137,6 +153,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"^{where} must be "):
             config_from_dict(override)
 
+    @pytest.mark.parametrize("override,where", BAD_SHAPES)
+    def test_unchecked_shape_or_value_rejected(self, override, where):
+        with pytest.raises(ConfigError, match=f"^{where} must be "):
+            config_from_dict(override)
+
     def test_number_and_null_values(self):
         cfg = config_from_dict({"duration": 7, "accel_limit": 4, "ocp": {"horizon": 8}})
         assert (cfg.duration, cfg.accel_limit, cfg.ocp.horizon) == (7.0, 4.0, 8)
@@ -157,7 +178,7 @@ class TestConfig:
             config_from_dict(data)
 
     def test_readme_names_every_key(self):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        readme = (ROOT / "README.md").read_text()
         section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
         for kind in SCENARIO_KINDS:
             for key in all_keys(config_to_dict(default_config(kind))):
@@ -212,6 +233,23 @@ class TestArcGeometry:
             wp, _, heading = arc.sample(t)
             to_lm = cfg.landmark.p_w_lw - wp
             assert heading == pytest.approx(np.arctan2(to_lm[1], to_lm[0]), abs=1e-12)
+
+    @pytest.mark.parametrize("kind", ["quarter_circle", "full_circle"])
+    def test_array_sample_equals_float_calls(self, kind):
+        cfg = default_config(kind)
+        arc = quarter_circle_arc(cfg, 8.3) if kind == "quarter_circle" else full_circle_arc(cfg)
+        tr, tt = arc.profile.t_ramp, arc.profile.t_total
+        assert 2.0 * tr < tt  # ramp, cruise and decel phases all occur
+        # each phase, its boundaries, the exact ends and past the end
+        edges = [-0.05, 0.0, 0.5 * tr, tr, 0.5 * tt, tt - tr, tt - 0.5 * tr, tt, tt + 0.5]
+        t = np.concatenate([edges, np.linspace(0.0, tt + 1.0, 97), 0.37 + 0.05 * np.arange(21)])
+        wp, v, heading = arc.sample(t)
+        assert wp.shape == v.shape == (len(t), 3) and heading.shape == (len(t),)
+        for k, t_k in enumerate(t.tolist()):
+            wp_k, v_k, heading_k = arc.sample(t_k)
+            assert isinstance(heading_k, float)
+            assert np.array_equal(wp[k], wp_k) and np.array_equal(v[k], v_k)
+            assert np.array_equal(heading[k], heading_k)
 
     def test_full_circle_constant_heading(self):
         cfg = default_config("full_circle")
@@ -390,6 +428,18 @@ class TestCli:
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("override,where", BAD_SHAPES)
+    def test_rejected_config_value_nonzero_exit(self, tmp_path, capsys, override, where):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(override))
+        command = "predict" if where.startswith("predict.") else "run"
+        rc = cli_main([command, str(bad), "--out", str(tmp_path / "o"), "--quiet"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: {where} ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_file_nonzero_exit(self, tmp_path):
         rc = cli_main(["run", str(tmp_path / "absent.json"), "--out", str(tmp_path / "o"), "--quiet"])
         assert rc == 2
@@ -480,3 +530,31 @@ class TestMetrics:
         headings = [h for _, h in GATE_POSES]
         assert positions == [(-2.0, 6.0, 3.0), (-2.0, 3.0, 3.0), (-2.0, 0.0, 3.0), (-2.0, -3.0, 3.0), (-2.0, -6.0, 3.0)]
         assert headings == [-30.0, -15.0, 0.0, 15.0, 30.0]
+
+
+class TestReadme:
+    def test_quick_start_runs(self):
+        readme = (ROOT / "README.md").read_text()
+        section = readme.split("\n## Library quick start\n", 1)[1]
+        code = section.split("```python\n", 1)[1].split("```", 1)[0]
+        scope = {}
+        exec(compile(code, "README quick start", "exec"), scope)
+        assert scope["ref"].d_star.shape == (scope["params"].horizon + 1,)
+        assert scope["solution"].status.value != "infeasible"
+        assert 0.0 <= scope["u"].c <= 20.0
+
+
+class TestBenchSurface:
+    @pytest.mark.parametrize("workload", ["hover_hold", "gate_reach", "track_fast"])
+    def test_setup_probe_runs(self, workload):
+        # the benchmark's set-up probe imports its workloads and builds the
+        # first flight's controller and references through the package API
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "bench" / "setup_probe.py"), workload],
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        (seconds,) = proc.stdout.split()
+        assert float(seconds) > 0.0

@@ -13,7 +13,6 @@ from quadvpc.ocp import (
     SolveStatus,
     VisualPredictiveController,
     _reduced_model,
-    _RefArrays,
     _solve_step_qp,
     _stage_jacobians,
     _stage_outputs,
@@ -29,20 +28,25 @@ from quadvpc.simulator import DEFAULT_EXTRINSICS
 from conftest import random_quat
 
 
+def constant_ref(d, nodes=21):
+    """A centred, level reference at distance ``d`` for ``nodes`` horizon nodes."""
+    return ReferencePoint(np.zeros(2), np.full(nodes, d), np.zeros(3), g.quat_identity())
+
+
 def hover_setup(d=1.9, horizon=20, **param_kw):
     x0 = QuadVisualState(np.zeros(3), g.quat_identity(), g.quat_identity(), d)
-    ref = ReferencePoint(np.zeros(2), d, np.zeros(3), g.quat_identity())
+    ref = constant_ref(d, horizon + 1)
     params = OcpParams(horizon=horizon, **param_kw)
-    problem = build_problem(x0, [ref] * (horizon + 1), CostWeights(), Bounds(), DEFAULT_EXTRINSICS, params)
+    problem = build_problem(x0, ref, CostWeights(), Bounds(), DEFAULT_EXTRINSICS, params)
     return x0, ref, problem
 
 
 def gate_setup(horizon=20, **param_kw):
     # start 8 m from the landmark, target 2 m in front of it
     x0 = QuadVisualState(np.zeros(3), g.quat_identity(), g.quat_identity(), 8.0)
-    ref = ReferencePoint(np.zeros(2), 2.0, np.zeros(3), g.quat_identity())
+    ref = constant_ref(2.0, horizon + 1)
     params = OcpParams(horizon=horizon, **param_kw)
-    problem = build_problem(x0, [ref] * (horizon + 1), CostWeights(), Bounds(), DEFAULT_EXTRINSICS, params)
+    problem = build_problem(x0, ref, CostWeights(), Bounds(), DEFAULT_EXTRINSICS, params)
     return x0, ref, problem
 
 
@@ -50,20 +54,22 @@ class TestBuildProblem:
     def test_builds_with_matching_refs(self):
         _, _, problem = hover_setup()
         assert problem.params.horizon == 20
-        assert len(problem.refs) == 21
+        assert problem.ref.d_star.shape == (21,)
+        assert problem.ref.s_star.shape == (21, 2)
 
     def test_reference_length_mismatch(self):
+        # a horizon of N = 20 needs one reference row per node, 21 in all
         x0 = QuadVisualState(np.zeros(3), g.quat_identity(), g.quat_identity(), 2.0)
-        ref = ReferencePoint(np.zeros(2), 2.0, np.zeros(3), g.quat_identity())
-        with pytest.raises(BadReferenceLength):
-            build_problem(x0, [ref] * 5, CostWeights(), Bounds(), DEFAULT_EXTRINSICS, OcpParams(horizon=20))
+        for lead in [(), (20,), (22,), (21, 1)]:
+            ref = ReferencePoint(np.zeros(2), np.full(lead, 2.0), np.zeros(3), g.quat_identity())
+            with pytest.raises(BadReferenceLength):
+                build_problem(x0, ref, CostWeights(), Bounds(), DEFAULT_EXTRINSICS, OcpParams(horizon=20))
 
     def test_invalid_initial_distance(self):
         x0 = QuadVisualState(np.zeros(3), g.quat_identity(), g.quat_identity(), 2.0)
         object.__setattr__(x0, "d", -1.0)
-        ref = ReferencePoint(np.zeros(2), 2.0, np.zeros(3), g.quat_identity())
         with pytest.raises(InvalidInitialState):
-            build_problem(x0, [ref] * 21, CostWeights(), Bounds(), DEFAULT_EXTRINSICS, OcpParams())
+            build_problem(x0, constant_ref(2.0), CostWeights(), Bounds(), DEFAULT_EXTRINSICS, OcpParams())
 
     def test_dynamic_weight_applied_once(self):
         _, _, problem = hover_setup(d=3.0)
@@ -87,14 +93,11 @@ class TestStageJacobians:
             np.array([g.bearing_from_image(s) for s in rng.uniform(-0.8, 0.8, (n, 2))]),
             rng.uniform(1.0, 8.0, n),
         ])
-        refs = [
-            ReferencePoint(rng.uniform(-0.5, 0.5, 2), rng.uniform(1, 8), rng.uniform(-2, 2, 3), random_quat(rng))
-            for _ in range(n)
-        ]
+        ref = ReferencePoint(rng.uniform(-0.5, 0.5, (n, 2)), rng.uniform(1, 8, n), rng.uniform(-2, 2, (n, 3)), random_quat(rng, n))
         w, q_bc, dt = CostWeights(), DEFAULT_EXTRINSICS.q_bc, 0.05
-        j_res, j_s = _stage_jacobians(x, _RefArrays.stack(refs), w, q_bc, dt)
+        j_res, j_s = _stage_jacobians(x, ref, w, q_bc, dt)
         for k in range(n):
-            j_res_k, j_s_k = _stage_jacobians(x[k : k + 1], _RefArrays.stack(refs[k : k + 1]), w, q_bc, dt)
+            j_res_k, j_s_k = _stage_jacobians(x[k : k + 1], ref._take([k]), w, q_bc, dt)
             assert np.array_equal(j_res[k], j_res_k[0])
             assert np.array_equal(j_s[k], j_s_k[0])
 
@@ -225,7 +228,7 @@ class TestSkippedDefects:
         for x, u, problem, built in models:
             ext = problem.extrinsics
             defects = _rk4_flat(x[:-1], u, problem.params.dt, ext.p_b_cb, ext.q_bc) - x[1:]
-            outputs = _stage_outputs(x, problem.ref_arrays, problem.weights, ext.q_bc, problem.params.dt)
+            outputs = _stage_outputs(x, problem.ref, problem.weights, ext.q_bc, problem.params.dt)
             fresh = _reduced_model(x, u, problem, outputs)
             full = _reduced_model(x, u, problem, outputs, defects)
             assert len(built.vis_rows) > 0
@@ -329,34 +332,34 @@ class TestController:
     def hover_measurement(self):
         return QuadVisualState(np.zeros(3), g.quat_identity(), g.quat_identity(), 1.9)
 
-    def hover_refs(self):
-        return [ReferencePoint(np.zeros(2), 1.9, np.zeros(3), g.quat_identity())] * 21
+    def hover_ref(self):
+        return constant_ref(1.9)
 
     def test_near_hover_input_at_equilibrium(self):
-        u, sol = self.controller().step(self.hover_measurement(), self.hover_refs())
+        u, sol = self.controller().step(self.hover_measurement(), self.hover_ref())
         assert abs(u.c - 9.81) < 0.1
         assert np.linalg.norm(u.omega_b) < 0.01
 
     def test_warm_start_stability(self):
         ctrl = self.controller()
-        u1, _ = ctrl.step(self.hover_measurement(), self.hover_refs())
-        u2, _ = ctrl.step(self.hover_measurement(), self.hover_refs())
+        u1, _ = ctrl.step(self.hover_measurement(), self.hover_ref())
+        u2, _ = ctrl.step(self.hover_measurement(), self.hover_ref())
         assert np.max(np.abs(u1.as_vector() - u2.as_vector())) < 1e-6
 
     def test_bitwise_determinism(self):
         meas = QuadVisualState([0.3, -0.1, 0.0], g.quat_yaw(0.1), g.bearing_from_image([0.2, 0.05]), 5.0)
-        refs = [ReferencePoint(np.zeros(2), 2.0, np.zeros(3), g.quat_identity())] * 21
+        ref = constant_ref(2.0)
         c1, c2 = self.controller(), self.controller()
         for _ in range(3):
-            u1, s1 = c1.step(meas, refs)
-            u2, s2 = c2.step(meas, refs)
+            u1, s1 = c1.step(meas, ref)
+            u2, s2 = c2.step(meas, ref)
             assert np.array_equal(u1.as_vector(), u2.as_vector())
             assert np.array_equal(s1.inputs, s2.inputs)
 
     def test_failsafe_uses_queue_then_hover(self, monkeypatch):
         ctrl = self.controller()
-        meas, refs = self.hover_measurement(), self.hover_refs()
-        u_good, sol_good = ctrl.step(meas, refs)
+        meas, ref = self.hover_measurement(), self.hover_ref()
+        u_good, sol_good = ctrl.step(meas, ref)
         assert sol_good.status is not SolveStatus.INFEASIBLE
         queued = [q.copy() for q in ctrl._queue]
 
@@ -369,11 +372,11 @@ class TestController:
             return _infeasible_solution(u, _Workspace(u, problem), [], 1, problem)
 
         monkeypatch.setattr(ocp_mod, "solve", fake_solve)
-        u_fb, sol_fb = ctrl.step(meas, refs)
+        u_fb, sol_fb = ctrl.step(meas, ref)
         assert sol_fb.status is SolveStatus.INFEASIBLE
         assert np.allclose(u_fb.as_vector(), queued[0])
         ctrl._queue = []
-        u_hover, _ = ctrl.step(meas, refs)
+        u_hover, _ = ctrl.step(meas, ref)
         assert u_hover.c == pytest.approx(9.81)
         assert np.allclose(u_hover.omega_b, 0)
 
@@ -384,9 +387,8 @@ class TestSmallInstanceOptimality:
         # best of a dense random sample over the input box (rolled out)
         horizon = 3
         x0 = QuadVisualState([0.2, 0.1, -0.1], g.quat_identity(), g.bearing_from_image([0.05, -0.1]), 3.0)
-        ref = ReferencePoint(np.zeros(2), 2.5, np.zeros(3), g.quat_identity())
         params = OcpParams(horizon=horizon, max_sqp_iters=60, sqp_tol=1e-8)
-        problem = build_problem(x0, [ref] * (horizon + 1), CostWeights(), Bounds(), DEFAULT_EXTRINSICS, params)
+        problem = build_problem(x0, constant_ref(2.5, horizon + 1), CostWeights(), Bounds(), DEFAULT_EXTRINSICS, params)
         sol = solve(problem)
 
         from quadvpc.ocp import _rollout

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,8 @@ from quadvpc.simulator import (
     plant_step,
     run_closed_loop,
 )
+
+from conftest import rotmat_oracle
 
 ZERO_NOISE = NoiseModel()
 BARE_CAMERA = CameraExtrinsics(p_b_cb=np.zeros(3), q_bc=DEFAULT_EXTRINSICS.q_bc)
@@ -88,7 +92,7 @@ class TestObserve:
                 meas = observe(ps, lm, DEFAULT_EXTRINSICS, ZERO_NOISE, rng)
             except FeatureLost:
                 continue
-            p_c, q_wc = camera_pose(ps, DEFAULT_EXTRINSICS)
+            p_c, q_wc = camera_pose(ps.p_w, ps.q_wb, DEFAULT_EXTRINSICS)
             r = g.quat_rotate(g.quat_conj(q_wc), lm.p_w_lw - p_c)
             assert np.max(np.abs(g.bearing_n(meas.q_cl) * meas.d - r)) < 1e-9
 
@@ -122,6 +126,59 @@ class TestMakeReference:
         assert g.rotations_close(ref.q_star, g.quat_yaw(0.4))
 
 
+def reference_oracle(wp, v, heading, landmark, ext):
+    """One node's reference, by rotation matrices and ``math`` trig."""
+    c, s = math.cos(heading), math.sin(heading)
+    r_wb = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    r_wc = r_wb @ rotmat_oracle(ext.q_bc)
+    r = r_wc.T @ (landmark - (wp + r_wb @ ext.p_b_cb))
+    q = np.array([math.cos(heading / 2.0), 0.0, 0.0, math.sin(heading / 2.0)])
+    return r[:2] / r[2], math.sqrt(r @ r), v, q
+
+
+class TestHorizonReference:
+    def horizon(self, rng, n=21):
+        """Waypoints 2-9 m from the landmark, each roughly facing it."""
+        lm = Landmark().p_w_lw
+        bearing = rng.uniform(-1.0, 1.0, n)
+        dist = rng.uniform(2.0, 9.0, n)
+        wp = lm - dist[:, None] * np.column_stack([np.cos(bearing), np.sin(bearing), np.zeros(n)])
+        wp += rng.uniform(-0.3, 0.3, (n, 3))
+        return wp, rng.uniform(-9.0, 9.0, (n, 3)), bearing + rng.uniform(-0.2, 0.2, n)
+
+    def test_matches_per_node_oracle(self, rng):
+        for ext in (DEFAULT_EXTRINSICS, BARE_CAMERA):
+            wp, v, heading = self.horizon(rng)
+            ref = make_reference_from_waypoint(wp, v, heading, Landmark(), ext)
+            assert ref.s_star.shape == (21, 2) and ref.d_star.shape == (21,)
+            for k in range(21):
+                s, d, v_k, q = reference_oracle(wp[k], v[k], heading[k], Landmark().p_w_lw, ext)
+                assert np.allclose(ref.s_star[k], s, rtol=0.0, atol=1e-12)
+                assert abs(ref.d_star[k] - d) <= 1e-12
+                assert np.array_equal(ref.v_star[k], v_k)
+                assert np.allclose(ref.q_star[k], q, rtol=0.0, atol=1e-12)
+
+    def test_constant_goal_broadcasts(self):
+        # one waypoint and velocity against a heading per node: every row is
+        # the single-node reference, bit for bit
+        wp = np.array([3.9, 0.0, 3.0])
+        single = make_reference_from_waypoint(wp, np.zeros(3), 0.0, Landmark(), DEFAULT_EXTRINSICS)
+        ref = make_reference_from_waypoint(wp, np.zeros(3), np.zeros(21), Landmark(), DEFAULT_EXTRINSICS)
+        for name in ("s_star", "d_star", "v_star", "q_star"):
+            rows = getattr(ref, name)
+            assert rows.shape[0] == 21
+            assert all(np.array_equal(row, getattr(single, name)) for row in rows)
+
+    def test_any_node_behind_camera_infeasible(self, rng):
+        wp, v, heading = self.horizon(rng)
+        make_reference_from_waypoint(wp, v, heading, Landmark(), DEFAULT_EXTRINSICS)
+        for k in (0, 7, 20):
+            turned = heading.copy()
+            turned[k] += np.pi  # this node's camera faces away from the landmark
+            with pytest.raises(ReferenceInfeasible):
+                make_reference_from_waypoint(wp, v, turned, Landmark(), DEFAULT_EXTRINSICS)
+
+
 def small_controller():
     return VisualPredictiveController(CostWeights(), Bounds(), DEFAULT_EXTRINSICS, OcpParams())
 
@@ -131,11 +188,10 @@ def hover_loop(duration=2.0, seed=0, noise=ZERO_NOISE):
     meas_rng = np.random.default_rng(123)
     meas = observe(plant0, Landmark(), DEFAULT_EXTRINSICS, ZERO_NOISE, meas_rng)
     n = g.bearing_n(meas.q_cl)
-    ref = ReferencePoint(n[:2] / n[2], meas.d, np.zeros(3), g.quat_identity())
-    refs = [ref] * 21
+    ref = ReferencePoint(n[:2] / n[2], np.full(21, meas.d), np.zeros(3), g.quat_identity())
     return run_closed_loop(
         small_controller(),
-        lambda t: refs,
+        lambda t: ref,
         plant0,
         Landmark(),
         DEFAULT_EXTRINSICS,
@@ -155,10 +211,10 @@ class TestClosedLoop:
     def test_feature_lost_at_start(self):
         # landmark initially behind the camera
         plant0 = PlantState([8.0, 0.0, 3.0], np.zeros(3), g.quat_identity())
-        ref = ReferencePoint(np.zeros(2), 2.0, np.zeros(3), g.quat_identity())
+        ref = ReferencePoint(np.zeros(2), np.full(21, 2.0), np.zeros(3), g.quat_identity())
         log = run_closed_loop(
             small_controller(),
-            lambda t: [ref] * 21,
+            lambda t: ref,
             plant0,
             Landmark(),
             DEFAULT_EXTRINSICS,
