@@ -104,12 +104,13 @@ class OcpSolution:
     inputs: Array  # (N, 4)
     states: Array  # (N+1, 12)
     cost: float
-    kkt: float
+    kkt: float  # of the last linearised iterate; ``kkt_at_inputs`` says whether that is ``inputs``
     sqp_iters: int
     status: SolveStatus
     slack_max: float = 0.0
     iter_merits: list = field(default_factory=list)
     qp_iters: int = 0
+    kkt_at_inputs: bool = False
     solve_ms: float = 0.0
     params: OcpParams | None = None
     extrinsics: CameraExtrinsics | None = None
@@ -448,7 +449,9 @@ def solve(problem: OcpProblem, warm: OcpSolution | None = None) -> OcpSolution:
     rolled out from x0, so the shooting equalities hold exactly at each
     iterate and the merit function is the true discretized cost plus the
     L1 visibility penalty.  Cold starts use hover inputs.  The best
-    iterate by merit is returned.
+    iterate by merit is returned, with the KKT residual of the last
+    iterate the solver linearised: the returned inputs when the solve
+    ends without an accepted step after that linearisation.
     """
     p = problem.params
     n = p.horizon
@@ -469,7 +472,7 @@ def solve(problem: OcpProblem, warm: OcpSolution | None = None) -> OcpSolution:
     status = SolveStatus.MAX_ITERS
     qp_passes = 0
     iters_done = 0
-    kkt_of_u: tuple | None = None  # (u snapshot, kkt value)
+    kkt_u, kkt_out = None, float("inf")  # the last linearised iterate and its KKT residual
 
     if not ws.finite:
         return _infeasible_solution(u, ws, merits, 0, problem)
@@ -495,9 +498,8 @@ def solve(problem: OcpProblem, warm: OcpSolution | None = None) -> OcpSolution:
             status = SolveStatus.INFEASIBLE
             break
 
-        kkt_val = _kkt_from_model(u.ravel(), model, problem, lam_lo, lam_hi)
-        kkt_of_u = (u.copy(), kkt_val)
-        if kkt_val < p.sqp_tol or np.max(np.abs(du)) < 1e-9:
+        kkt_u, kkt_out = u, _kkt_from_model(u.ravel(), model, problem, lam_lo, lam_hi)
+        if kkt_out < p.sqp_tol or np.max(np.abs(du)) < 1e-9:
             status = SolveStatus.CONVERGED
             break
 
@@ -549,10 +551,6 @@ def solve(problem: OcpProblem, warm: OcpSolution | None = None) -> OcpSolution:
     if not best_ws.finite or not np.all(np.isfinite(best_u)) or status is SolveStatus.INFEASIBLE:
         return _infeasible_solution(best_u, best_ws, merits, iters_done, problem)
 
-    if kkt_of_u is not None and np.array_equal(kkt_of_u[0], best_u):
-        kkt_out = kkt_of_u[1]
-    else:
-        kkt_out = kkt_residual_arrays(problem, best_ws.x, best_u)
     return OcpSolution(
         inputs=best_u,
         states=best_ws.x,
@@ -563,6 +561,7 @@ def solve(problem: OcpProblem, warm: OcpSolution | None = None) -> OcpSolution:
         slack_max=best_ws.viol_max,
         iter_merits=merits,
         qp_iters=qp_passes,
+        kkt_at_inputs=kkt_u is best_u,
         params=p,
         extrinsics=ext,
     )

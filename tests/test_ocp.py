@@ -116,6 +116,13 @@ class TestHoverSolve:
         sol = solve(problem)
         assert sol.kkt < 1e-4
 
+    def test_kkt_at_inputs(self):
+        # a converged solve returns the iterate it linearised last
+        _, _, problem = hover_setup()
+        sol = solve(problem)
+        assert sol.status is SolveStatus.CONVERGED
+        assert sol.kkt_at_inputs
+
     def test_zero_slack(self):
         _, _, problem = hover_setup()
         sol = solve(problem)
@@ -197,6 +204,50 @@ class TestKktResidual:
         x = sol.states.copy()
         x[5, 11] += 0.3
         assert kkt_residual_arrays(problem, x, sol.inputs) == pytest.approx(0.3, abs=1e-12)
+
+
+class TestKktReport:
+    # solve builds one model per SQP iteration and reports the KKT value of
+    # the last iterate it linearised, instead of building one more model
+    # for the returned inputs
+    @staticmethod
+    def count_calls(monkeypatch, run):
+        import quadvpc.ocp as ocp
+
+        calls = {"models": 0, "kkt_residual_arrays": 0}
+
+        def counted(name, fn):
+            def spy(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return spy
+
+        monkeypatch.setattr(ocp, "_reduced_model", counted("models", ocp._reduced_model))
+        monkeypatch.setattr(ocp, "kkt_residual_arrays", counted("kkt_residual_arrays", ocp.kkt_residual_arrays))
+        out = run()
+        monkeypatch.undo()
+        return out, calls
+
+    def test_gate_solve_ends_on_accepted_step(self, monkeypatch):
+        _, _, problem = gate_setup(max_sqp_iters=5)
+        sol, calls = self.count_calls(monkeypatch, lambda: solve(problem))
+        assert calls == {"models": sol.sqp_iters, "kkt_residual_arrays": 0}
+        # every iteration accepted a step, so the last linearised iterate is
+        # the one before the returned inputs
+        assert len(sol.iter_merits) == sol.sqp_iters + 1
+        assert not sol.kkt_at_inputs
+
+    def test_fast_tracking_models(self, monkeypatch):
+        from quadvpc.config import default_config
+        from quadvpc.scenarios import scenario_quarter_circle
+
+        cfg = default_config("quarter_circle")
+        cfg.duration = 1.0
+        result, calls = self.count_calls(monkeypatch, lambda: scenario_quarter_circle(cfg, 9.0))
+        log = result["log"]
+        assert log.n_ticks == 20 and "infeasible" not in log.status
+        assert calls == {"models": int(np.sum(log.sqp_iters)), "kkt_residual_arrays": 0}
 
 
 class TestSkippedDefects:
