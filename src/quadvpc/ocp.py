@@ -109,7 +109,7 @@ class OcpSolution:
     status: SolveStatus
     slack_max: float = 0.0
     iter_merits: list = field(default_factory=list)
-    qp_iters: int = 0
+    qp_iters: int = 0  # projected-Newton steps of the step QPs, summed over the solve
     kkt_at_inputs: bool = False
     solve_ms: float = 0.0
     params: OcpParams | None = None
@@ -237,80 +237,95 @@ def _hinge(s: Array, ok: Array, s_min: Array, s_max: Array) -> Array:
     return np.where(ok, v, 0.0)
 
 
-def _solve_step_qp(h_mat, g_vec, lb, ub, vis_rows, vis_base, vis_lo, vis_hi, rho, tol, max_iter):
+def _solve_step_qp(h_mat, g_vec, lb, ub, vis_rows, vis_base, vis_lo, vis_hi, lam_lo, lam_hi, rho, tol, max_iter):
     """Box QP with L1-penalized slacks on the linear visibility rows.
 
-    Slacks are eliminated analytically (the optimal L1 slack is the
-    hinge violation) and the resulting piecewise-quadratic problem is
-    solved by an augmented Lagrangian whose row multipliers are capped
-    at the penalty weight, which reproduces the exact L1 penalty.  Each
-    inner minimization is a smooth box QP handled by projected Newton;
-    with no rows it is the whole problem and one outer pass solves it.
+    Each row bound ``t = lo - y <= 0`` or ``t = y - hi <= 0`` gets a slack
+    of price ``rho``.  An augmented Lagrangian over the bounds, with the
+    slacks eliminated in closed form, leaves a smooth box problem per
+    outer pass: its penalty ``fc (2 f - fc) / (2 mu)``, with
+    ``f = lam + mu t`` and ``fc = clip(f, 0, rho)``, is quadratic while
+    ``0 < f < rho`` and linear of slope ``rho`` beyond, where the slack
+    takes up the violation.  The multipliers ``clip(f, 0, rho)`` then
+    converge to those of the exact L1 penalty from any start in
+    ``[0, rho]``; ``lam_lo``/``lam_hi`` are that start, so a caller can
+    pass those of a QP with the same rows.  ``mu`` starts at ``10 rho``
+    and grows tenfold, up to ``1e6 rho``, after a pass that cuts the
+    change of the multipliers less than tenfold.  Each inner problem is
+    solved by projected Newton; its backtracking search scores all 30
+    trial steps in one batch.  With no rows the first outer pass solves
+    the whole problem.
 
-    Returns (step, row multipliers lo/hi, slack values, violation sum).
+    Returns (step, row multipliers lo/hi, slack values, violation sum,
+    projected-Newton steps).
     """
     n_rows = len(vis_rows)
-
-    def hinge(y):
-        return np.maximum(0.0, vis_lo - y) + np.maximum(0.0, y - vis_hi)
-
+    rows = np.vstack([-vis_rows, vis_rows])  # t = rows @ z + off, lower bounds first
+    off = np.concatenate([vis_lo - vis_base, vis_base - vis_hi])
+    lam = np.concatenate([lam_lo, lam_hi])
     mu = 10.0 * rho
-    lam_lo = np.zeros(n_rows)
-    lam_hi = np.zeros(n_rows)
+    alphas = 0.5 ** np.arange(30)
+    steps = 0
+    last = np.inf
     z = np.clip(np.zeros_like(g_vec), lb, ub)
     for _outer in range(12):
-        # inner smooth problem: multipliers shift the hinge into a C1 penalty
+        z_pass = z
         for _inner in range(max_iter):
-            y = vis_rows @ z + vis_base
-            f_lo = lam_lo + mu * (vis_lo - y)
-            f_hi = lam_hi + mu * (y - vis_hi)
-            a_lo = f_lo > 0.0
-            a_hi = f_hi > 0.0
-            grad = h_mat @ z + g_vec - vis_rows.T @ (f_lo * a_lo) + vis_rows.T @ (f_hi * a_hi)
+            f = lam + mu * (rows @ z + off)
+            fc = np.clip(f, 0.0, rho)
+            grad_q = h_mat @ z + g_vec
+            grad = grad_q + fc @ rows
             pg = np.max(np.abs(z - np.clip(z - grad, lb, ub)))
             if pg < tol:
                 break
-            rows_act = vis_rows[a_lo | a_hi]
-            h_eff = h_mat + mu * rows_act.T @ rows_act if len(rows_act) else h_mat
-            eps = 1e-12
-            fixed = ((z <= lb + eps) & (grad > 0.0)) | ((z >= ub - eps) & (grad < 0.0))
-            free = ~fixed
-            if not np.any(free):
+            curved = rows[(f > 0.0) & (f < rho)]
+            h_eff = h_mat + mu * curved.T @ curved if len(curved) else h_mat
+            # inputs within eps of a bound they are pushed against move onto
+            # it and leave the Newton system; an input left free there can
+            # only creep toward the bound by short, rejected-then-halved steps
+            eps = min(pg, 1e-6)
+            at_lb = (z <= lb + eps) & (grad > 0.0)
+            at_ub = (z >= ub - eps) & (grad < 0.0)
+            free = ~(at_lb | at_ub)
+            dz = np.where(at_lb, lb - z, np.where(at_ub, ub - z, 0.0))
+            if np.any(free):
+                try:
+                    dz[free] = -np.linalg.solve(h_eff[np.ix_(free, free)], grad[free])
+                except np.linalg.LinAlgError:
+                    dz[free] = -grad[free]
+            steps += 1
+            # backtracking: all 30 trials in one batch, each scored by its
+            # change of the objective from z, which keeps small decreases
+            # above roundoff; the longest step that decreases it is taken
+            z_t = np.clip(z + alphas[:, None] * dz, lb, ub)
+            moves = z_t - z
+            dy = moves @ vis_rows.T
+            f_t = f + mu * np.hstack([-dy, dy])
+            fc_t = np.clip(f_t, 0.0, rho)
+            pen_t = np.sum(fc_t * (2.0 * f_t - fc_t), axis=1)
+            pen = np.sum(fc * (2.0 * f - fc))
+            delta = moves @ grad_q + 0.5 * np.sum(moves * (moves @ h_mat), axis=1) + (pen_t - pen) / (2.0 * mu)
+            better = np.flatnonzero(delta < 0.0)
+            if not len(better):
                 break
-            dz = np.zeros_like(z)
-            try:
-                dz[free] = -np.linalg.solve(h_eff[np.ix_(free, free)], grad[free])
-            except np.linalg.LinAlgError:
-                dz[free] = -grad[free]
-
-            def pen_obj(v):
-                yv = vis_rows @ v + vis_base
-                lo_t = np.maximum(0.0, lam_lo + mu * (vis_lo - yv))
-                hi_t = np.maximum(0.0, lam_hi + mu * (yv - vis_hi))
-                phr = float(np.sum(lo_t**2 - lam_lo**2) + np.sum(hi_t**2 - lam_hi**2)) / (2.0 * mu)
-                return 0.5 * float(v @ h_mat @ v) + float(g_vec @ v) + phr
-
-            f0 = pen_obj(z)
-            alpha = 1.0
-            improved = False
-            for _ in range(30):
-                z_t = np.clip(z + alpha * dz, lb, ub)
-                if pen_obj(z_t) < f0 - 1e-15:
-                    z = z_t
-                    improved = True
-                    break
-                alpha *= 0.5
-            if not improved:
-                break
-        y = vis_rows @ z + vis_base
-        new_lo = np.clip(lam_lo + mu * (vis_lo - y), 0.0, rho)
-        new_hi = np.clip(lam_hi + mu * (y - vis_hi), 0.0, rho)
-        if np.max(np.abs(new_lo - lam_lo), initial=0.0) < 1e-8 and np.max(np.abs(new_hi - lam_hi), initial=0.0) < 1e-8:
-            lam_lo, lam_hi = new_lo, new_hi
+            z = z_t[better[0]]
+        new = np.clip(lam + mu * (rows @ z + off), 0.0, rho)
+        change = np.max(np.abs(new - lam), initial=0.0)
+        lam = new
+        residual = change / mu  # how far the moved bounds are from holding
+        # a pass that left z where it was, with the bounds held to within
+        # tol, would only repeat the same update
+        if change < 1e-8 or (z is z_pass and residual < tol):
             break
-        lam_lo, lam_hi = new_lo, new_hi
-    slack = hinge(vis_rows @ z + vis_base)
-    return z, lam_lo, lam_hi, slack, float(np.sum(slack))
+        # twelve passes reach 1e-8 from rho if each cuts the change tenfold;
+        # rows that stay violated progress slower at this weight; beyond the
+        # cap the Newton matrix is too ill-conditioned for an accurate solve
+        if residual > 0.1 * last:
+            mu = min(10.0 * mu, 1e6 * rho)
+        last = residual
+    t = np.maximum(0.0, rows @ z + off)
+    slack = t[:n_rows] + t[n_rows:]
+    return z, lam[:n_rows], lam[n_rows:], slack, float(np.sum(slack)), steps
 
 
 _HOVER_U = np.array([9.81, 0.0, 0.0, 0.0])
@@ -470,8 +485,9 @@ def solve(problem: OcpProblem, warm: OcpSolution | None = None) -> OcpSolution:
     merits = [ws.merit]
     best_u, best_ws = u, ws
     status = SolveStatus.MAX_ITERS
-    qp_passes = 0
+    qp_steps = 0
     iters_done = 0
+    prev_ok, lam_lo, lam_hi = None, None, None  # the previous model's rows and their multipliers
     kkt_u, kkt_out = None, float("inf")  # the last linearised iterate and its KKT residual
 
     if not ws.finite:
@@ -485,15 +501,19 @@ def solve(problem: OcpProblem, warm: OcpSolution | None = None) -> OcpSolution:
     for _ in range(p.max_sqp_iters):
         iters_done += 1
         model = _reduced_model(ws.x, u, problem, ws.outputs)
+        # the same nodes give the same rows, so the last multipliers start the QP
+        if prev_ok is None or not np.array_equal(model.ok, prev_ok):
+            lam_lo = lam_hi = np.zeros(len(model.vis_rows))
+        prev_ok = model.ok
 
         lb_step = np.maximum(lb - u.ravel(), -tr_radius * tr_scale)
         ub_step = np.minimum(ub - u.ravel(), tr_radius * tr_scale)
-        du, lam_lo, lam_hi, _, lin_viol = _solve_step_qp(
+        du, lam_lo, lam_hi, _, lin_viol, steps = _solve_step_qp(
             model.h, model.g, lb_step, ub_step,
-            model.vis_rows, model.vis_base, model.vis_lo, model.vis_hi,
+            model.vis_rows, model.vis_base, model.vis_lo, model.vis_hi, lam_lo, lam_hi,
             p.slack_weight, p.qp_tol, p.qp_max_iter,
         )
-        qp_passes += 1
+        qp_steps += steps
         if not np.all(np.isfinite(du)):
             status = SolveStatus.INFEASIBLE
             break
@@ -560,7 +580,7 @@ def solve(problem: OcpProblem, warm: OcpSolution | None = None) -> OcpSolution:
         status=status,
         slack_max=best_ws.viol_max,
         iter_merits=merits,
-        qp_iters=qp_passes,
+        qp_iters=qp_steps,
         kkt_at_inputs=kkt_u is best_u,
         params=p,
         extrinsics=ext,
@@ -595,9 +615,10 @@ def kkt_residual_arrays(problem: OcpProblem, x: Array, u: Array) -> float:
     model = _reduced_model(x, u, problem, outputs, defects)
     lb = np.tile(problem.bounds.input_lower(), n) - u.ravel()
     ub = np.tile(problem.bounds.input_upper(), n) - u.ravel()
-    _, lam_lo, lam_hi, _, _ = _solve_step_qp(
+    zeros = np.zeros(len(model.vis_rows))
+    _, lam_lo, lam_hi, _, _, _ = _solve_step_qp(
         model.h, model.g, lb, ub,
-        model.vis_rows, model.vis_base, model.vis_lo, model.vis_hi,
+        model.vis_rows, model.vis_base, model.vis_lo, model.vis_hi, zeros, zeros,
         p.slack_weight, p.qp_tol, p.qp_max_iter,
     )
     return _kkt_from_model(u.ravel(), model, problem, lam_lo, lam_hi)

@@ -137,3 +137,37 @@ def stage_block_gradient(x, ref, w, block, q_bc=None):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(scope="session")
+def gate_tail_qp():
+    """The step QP of the first SQP iteration at the first gate pose.
+
+    A real instance from the tail of the gate-reaching solves, with every
+    visibility row in the model.  Captured from the solver's own call, it
+    is a dict of ``_solve_step_qp`` arguments without the starting
+    multipliers ``lam_lo``/``lam_hi``.
+    """
+    import inspect
+
+    from quadvpc import ocp
+    from quadvpc.config import default_config
+    from quadvpc.scenarios import GATE_POSES, scenario_gate_reaching
+
+    cfg = default_config("gate_reaching")
+    cfg.duration = cfg.ocp.dt
+    solve_qp = ocp._solve_step_qp
+    calls = []
+
+    def spy(*args):
+        calls.append(dict(inspect.signature(solve_qp).bind(*args).arguments))
+        return solve_qp(*args)
+
+    ocp._solve_step_qp = spy
+    try:
+        scenario_gate_reaching(cfg, poses=GATE_POSES[:1])
+    finally:
+        ocp._solve_step_qp = solve_qp
+    qp = calls[0]
+    del qp["lam_lo"], qp["lam_hi"]
+    return qp

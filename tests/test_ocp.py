@@ -338,8 +338,9 @@ class TestStepQpWithoutRows:
             g_vec = rng.normal(0.0, 3.0, n)
             lb = -rng.uniform(0.1, 1.0, n)
             ub = rng.uniform(0.1, 1.0, n)
-            z, lam_lo, lam_hi, slack, viol = _solve_step_qp(
-                h_mat, g_vec, lb, ub, np.zeros((0, n)), np.zeros(0), np.zeros(0), np.zeros(0), 200.0, 1e-10, 60
+            none = np.zeros(0)
+            z, lam_lo, lam_hi, slack, viol, _ = _solve_step_qp(
+                h_mat, g_vec, lb, ub, np.zeros((0, n)), none, none, none, none, none, 200.0, 1e-10, 60
             )
             want = box_qp_oracle(h_mat, g_vec, lb, ub)
             assert np.max(np.abs(z - want)) < 1e-8
@@ -347,6 +348,151 @@ class TestStepQpWithoutRows:
             assert viol == 0.0
             n_active += int(np.any((want == lb) | (want == ub)))
         assert n_active > 50
+
+
+def l1_objective(z, h_mat, g_vec, vis_rows, vis_base, vis_lo, vis_hi, rho, **_):
+    """The exact L1-penalty objective the step QP minimizes."""
+    y = vis_rows @ z + vis_base
+    hinge = np.maximum(0.0, vis_lo - y) + np.maximum(0.0, y - vis_hi)
+    return 0.5 * z @ h_mat @ z + g_vec @ z + rho * np.sum(hinge)
+
+
+def l1_qp_oracle(h_mat, g_vec, lb, ub, vis_rows, vis_base, vis_lo, vis_hi, rho):
+    """Brute force over every piece of the L1-penalty objective.
+
+    Each input sits at lb, is free or sits at ub; each row lies below lo,
+    on lo, inside, on hi or above hi.  On a piece the objective is one
+    quadratic: a row beyond a bound adds its slope ``rho``, a row on a
+    bound adds an equality.  The stationary point of every piece that is
+    inside the box is a candidate, and the minimizer is among them, so
+    the best candidate by the exact objective is the optimum.
+    """
+    n = len(g_vec)
+    obj = dict(h_mat=h_mat, g_vec=g_vec, vis_rows=vis_rows, vis_base=vis_base, vis_lo=vis_lo, vis_hi=vis_hi, rho=rho)
+    best, best_obj = None, np.inf
+    for inputs in itertools.product((-1, 0, 1), repeat=n):
+        for rows in itertools.product(("below", "lo", "inside", "hi", "above"), repeat=len(vis_base)):
+            lin = g_vec.copy()
+            eq_a = [np.eye(n)[i] for i in range(n) if inputs[i]]
+            eq_b = [lb[i] if inputs[i] < 0 else ub[i] for i in range(n) if inputs[i]]
+            for a, base, lo, hi, where in zip(vis_rows, vis_base, vis_lo, vis_hi, rows):
+                if where in ("below", "above"):
+                    lin = lin + (rho if where == "above" else -rho) * a
+                elif where in ("lo", "hi"):
+                    eq_a.append(a)
+                    eq_b.append((lo if where == "lo" else hi) - base)
+            k = len(eq_a)
+            if k > n:
+                continue
+            e = np.array(eq_a).reshape(k, n)
+            kkt = np.block([[h_mat, e.T], [e, np.zeros((k, k))]])
+            try:
+                z = np.linalg.solve(kkt, np.concatenate([-lin, eq_b]))[:n]
+            except np.linalg.LinAlgError:
+                continue
+            if np.any(z < lb - 1e-12) or np.any(z > ub + 1e-12):
+                continue
+            z = np.clip(z, lb, ub)
+            f = l1_objective(z, **obj)
+            if f < best_obj:
+                best, best_obj = z, f
+    return best, best_obj
+
+
+class TestStepQpWithRows:
+    def test_matches_piecewise_oracle(self, rng):
+        # from zero multipliers and from any start in [0, rho] the step QP
+        # reaches the exact L1-penalty optimum, so a warm start cannot
+        # change the answer; rows may be infeasible inside the box
+        rho = 200.0
+        n_active = 0
+        for _ in range(200):
+            n, m = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+            a = rng.normal(size=(n, n))
+            qp = dict(
+                h_mat=a @ a.T + 0.5 * np.eye(n),
+                g_vec=rng.normal(0.0, 3.0, n),
+                lb=-rng.uniform(0.1, 1.0, n),
+                ub=rng.uniform(0.1, 1.0, n),
+                vis_rows=rng.normal(size=(m, n)),
+                vis_base=rng.normal(0.0, 1.0, m),
+                vis_lo=-rng.uniform(0.0, 1.0, m),
+                vis_hi=rng.uniform(0.0, 1.0, m),
+                rho=rho,
+            )
+            want, f_want = l1_qp_oracle(**qp)
+            for lam_lo, lam_hi in [(np.zeros(m), np.zeros(m)), (rng.uniform(0.0, rho, m), rng.uniform(0.0, rho, m))]:
+                z, _, _, slack, viol, _ = _solve_step_qp(**qp, lam_lo=lam_lo, lam_hi=lam_hi, tol=1e-10, max_iter=60)
+                assert np.all(z >= qp["lb"]) and np.all(z <= qp["ub"])
+                assert abs(l1_objective(z, **qp) - f_want) <= 1e-8 * max(1.0, abs(f_want))
+                assert viol == pytest.approx(np.sum(slack))
+            y = qp["vis_rows"] @ want + qp["vis_base"]
+            n_active += int(np.any((y <= qp["vis_lo"] + 1e-9) | (y >= qp["vis_hi"] - 1e-9)))
+        assert n_active > 50
+
+    def test_penalty_weight_stops_at_cap(self, monkeypatch):
+        # row 1 cannot hold in the box and pushes z down at slope 3 rho; row
+        # 0 has its kink at z = -0.2, 1e-7 above lb, so each pass moves its
+        # multiplier by only mu * 3e-7 and the weight must grow to the cap
+        rho = 200.0
+        qp = dict(
+            h_mat=np.array([[1.0]]),
+            g_vec=np.array([-2.0]),
+            lb=np.array([-0.2 - 1e-7]),
+            ub=np.array([1.0]),
+            vis_rows=np.array([[-3.0], [3.0]]),
+            vis_base=np.array([0.0, 2.0]),
+            vis_lo=np.array([-10.0, -10.0]),
+            vis_hi=np.array([0.6, 0.5]),
+            rho=rho,
+        )
+        _, f_want = l1_qp_oracle(**qp)
+        largest = []
+        solve = np.linalg.solve
+
+        def spy(a, b):
+            largest.append(np.max(np.abs(a)))
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        z, _, lam_hi, _, _, _ = _solve_step_qp(**qp, lam_lo=np.zeros(2), lam_hi=np.zeros(2), tol=1e-10, max_iter=60)
+        cap = 1.0 + 1e6 * rho * 9.0  # h + mu a a^T with mu at its cap
+        assert cap * (1.0 - 1e-12) <= max(largest) <= cap * (1.0 + 1e-12)
+        assert abs(l1_objective(z, **qp) - f_want) <= 1e-8 * max(1.0, abs(f_want))
+        # stationarity at the kink: h z + g + 3 lam_hi[1] - 3 lam_hi[0] = 0
+        assert lam_hi == pytest.approx([(3.0 * rho - 2.2) / 3.0, rho], rel=1e-8)
+
+    def test_input_near_bound_leaves_newton_system(self):
+        # input 2 approaches its lower bound by ever shorter steps while the
+        # projected gradient stays near 0.94; unless it is held once within
+        # 1e-6 of that bound, the search stalls 10.8 above the optimum
+        qp = dict(
+            h_mat=np.array([[5.843, -3.0291, 3.4493], [-3.0291, 6.7973, -0.3463], [3.4493, -0.3463, 3.5925]]),
+            g_vec=np.array([2.0047, -5.0266, 0.4264]),
+            lb=np.array([-0.9939, -0.5598, -0.832]),
+            ub=np.array([0.2206, 0.9205, 0.1098]),
+            vis_rows=np.array([[0.2693, 0.0946, -0.9504], [-0.691, -0.1719, -1.0421]]),
+            vis_base=np.array([-0.278, -1.6678]),
+            vis_lo=np.array([-0.2965, -0.7754]),
+            vis_hi=np.array([0.7164, 0.2935]),
+            rho=200.0,
+        )
+        _, f_want = l1_qp_oracle(**qp)
+        z = _solve_step_qp(**qp, lam_lo=np.zeros(2), lam_hi=np.zeros(2), tol=1e-10, max_iter=60)[0]
+        assert abs(l1_objective(z, **qp) - f_want) <= 1e-8 * max(1.0, abs(f_want))
+
+    def test_gate_tail_instance(self, gate_tail_qp):
+        # the first model of the first gate pose, with all 40 rows
+        qp = gate_tail_qp
+        assert qp["vis_rows"].shape == (40, 80)
+        zeros = np.zeros(40)
+        runs = [_solve_step_qp(**qp, lam_lo=zeros, lam_hi=zeros) for _ in range(2)]
+        z = runs[0][0]
+        assert np.all(np.isfinite(z))
+        assert np.all(z >= qp["lb"]) and np.all(z <= qp["ub"])
+        assert l1_objective(z, **qp) <= l1_objective(np.clip(np.zeros(80), qp["lb"], qp["ub"]), **qp)
+        for a, b in zip(*runs):
+            assert np.array_equal(a, b)
 
 
 class TestShiftWarmStart:
