@@ -30,6 +30,7 @@ from .outputs import (
     plot_xy_paths,
     timing_dict,
     write_run_csv,
+    write_solver_trace_csv,
     write_summary_json,
 )
 
@@ -47,6 +48,7 @@ def _emit_closed_loop(cfg, results, outdir: Path, quiet: bool, scenario: str) ->
     names = [f"run_{i:02d}" for i in range(len(results))]
     for name, log in zip(names, logs):
         write_run_csv(log, outdir / f"{name}.csv")
+    write_solver_trace_csv(dict(zip(names, logs)), outdir / "solver_trace.csv")
     summary = {
         "scenario": scenario,
         "seed": cfg.seed,

@@ -1,9 +1,10 @@
-"""File emitters: per-run CSV, summary JSON, and self-contained SVG plots.
+"""File emitters: per-run CSV, solver trace, summary JSON, and self-contained SVG plots.
 
 The SVG plots are written directly (no plotting library) so repeated
 runs with the same seed produce identical bytes; wall-clock solve times
 are the only nondeterministic values in the CSV and are confined to the
-``solve_ms`` column and the summary's ``timing`` section.
+``solve_ms`` column and the summary's ``timing`` section.  The solver
+trace holds no wall-clock field.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .simulator import RunLog
 CSV_HEADER = (
     "t,px,py,pz,vx,vy,vz,qw,qx,qy,qz,su,sv,d,c,wx,wy,wz,solve_ms,kkt,visible"
 )
+SOLVER_TRACE_HEADER = "run,t,sqp_iters,qp_iters,slack_max,status"
 
 SUMMARY_SCHEMA_VERSION = 1
 
@@ -40,6 +42,20 @@ def write_run_csv(log: RunLog, path: str | Path) -> Path:
         ]
         row = ",".join(f"{v:.12g}" for v in vals) + f",{int(log.visible[i])}"
         lines.append(row)
+    _write_text(path, "\n".join(lines) + "\n")
+    return path
+
+
+def write_solver_trace_csv(logs: dict, path: str | Path) -> Path:
+    """One row per control tick of each named run: how much work its solve took and how it ended."""
+    path = Path(path)
+    lines = [SOLVER_TRACE_HEADER]
+    for name, log in logs.items():
+        for i in range(log.n_ticks):
+            lines.append(
+                f"{name},{log.t[i]:.12g},{int(log.sqp_iters[i])},{int(log.qp_iters[i])},"
+                f"{log.slack_max[i]:.12g},{log.status[i]}"
+            )
     _write_text(path, "\n".join(lines) + "\n")
     return path
 

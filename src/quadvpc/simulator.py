@@ -3,24 +3,26 @@
 The plant carries the world position that the controller never sees; the
 observation model turns the geometric truth into the controller's
 measurement (velocity, attitude, landmark bearing, distance) with
-optional noise.  Closed-loop runs substep the plant between control
-ticks and record everything needed to evaluate a scenario offline.
+optional noise.  Closed-loop runs step the plant exactly over each
+control tick and record everything needed to evaluate a scenario offline.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .costs import ReferencePoint
 from .dynamics import (
+    GRAVITY_W,
     CameraExtrinsics,
     ControlInput,
     QuadVisualState,
-    _body_rates,
+    _rotmat_cols,
     _vec3,
-    rk4,
+    so3_integral_coeffs,
 )
 from .geometry import (
     EPS_Z,
@@ -43,9 +45,6 @@ _R_BC = np.array([[0.0, 0.0, 1.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
 Q_BC_FORWARD = quat_from_rotmat(_R_BC)
 
 DEFAULT_EXTRINSICS = CameraExtrinsics(p_b_cb=np.array([0.1, 0.0, 0.0]), q_bc=Q_BC_FORWARD)
-
-# Plant integration substep between control ticks.
-PLANT_SUBSTEP = 1e-3
 
 # Speed beyond which a run is declared diverged (crashed).
 DIVERGENCE_SPEED = 30.0
@@ -118,15 +117,48 @@ class NoiseModel:
 
 
 def plant_step(ps: PlantState, u: ControlInput, dt: float) -> PlantState:
-    """RK4 step of position, velocity and attitude; quaternion renormalized."""
+    """Exact step of position, velocity and attitude under ``u`` held for ``dt``.
+
+    With thrust ``c`` along body z and body rates ``w`` constant, the
+    attitude is ``q0 (x) Exp(w dt)`` and the thrust integrates in closed
+    form through the SO(3) integrals ``Gamma1``, ``Gamma2`` of
+    :func:`so3_integral_coeffs`:
+
+        v = v0 + g dt + c R(q0) Gamma1 e_z
+        p = p0 + v0 dt + g dt^2 / 2 + c R(q0) Gamma2 e_z
+
+    Computed on Python floats; the quaternion is renormalized.
+    """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-
-    def deriv(z):  # the 10-vector as one component: fewer numpy calls than three
-        return (np.concatenate([z[0][3:6], *_body_rates(z[0][6:10], u.c, u.omega_b)]),)
-
-    (out,) = rk4(deriv, (ps.as_vector(),), dt)
-    return PlantState(out[0:3], out[3:6], out[6:10] / np.linalg.norm(out[6:10]))
+    qw, qx, qy, qz = ps.q_wb.tolist()
+    wx, wy, wz = u.omega_b.tolist()
+    theta = math.sqrt(wx * wx + wy * wy + wz * wz)
+    k1, k2, k3 = so3_integral_coeffs(theta, dt)
+    # Gamma1 e_z and Gamma2 e_z in the body frame, from w^ e_z = (wy, -wx, 0)
+    # and w^2 e_z = (wz wx, wz wy, -(wx^2 + wy^2))
+    cz = -(wx * wx + wy * wy)
+    half_t2 = 0.5 * dt * dt
+    b1 = (k1 * wy + k2 * wz * wx, k2 * wz * wy - k1 * wx, dt + k2 * cz)
+    b2 = (k2 * wy + k3 * wz * wx, k3 * wz * wy - k2 * wx, half_t2 + k3 * cz)
+    r0, r1, r2 = _rotmat_cols(qw, qx, qy, qz)
+    c = u.c
+    v0, p0 = ps.v_w.tolist(), ps.p_w.tolist()
+    v, p = [], []
+    for i, g in enumerate(GRAVITY_W.tolist()):
+        v.append(v0[i] + g * dt + c * (r0[i] * b1[0] + r1[i] * b1[1] + r2[i] * b1[2]))
+        p.append(p0[i] + v0[i] * dt + g * half_t2 + c * (r0[i] * b2[0] + r1[i] * b2[1] + r2[i] * b2[2]))
+    # Exp(w dt) = (cos(a/2), w sin(a/2) / theta), a = theta dt
+    half = 0.5 * theta * dt
+    s = math.sin(half) / theta if theta > 0.0 else 0.5 * dt
+    ew, ex, ey, ez = math.cos(half), s * wx, s * wy, s * wz
+    q = (
+        qw * ew - qx * ex - qy * ey - qz * ez,
+        qw * ex + qx * ew + qy * ez - qz * ey,
+        qw * ey - qx * ez + qy * ew + qz * ex,
+        qw * ez + qx * ey - qy * ex + qz * ew,
+    )
+    return PlantState(p, v, q)
 
 
 def camera_pose(p_w: Array, q_wb: Array, ext: CameraExtrinsics):
@@ -216,6 +248,7 @@ class RunLog:
     solve_ms: Array
     kkt: Array
     sqp_iters: Array
+    qp_iters: Array
     slack_max: Array
     status: list
     visible: Array
@@ -245,6 +278,7 @@ class RunLog:
             solve_ms=np.zeros(0),
             kkt=np.zeros(0),
             sqp_iters=np.zeros(0),
+            qp_iters=np.zeros(0),
             slack_max=np.zeros(0),
             status=[],
             visible=np.zeros(0, dtype=bool),
@@ -268,16 +302,15 @@ def run_closed_loop(
 ) -> RunLog:
     """Fixed-rate observe / solve / actuate loop.
 
-    The plant is substepped at ``PLANT_SUBSTEP`` between control ticks.  Terminates on
+    The plant takes one exact step per control tick.  Terminates on
     duration, feature loss, or the divergence guard; failures are
     recorded as outcomes, never raised.
     """
     rng = np.random.default_rng(seed)
     ps = plant0
     n_ticks = int(round(duration / dt))
-    n_sub = max(1, int(round(dt / PLANT_SUBSTEP)))
 
-    rows = {key: [] for key in ("t", "p_w", "v_w", "q_wb", "s_c", "d", "u", "ref_s", "ref_d", "solve_ms", "kkt", "sqp_iters", "slack_max", "visible")}
+    rows = {key: [] for key in ("t", "p_w", "v_w", "q_wb", "s_c", "d", "u", "ref_s", "ref_d", "solve_ms", "kkt", "sqp_iters", "qp_iters", "slack_max", "visible")}
     status: list = []
     outcome = "success"
     fail_time = None
@@ -307,12 +340,12 @@ def run_closed_loop(
         rows["solve_ms"].append(sol.solve_ms)
         rows["kkt"].append(sol.kkt)
         rows["sqp_iters"].append(sol.sqp_iters)
+        rows["qp_iters"].append(sol.qp_iters)
         rows["slack_max"].append(sol.slack_max)
         rows["visible"].append(True)
         status.append(sol.status.value)
 
-        for _ in range(n_sub):
-            ps = plant_step(ps, u, dt / n_sub)
+        ps = plant_step(ps, u, dt)
         if np.linalg.norm(ps.v_w) > DIVERGENCE_SPEED:
             outcome = "diverged"
             fail_time = t_k + dt
@@ -333,6 +366,7 @@ def run_closed_loop(
         solve_ms=np.array(rows["solve_ms"]),
         kkt=np.array(rows["kkt"]),
         sqp_iters=np.array(rows["sqp_iters"]),
+        qp_iters=np.array(rows["qp_iters"]),
         slack_max=np.array(rows["slack_max"]),
         status=status,
         visible=np.array(rows["visible"], dtype=bool),

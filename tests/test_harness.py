@@ -26,11 +26,18 @@ from quadvpc.scenarios import (
     full_circle_arc,
     predict_compare,
     quarter_circle_arc,
+    scenario_gate_reaching,
     scenario_hover,
     scenario_success_sweep,
 )
 from quadvpc.ocp import OcpParams
-from quadvpc.outputs import CSV_HEADER, write_run_csv, write_summary_json
+from quadvpc.outputs import (
+    CSV_HEADER,
+    SOLVER_TRACE_HEADER,
+    write_run_csv,
+    write_solver_trace_csv,
+    write_summary_json,
+)
 
 
 # config overrides of the wrong type, each with the dotted key it names
@@ -342,6 +349,25 @@ class TestOutputs:
         p2 = write_run_csv(out2["log"], tmp_path / "b.csv")
         assert strip_solve_ms(p1.read_text()) == strip_solve_ms(p2.read_text())
 
+    def test_solver_trace_rows_equal_log(self, tmp_path):
+        cfg = default_config("gate_reaching")
+        cfg.duration = 0.5
+        logs = {f"run_{i:02d}": r["log"] for i, r in enumerate(scenario_gate_reaching(cfg, GATE_POSES[:2]))}
+        path = write_solver_trace_csv(logs, tmp_path / "solver_trace.csv")
+        header, *rows = path.read_text().splitlines()
+        assert header == SOLVER_TRACE_HEADER == "run,t,sqp_iters,qp_iters,slack_max,status"
+        expected = [(name, k, log) for name, log in logs.items() for k in range(log.n_ticks)]
+        assert len(rows) == len(expected) == 20
+        for row, (name, k, log) in zip(rows, expected):
+            run, t, sqp_iters, qp_iters, slack_max, status = row.split(",")
+            assert (run, int(sqp_iters), int(qp_iters), status) == (
+                name, log.sqp_iters[k], log.qp_iters[k], log.status[k]
+            )
+            assert float(t) == float(f"{log.t[k]:.12g}")
+            assert float(slack_max) == float(f"{log.slack_max[k]:.12g}")
+        # with all visibility rows in the model the step QPs take Newton steps
+        assert sum(int(log.qp_iters.sum()) for log in logs.values()) > 0
+
     def test_summary_schema(self, tmp_path):
         path = write_summary_json({"scenario": "hover", "metrics": {"x": 1.0}}, tmp_path / "s.json")
         data = json.loads(path.read_text())
@@ -365,6 +391,7 @@ class TestCli:
         rc = cli_main(["run", str(cfg_path), "--out", str(out), "--quiet"])
         assert rc == 0
         assert (out / "run_00.csv").exists()
+        assert (out / "solver_trace.csv").read_text().startswith(SOLVER_TRACE_HEADER + "\nrun_00,0,")
         assert (out / "summary.json").exists()
         assert (out / "path_xy.svg").exists()
         assert (out / "altitude.svg").exists()

@@ -5,7 +5,15 @@ import pytest
 
 from quadvpc import geometry as g
 from quadvpc.costs import Bounds, CostWeights, ReferencePoint
-from quadvpc.dynamics import CameraExtrinsics, ControlInput, QuadVisualState, rk4_step
+from quadvpc.dynamics import (
+    GRAVITY_W,
+    CameraExtrinsics,
+    ControlInput,
+    QuadVisualState,
+    propagate_camera_pose,
+    rk4_step,
+    so3_integral_coeffs,
+)
 from quadvpc.ocp import OcpParams, VisualPredictiveController
 from quadvpc.simulator import (
     DEFAULT_EXTRINSICS,
@@ -21,7 +29,7 @@ from quadvpc.simulator import (
     run_closed_loop,
 )
 
-from conftest import rotmat_oracle
+from conftest import random_quat, rotmat_oracle
 
 ZERO_NOISE = NoiseModel()
 BARE_CAMERA = CameraExtrinsics(p_b_cb=np.zeros(3), q_bc=DEFAULT_EXTRINSICS.q_bc)
@@ -46,7 +54,9 @@ class TestPlantStep:
 
     def test_matches_controller_model(self, rng):
         # the plant and the controller's internal model must agree on the
-        # shared coordinates under identical inputs
+        # shared coordinates under identical inputs; the plant step is exact,
+        # so the model takes 10 RK4 steps per tick to bring its own truncation
+        # error (2.5e-9 in v at one step per tick) far below the tolerance
         lm = Landmark()
         ps = PlantState([0.0, 0.0, 3.0], [0.5, -0.2, 0.1], g.quat_yaw(0.3))
         meas = observe(ps, lm, DEFAULT_EXTRINSICS, ZERO_NOISE, rng)
@@ -55,9 +65,80 @@ class TestPlantStep:
         dt = 0.05
         for _ in range(20):
             ps = plant_step(ps, u, dt)
-            x = rk4_step(x, u, dt, DEFAULT_EXTRINSICS)
+            for _ in range(10):
+                x = rk4_step(x, u, dt / 10, DEFAULT_EXTRINSICS)
         assert np.max(np.abs(ps.v_w - x.v_w)) < 1e-9
         assert abs(abs(ps.q_wb @ x.q_wb) - 1.0) < 1e-9
+
+
+def rk4_plant_oracle(ps, u, t, n_sub):
+    """The plant integrated by ``n_sub`` RK4 steps, attitude renormalized after each.
+
+    ``p' = v``, ``v' = R(q) c e_z + g``, ``q' = 1/2 q (x) [0, w]``: the 1 kHz
+    integrator the exact step replaced, kept as an independent oracle.
+    """
+    wx, wy, wz = u.omega_b
+    omega = np.array([[0.0, -wx, -wy, -wz], [wx, 0.0, wz, -wy], [wy, -wz, 0.0, wx], [wz, wy, -wx, 0.0]])
+
+    def f(z):  # omega @ q is q (x) [0, w]
+        return np.concatenate([z[3:6], rotmat_oracle(z[6:]) @ [0.0, 0.0, u.c] + GRAVITY_W, 0.5 * omega @ z[6:]])
+
+    z, h = np.concatenate([ps.p_w, ps.v_w, ps.q_wb]), t / n_sub
+    for _ in range(n_sub):
+        k1 = f(z)
+        k2 = f(z + 0.5 * h * k1)
+        k3 = f(z + 0.5 * h * k2)
+        k4 = f(z + h * k3)
+        z = z + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        z[6:] /= np.linalg.norm(z[6:])
+    return z
+
+
+def random_plant_case(rng, rate):
+    """A random state and an input whose body rate has norm ``rate``."""
+    ps = PlantState(rng.normal(size=3), rng.uniform(-9.0, 9.0, 3), random_quat(rng))
+    axis = rng.normal(size=3)
+    return ps, ControlInput(rng.uniform(2.0, 20.0), rate * axis / np.linalg.norm(axis))
+
+
+RATES = (0.0, 1e-9, 1e-4, 0.3, 1.0, 3.0, 5.2)
+
+
+class TestExactPlantStep:
+    def test_matches_1khz_rk4_oracle(self, rng):
+        for i in range(140):
+            ps, u = random_plant_case(rng, RATES[i % len(RATES)])
+            out = plant_step(ps, u, 0.05)
+            ref = rk4_plant_oracle(ps, u, 0.05, 50)
+            assert np.max(np.abs(out.as_vector() - ref)) < 1e-10
+
+    def test_matches_camera_pose_propagation(self, rng):
+        # v - v0 - g t = c R(q0) Gamma1 e_z, the displacement of a camera at
+        # the body's pose moving at e_z in its own frame
+        t = 0.05
+        for i in range(140):
+            ps, u = random_plant_case(rng, RATES[i % len(RATES)])
+            out = plant_step(ps, u, t)
+            p_cam, q_cam = propagate_camera_pose(np.zeros(3), ps.q_wb, g.EZ, u.omega_b, t)
+            assert np.max(np.abs(out.q_wb - q_cam)) < 1e-12
+            assert np.max(np.abs((out.v_w - ps.v_w - GRAVITY_W * t) / u.c - p_cam)) < 1e-12
+
+    def test_coefficients_continuous_across_series_threshold(self):
+        # the series serves |theta t| < 1 and the closed form the rest
+        for t in (0.001, 0.05, 0.3, 1.0):
+            above = 1.0 / t
+            below = np.nextafter(above, 0.0)
+            assert (below * t) ** 2 < 1.0 <= (above * t) ** 2
+            for k_below, k_above in zip(so3_integral_coeffs(below, t), so3_integral_coeffs(above, t)):
+                assert abs(k_below - k_above) <= 1e-14 * abs(k_above)
+        assert so3_integral_coeffs(0.0, 0.1) == pytest.approx((0.1**2 / 2, 0.1**3 / 6, 0.1**4 / 24), rel=1e-15)
+
+    def test_two_half_steps_equal_one_step(self, rng):
+        for i in range(140):
+            ps, u = random_plant_case(rng, RATES[i % len(RATES)])
+            t = rng.uniform(0.01, 0.5)
+            halves = plant_step(plant_step(ps, u, 0.5 * t), u, 0.5 * t)
+            assert np.max(np.abs(halves.as_vector() - plant_step(ps, u, t).as_vector())) < 1e-12
 
 
 class TestObserve:
