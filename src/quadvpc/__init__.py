@@ -17,19 +17,10 @@ from .dynamics import (
     CameraTwist,
     ControlInput,
     QuadVisualState,
-    camera_twist,
-    dynamics_jacobians,
-    full_dynamics,
     homogeneous_image_dynamics,
-    image_dynamics,
-    quad_dynamics,
-    rk4_step,
 )
 from .geometry import (
-    AntiparallelInput,
     DegenerateProjection,
-    angle_axis_between,
-    bearing_N,
     bearing_from_image,
     bearing_n,
     image_from_bearing,
@@ -48,7 +39,6 @@ from .ocp import (
     SolveStatus,
     VisualPredictiveController,
     build_problem,
-    kkt_residual,
     shift_warm_start,
     solve,
 )

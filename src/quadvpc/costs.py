@@ -128,17 +128,17 @@ class ReferencePoint:
         return out
 
 
-def dynamic_visual_weight(d_measured: float, base: Array, d_cap: float = D_CAP) -> Array:
+def dynamic_visual_weight(d_measured: float, base: Array) -> Array:
     """Scale the image-error weight by the squared measured distance.
 
     A fixed metric offset shrinks in the image as 1/d, so d^2 scaling
     keeps the image and distance terms metrically comparable.  The scale
-    is clamped to [1, d_cap^2] and held constant across one horizon
+    is clamped to [1, D_CAP^2] and held constant across one horizon
     solve.
     """
     if d_measured <= 0.0:
         raise ValueError("d_measured must be positive")
-    scale = min(max(d_measured * d_measured, 1.0), d_cap * d_cap)
+    scale = min(max(d_measured * d_measured, 1.0), D_CAP * D_CAP)
     return np.asarray(base, dtype=np.float64) * scale
 
 

@@ -16,12 +16,12 @@ by the finite-difference oracle in the test suite: the analytic rates
 must reproduce exact geometric propagation of a camera past a static
 landmark.
 
-The broadcasting pieces (body rates, camera twist, bearing rates) take
-components on the last axis.  The solver's kernel ``_f`` takes a
-sequence of components, each a Python float (one state) or an array of
-one shared shape (a batch), and returns the tuple of its derivative
-components; :func:`rk4`, the one RK4 stage sequence, steps any such
-sequence.  Thin dataclass wrappers provide the typed public surface.
+The bearing rates of the prediction study take components on the last
+axis.  The solver's kernel ``_f`` takes a sequence of components, each
+a Python float (one state) or an array of one shared shape (a batch),
+and returns the tuple of its derivative components; :func:`rk4`, the
+one RK4 stage sequence, steps any such sequence.  Thin dataclass
+wrappers provide the typed public surface.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .geometry import (
     Array,
     _cross,
     pure_quat,
-    quat_conj,
     quat_exp,
     quat_identity,
     quat_normalize,
@@ -53,6 +52,10 @@ GRAVITY_W = np.array([0.0, 0.0, -9.81])
 # Distance floor applied after integration; keeps 1/d bounded when the
 # solver explores near-contact states.
 D_FLOOR = 0.05
+
+# Relative step of the central differences: the step of component i is
+# FD_STEP * max(1, |z_i|).
+FD_STEP = 1e-6
 
 # Taylor coefficients of the SO(3) integrals, used for rotation angles
 # |a| < 1: there the closed forms cancel (that of ``k3`` loses about
@@ -155,20 +158,6 @@ class CameraTwist:
         object.__setattr__(self, "w_c", _vec3(self.w_c))
 
 
-def _body_rates(q_wb: Array, c, omega: Array):
-    """Velocity and attitude rates: thrust along body z plus gravity."""
-    dv = quat_rotate(q_wb, c * EZ) + GRAVITY_W
-    dq_wb = 0.5 * quat_prod(q_wb, pure_quat(omega))
-    return dv, dq_wb
-
-
-def _camera_twist(v_w: Array, q_wb: Array, omega: Array, p_b_cb: Array, q_bc: Array):
-    """Camera-frame linear and angular velocity, with the lever arm."""
-    q_cb = quat_conj(q_bc)
-    v_b = quat_rotate(quat_conj(q_wb), v_w) + _cross(omega, p_b_cb)
-    return quat_rotate(q_cb, v_b), quat_rotate(q_cb, omega)
-
-
 def _bearing_rates(q_cl: Array, d: Array, v_c: Array, w_c: Array):
     """Tangent rate ``u_mu``, quaternion rate and distance rate of the bearing.
 
@@ -184,38 +173,6 @@ def _bearing_rates(q_cl: Array, d: Array, v_c: Array, w_c: Array):
     dq_cl = 0.5 * quat_prod(pure_quat(u1 * t1 + u2 * t2), q_cl)
     dd = -np.sum(n * v_c, axis=-1, keepdims=True)
     return np.concatenate([u1, u2], axis=-1), dq_cl, dd
-
-
-def quad_dynamics(v_w: Array, q_wb: Array, u: ControlInput):
-    """Velocity and attitude rates of the quadrotor.
-
-    ``dv_w = q_wb @ (0,0,c) + g_w`` and the body-rate quaternion
-    kinematics.  Thrust and gravity only; no drag, no rotor dynamics.
-    """
-    return _body_rates(q_wb, u.c, u.omega_b)
-
-
-def camera_twist(v_w: Array, omega_b: Array, q_wb: Array, ext: CameraExtrinsics) -> CameraTwist:
-    """Map body velocity/rates into the camera frame, with lever arm."""
-    omega_b = np.asarray(omega_b, dtype=np.float64)
-    return CameraTwist(*_camera_twist(v_w, q_wb, omega_b, ext.p_b_cb, ext.q_bc))
-
-
-def image_dynamics(q_cl: Array, d: float, twist: CameraTwist):
-    """Bearing and distance rates under a camera twist.
-
-    Returns ``(u_mu, dd)`` with ``u_mu`` the 2D tangent-space angular
-    rate of the bearing, i.e. the camera-frame angular velocity of the
-    bearing projected onto its tangent basis; the quaternion rate is
-    ``dq_cl = 1/2 [0, N(q_cl) u_mu] (x) q_cl``.
-    """
-    u_mu, _, dd = _bearing_rates(q_cl, np.array([d], dtype=np.float64), twist.v_c, twist.w_c)
-    return u_mu, float(dd[0])
-
-
-def full_dynamics(x: QuadVisualState, u: ControlInput, ext: CameraExtrinsics) -> Array:
-    """Concatenated quadrotor + image dynamics ``dx/dt = f(x, u)`` as a flat 12-vector."""
-    return np.array(_f(x.as_vector(), u.as_vector(), ext.p_b_cb, quat_to_rotmat(ext.q_bc)))
 
 
 def _rotmat_cols(qw, qx, qy, qz):
@@ -329,47 +286,25 @@ def _rk4_flat(x: Array, u: Array, dt: float, p_b_cb: Array, q_bc: Array) -> Arra
     return np.array(_rk4(x.T, u.T, dt, p_b_cb, quat_to_rotmat(q_bc))).T
 
 
-def rk4_step(x: QuadVisualState, u: ControlInput, dt: float, ext: CameraExtrinsics) -> QuadVisualState:
-    """Classical 4th-order step; quaternions renormalized, d floored."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    return QuadVisualState.from_vector(_rk4_flat(x.as_vector(), u.as_vector(), dt, ext.p_b_cb, ext.q_bc))
-
-
-def fd_jacobian_batch(fun, z: Array, h: float = 1e-6) -> Array:
+def fd_jacobian_batch(fun, z: Array) -> Array:
     """Central-difference Jacobians of a batched map.
 
     ``fun`` maps ``(M, n) -> (M, m)`` row by row; returns ``(B, m, n)``.
-    Step sizes scale per component as ``h * max(1, |z_i|)``.  ``fun`` is
-    called once, on all ``2 B n`` perturbed points: the ``+`` steps then
-    the ``-`` steps, each ordered by batch row, then by component.
+    Step sizes scale per component as ``FD_STEP * max(1, |z_i|)``.
+    ``fun`` is called once, on all ``2 B n`` perturbed points: the ``+``
+    steps then the ``-`` steps, each ordered by batch row, then by
+    component.
     """
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
     b, n = z.shape
-    steps = h * np.maximum(1.0, np.abs(z))
+    steps = FD_STEP * np.maximum(1.0, np.abs(z))
     pert = np.eye(n)[None, :, :] * steps[:, :, None]  # (B, n, n), row j = e_j * step_j
     zz = z[:, None, :] + np.stack([pert, -pert])  # (2, B, n, n)
     f = fun(zz.reshape(2 * b * n, n)).reshape(2, b, n, -1)
     return (f[0] - f[1]).swapaxes(1, 2) / (2.0 * steps[:, None, :])
 
 
-def dynamics_jacobians(x: QuadVisualState, u: ControlInput, ext: CameraExtrinsics, h: float = 1e-6):
-    """Jacobians (A, B) of ``full_dynamics`` on the flat coordinates.
-
-    Central finite differences with per-component scaled steps;
-    quaternions are treated as raw 4-vectors.
-    """
-    z0 = np.concatenate([x.as_vector(), u.as_vector()])[None, :]
-    r_bc = quat_to_rotmat(ext.q_bc)
-
-    def fun(z):
-        return np.array(_f(z[:, :12].T, z[:, 12:].T, ext.p_b_cb, r_bc)).T
-
-    jac = fd_jacobian_batch(fun, z0, h)[0]
-    return jac[:, :12], jac[:, 12:]
-
-
-def rk4_jacobians(x: Array, u: Array, dt: float, ext: CameraExtrinsics, h: float = 1e-6):
+def rk4_jacobians(x: Array, u: Array, dt: float, ext: CameraExtrinsics):
     """Batched Jacobians of the discrete RK4 map for shooting intervals.
 
     ``x`` is ``(K, 12)``, ``u`` is ``(K, 4)``; returns ``(K, 12, 12)``
@@ -380,7 +315,7 @@ def rk4_jacobians(x: Array, u: Array, dt: float, ext: CameraExtrinsics, h: float
     def fun(zz):
         return _rk4_flat(zz[:, :12], zz[:, 12:], dt, ext.p_b_cb, ext.q_bc)
 
-    jac = fd_jacobian_batch(fun, z, h)
+    jac = fd_jacobian_batch(fun, z)
     return jac[:, :, :12], jac[:, :, 12:]
 
 

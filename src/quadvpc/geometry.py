@@ -22,17 +22,10 @@ EZ = np.array([0.0, 0.0, 1.0])
 
 # Minimum optical-axis component before a projection is declared degenerate.
 EPS_Z = 1e-6
-# Dot-product margin below which the rotation axis between two unit vectors
-# is undefined (the cross product vanishes there).
-EPS_ANTIPARALLEL = 1e-9
 
 
 class DegenerateProjection(ValueError):
     """Point is behind or grazing the image plane (z <= EPS_Z)."""
-
-
-class AntiparallelInput(ValueError):
-    """No defined rotation axis between (nearly) antiparallel vectors."""
 
 
 def quat_identity() -> Array:
@@ -172,12 +165,6 @@ def quat_yaw(psi: float | Array) -> Array:
     return out
 
 
-def rotations_close(q1: Array, q2: Array, tol: float = 1e-9):
-    """Double-cover aware rotation equality: |<q1, q2>| >= 1 - tol."""
-    dot = np.abs(np.sum(np.asarray(q1) * np.asarray(q2), axis=-1))
-    return dot >= 1.0 - tol
-
-
 def random_unit_quaternion(rng: np.random.Generator, size: int | None = None) -> Array:
     """Uniformly random rotation(s), Shoemake's subgroup method."""
     shape = () if size is None else (size,)
@@ -210,11 +197,6 @@ def bearing_n(q: Array) -> Array:
     return quat_rotate(q, EZ)
 
 
-def bearing_N(q: Array) -> Array:
-    """3x2 tangent basis of a bearing: columns are q @ e_x and q @ e_y."""
-    return np.stack([quat_rotate(q, EX), quat_rotate(q, EY)], axis=-1)
-
-
 def project_guarded(v: Array):
     """Homogeneous projection with a validity mask instead of raising.
 
@@ -241,37 +223,25 @@ def to_homogeneous(v: Array) -> Array:
     return s
 
 
-def angle_axis_between(a: Array, b: Array) -> Array:
-    """Rotation vector taking unit vector ``b`` onto unit vector ``a``.
-
-    Magnitude ``arccos(b . a)``, direction ``(b x a) / |b x a|``; exactly
-    zero when the vectors coincide.  Raises :class:`AntiparallelInput`
-    when the axis is undefined.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    dot = float(np.clip(np.dot(b, a), -1.0, 1.0))
-    if dot <= -1.0 + EPS_ANTIPARALLEL:
-        raise AntiparallelInput("rotation axis undefined for antiparallel vectors")
-    c = np.cross(b, a)
-    s = float(np.linalg.norm(c))
-    if s < 1e-16:
-        return np.zeros(3)
-    # angle/s -> 1 as the vectors align, so this stays well conditioned
-    return c * (np.arccos(dot) / s)
-
-
 def bearing_from_image(s: Array) -> Array:
     """Canonical bearing quaternion of an image coordinate.
 
-    Normalizes ``(u, v, 1)``, takes the angle-axis vector from ``e_z`` to
-    it, and exponentiates.  The result is the minimal-twist lift: no
-    rotation about the bearing axis itself.
+    Normalizes ``(u, v, 1)`` to ``a``, takes the angle-axis vector from
+    ``e_z`` to it, of magnitude ``arccos(a_z)`` about ``e_z x a``, and
+    exponentiates.  The result is the minimal-twist lift: no rotation
+    about the bearing axis itself.  ``a_z > 0``, so the axis is defined
+    unless ``a = e_z``, where the vector is exactly zero.
     """
     s = np.asarray(s, dtype=np.float64)
     v = np.array([s[0], s[1], 1.0])
     a = v / np.linalg.norm(v)
-    return quat_exp(angle_axis_between(a, EZ))
+    dot = float(np.clip(np.dot(EZ, a), -1.0, 1.0))
+    c = np.cross(EZ, a)
+    sin = float(np.linalg.norm(c))
+    if sin < 1e-16:
+        return quat_exp(np.zeros(3))
+    # angle/sin -> 1 as the vectors align, so this stays well conditioned
+    return quat_exp(c * (np.arccos(dot) / sin))
 
 
 def image_from_bearing(q: Array) -> Array:

@@ -29,7 +29,6 @@ from .dynamics import (
     ControlInput,
     QuadVisualState,
     _rk4,
-    _rk4_flat,
     fd_jacobian_batch,
     rk4_jacobians,
 )
@@ -195,7 +194,7 @@ def _stage_outputs(x: Array, ref: ReferencePoint, w: CostWeights, q_bc: Array, d
     return res, s_c, ok_c
 
 
-def _stage_jacobians(x: Array, ref: ReferencePoint, w: CostWeights, q_bc: Array, dt: float, h: float = 1e-6):
+def _stage_jacobians(x: Array, ref: ReferencePoint, w: CostWeights, q_bc: Array, dt: float):
     """FD Jacobians of residuals and image coordinates per node; ``ref`` is ``(M,)``."""
     # one reference row per perturbed point: (+/- step, node, component),
     # taken as it is, since normalising a unit quaternion again moves its bits
@@ -205,7 +204,7 @@ def _stage_jacobians(x: Array, ref: ReferencePoint, w: CostWeights, q_bc: Array,
         res, s_c, _ = _stage_outputs(z, ref_tiled, w, q_bc, dt)
         return np.concatenate([res, s_c], axis=1)
 
-    jac = fd_jacobian_batch(fun, x, h)
+    jac = fd_jacobian_batch(fun, x)
     return jac[:, :12], jac[:, 12:]
 
 
@@ -363,17 +362,17 @@ class _Model:
     vis_hi: Array
     s_c: Array
     ok: Array
-    defects: Array
 
 
-def _reduced_model(x, u, problem, outputs, defects=None):
-    """Condensed Gauss-Newton model at (X, U).
+def _reduced_model(x, u, problem, outputs):
+    """Condensed Gauss-Newton model at the rolled-out iterate (X, U).
 
-    ``outputs`` are the ``_stage_outputs`` of ``x``.  The visibility
+    ``outputs`` are the ``_stage_outputs`` of ``x``.  The shooting defects
+    are exactly zero on a rollout, so the state deviations are the input
+    moves mapped through the linearised RK4 map alone.  The visibility
     linearization of node k >= 1 becomes one pair of rows
     ``vis_base + vis_rows @ dU`` between ``vis_lo`` and ``vis_hi``; nodes
-    whose projection is degenerate contribute no rows.  The shooting
-    defects default to zero, as they are exactly on rolled-out iterates.
+    whose projection is degenerate contribute no rows.
     """
     p = problem.params
     n = p.horizon
@@ -382,57 +381,39 @@ def _reduced_model(x, u, problem, outputs, defects=None):
     a_k, b_k = rk4_jacobians(x[:-1], u, p.dt, ext)
     j_res, j_s = _stage_jacobians(x, problem.ref, problem.weights, ext.q_bc, p.dt)
     res, s_c, ok = outputs
-    if defects is None:
-        defects = np.zeros((n, NX))
 
     big_m = np.zeros((n, NX, n * NU))
-    small_m = np.zeros((n, NX))
     big_m[0][:, :NU] = b_k[0]
-    small_m[0] = defects[0]
     for k in range(1, n):
         big_m[k] = a_k[k] @ big_m[k - 1]
         big_m[k][:, k * NU : (k + 1) * NU] += b_k[k]
-        small_m[k] = a_k[k] @ small_m[k - 1] + defects[k]
 
     h_mat = p.reg * np.eye(n * NU)
     g_vec = np.zeros(n * NU)
     for k in range(1, n + 1):
         jm = j_res[k] @ big_m[k - 1]
-        rbar = res[k] + j_res[k] @ small_m[k - 1]
         h_mat += 2.0 * jm.T @ jm
-        g_vec += 2.0 * jm.T @ rbar
+        g_vec += 2.0 * jm.T @ res[k]
     # input regularization around hover (diagonal in the inputs)
     qu = np.tile(problem.weights.q_u, n)
     h_mat[np.diag_indices_from(h_mat)] += 2.0 * p.dt * qu
     g_vec += 2.0 * p.dt * qu * (u.ravel() - np.tile(_HOVER_U, n))
 
     s_rows = np.einsum("kij,kjl->kil", j_s[1:], big_m)  # (n, 2, n*NU)
-    s_off = np.einsum("kij,kj->ki", j_s[1:], small_m)  # (n, 2)
 
+    # the rows of the nodes k >= 1 that project, node by node, u before v
     b = problem.bounds
     margin = p.constraint_margin
-    vis_rows = []
-    vis_base = []
-    vis_lo = []
-    vis_hi = []
-    for k in range(1, n + 1):
-        if not ok[k]:
-            continue
-        for j in range(2):
-            vis_rows.append(s_rows[k - 1, j])
-            vis_base.append(s_c[k, j] + s_off[k - 1, j])
-            vis_lo.append(b.s_min[j] + margin)
-            vis_hi.append(b.s_max[j] - margin)
+    count = int(np.count_nonzero(ok[1:]))
     return _Model(
         h=h_mat,
         g=g_vec,
-        vis_rows=np.array(vis_rows).reshape(-1, n * NU),
-        vis_base=np.array(vis_base),
-        vis_lo=np.array(vis_lo),
-        vis_hi=np.array(vis_hi),
+        vis_rows=s_rows[ok[1:]].reshape(-1, n * NU),
+        vis_base=s_c[1:][ok[1:]].ravel(),
+        vis_lo=np.tile(b.s_min + margin, count),
+        vis_hi=np.tile(b.s_max - margin, count),
         s_c=s_c,
         ok=ok,
-        defects=defects,
     )
 
 
@@ -440,8 +421,7 @@ def _kkt_from_model(u_flat, model, problem, lam_lo, lam_hi):
     """Max-norm KKT residual of the condensed problem at the iterate.
 
     Stationarity uses the visibility-row multipliers from the step QP;
-    feasibility combines the shooting defects with the visibility
-    violation beyond its slacks.
+    feasibility is the visibility violation at the iterate.
     """
     b = problem.bounds
     n = problem.params.horizon
@@ -453,8 +433,7 @@ def _kkt_from_model(u_flat, model, problem, lam_lo, lam_hi):
     stat = float(np.max(np.abs(u_flat - np.clip(u_flat - g_total, lb, ub))))
     m = problem.params.constraint_margin
     viol = _hinge(model.s_c, model.ok, b.s_min + m, b.s_max - m)
-    d_inf = float(np.max(np.abs(model.defects))) if model.defects.size else 0.0
-    return max(stat, d_inf, float(np.max(viol[1:], initial=0.0)))
+    return max(stat, float(np.max(viol[1:], initial=0.0)))
 
 
 def solve(problem: OcpProblem, warm: OcpSolution | None = None) -> OcpSolution:
@@ -463,10 +442,11 @@ def solve(problem: OcpProblem, warm: OcpSolution | None = None) -> OcpSolution:
     Iterates stay on the shooting manifold: every input trajectory is
     rolled out from x0, so the shooting equalities hold exactly at each
     iterate and the merit function is the true discretized cost plus the
-    L1 visibility penalty.  Cold starts use hover inputs.  The best
-    iterate by merit is returned, with the KKT residual of the last
-    iterate the solver linearised: the returned inputs when the solve
-    ends without an accepted step after that linearisation.
+    L1 visibility penalty.  Cold starts use hover inputs, and so does a
+    warm start whose rollout is not finite.  The best iterate by merit is
+    returned, with the KKT residual of the last iterate the solver
+    linearised: the returned inputs when the solve ends without an
+    accepted step after that linearisation.
     """
     p = problem.params
     n = p.horizon
@@ -476,12 +456,14 @@ def solve(problem: OcpProblem, warm: OcpSolution | None = None) -> OcpSolution:
     lb = np.tile(b.input_lower(), n)
     ub = np.tile(b.input_upper(), n)
 
+    starts = [np.tile(ControlInput.hover().as_vector(), (n, 1))]
     if warm is not None and warm.inputs.shape == (n, NU):
-        u = np.clip(warm.inputs.copy(), lb.reshape(n, NU), ub.reshape(n, NU))
-    else:
-        u = np.tile(ControlInput.hover().as_vector(), (n, 1))
-
-    ws = _Workspace(u, problem)
+        # a warm start whose rollout is not finite restarts once from hover
+        starts.insert(0, np.clip(warm.inputs, lb.reshape(n, NU), ub.reshape(n, NU)))
+    for u in starts:
+        ws = _Workspace(u, problem)
+        if ws.finite:
+            break
     merits = [ws.merit]
     best_u, best_ws = u, ws
     status = SolveStatus.MAX_ITERS
@@ -599,43 +581,6 @@ def _infeasible_solution(u, ws, merits, iters_done, problem) -> OcpSolution:
         params=problem.params,
         extrinsics=problem.extrinsics,
     )
-
-
-def kkt_residual_arrays(problem: OcpProblem, x: Array, u: Array) -> float:
-    """KKT residual of an (X, U) pair on the transcribed NLP.
-
-    Visibility multipliers are estimated by one step QP at the point, so
-    active-but-feasible bounds do not inflate the stationarity term.
-    """
-    p = problem.params
-    n = p.horizon
-    ext = problem.extrinsics
-    defects = _rk4_flat(x[:-1], u, p.dt, ext.p_b_cb, ext.q_bc) - x[1:]
-    outputs = _stage_outputs(x, problem.ref, problem.weights, ext.q_bc, p.dt)
-    model = _reduced_model(x, u, problem, outputs, defects)
-    lb = np.tile(problem.bounds.input_lower(), n) - u.ravel()
-    ub = np.tile(problem.bounds.input_upper(), n) - u.ravel()
-    zeros = np.zeros(len(model.vis_rows))
-    _, lam_lo, lam_hi, _, _, _ = _solve_step_qp(
-        model.h, model.g, lb, ub,
-        model.vis_rows, model.vis_base, model.vis_lo, model.vis_hi, zeros, zeros,
-        p.slack_weight, p.qp_tol, p.qp_max_iter,
-    )
-    return _kkt_from_model(u.ravel(), model, problem, lam_lo, lam_hi)
-
-
-def kkt_residual(problem: OcpProblem, solution: OcpSolution) -> float:
-    """Max-norm of stationarity plus feasibility residuals."""
-    return kkt_residual_arrays(problem, solution.states, solution.inputs)
-
-
-def solution_cost(problem: OcpProblem, x: Array, u: Array) -> float:
-    """Discretized objective of a trajectory (stage cost times dt)."""
-    res, _, _ = _stage_outputs(
-        np.atleast_2d(x), problem.ref, problem.weights, problem.extrinsics.q_bc, problem.params.dt
-    )
-    du = np.atleast_2d(u) - _HOVER_U
-    return float(np.sum(res**2)) + problem.params.dt * float(np.sum(du * du * problem.weights.q_u))
 
 
 def shift_warm_start(prev: OcpSolution) -> OcpSolution:

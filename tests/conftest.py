@@ -1,10 +1,20 @@
 """Shared fixtures and independently coded oracles.
 
-The oracles here deliberately avoid the package's own quaternion
+The matrix oracles here deliberately avoid the package's own quaternion
 helpers: rotations go through explicitly assembled 3x3 matrices so the
 library code is checked against a second, independent formulation.
-``composed_dynamics`` is a second formulation of the solver's dynamics
-kernel, built from the package's public rate functions.
+
+The second copy of the coupled dynamics lives here, not in the package:
+``quad_dynamics``, ``camera_twist`` and ``image_dynamics`` compose the
+rates through the broadcasting quaternion helpers, and
+``composed_dynamics`` builds from them a second formulation of the
+solver's hand-expanded kernel ``dynamics._f``.  ``image_dynamics`` calls
+the package's ``dynamics._bearing_rates``, which the prediction study
+runs, so its tests check that code.  ``full_dynamics`` and
+``f_jacobians`` evaluate the solver's kernel and its
+``fd_jacobian_batch`` on typed states, and ``rk4_flat_step`` is one row
+of the solver's RK4 step ``dynamics._rk4_flat``.
+
 ``stage_block`` is not an oracle: it exposes one objective of the
 solver's own stage residuals so the cost tests check the code that runs.
 """
@@ -16,7 +26,15 @@ import pytest
 
 from quadvpc import geometry as g
 from quadvpc.costs import ReferencePoint
-from quadvpc.dynamics import ControlInput, camera_twist, image_dynamics, quad_dynamics
+from quadvpc.dynamics import (
+    GRAVITY_W,
+    CameraTwist,
+    ControlInput,
+    _bearing_rates,
+    _f,
+    _rk4_flat,
+    fd_jacobian_batch,
+)
 from quadvpc.ocp import _stage_jacobians, _stage_outputs
 
 
@@ -81,9 +99,77 @@ def fd_jacobian(fun, x, h=1e-7) -> np.ndarray:
     return np.stack(cols, axis=-1)
 
 
+def rotations_close(q1, q2, tol=1e-9):
+    """Double-cover aware rotation equality: |<q1, q2>| >= 1 - tol."""
+    dot = np.abs(np.sum(np.asarray(q1) * np.asarray(q2), axis=-1))
+    return dot >= 1.0 - tol
+
+
+def bearing_N(q) -> np.ndarray:
+    """3x2 tangent basis of a bearing: columns are q @ e_x and q @ e_y."""
+    return np.stack([g.quat_rotate(q, g.EX), g.quat_rotate(q, g.EY)], axis=-1)
+
+
+def quad_dynamics(v_w, q_wb, u: ControlInput):
+    """Velocity and attitude rates of the quadrotor.
+
+    ``dv_w = q_wb @ (0,0,c) + g_w`` and the body-rate quaternion
+    kinematics.  Thrust and gravity only; no drag, no rotor dynamics.
+    """
+    dv = g.quat_rotate(q_wb, u.c * g.EZ) + GRAVITY_W
+    dq_wb = 0.5 * g.quat_prod(q_wb, g.pure_quat(u.omega_b))
+    return dv, dq_wb
+
+
+def camera_twist(v_w, omega_b, q_wb, ext) -> CameraTwist:
+    """Map body velocity/rates into the camera frame, with lever arm."""
+    omega_b = np.asarray(omega_b, dtype=np.float64)
+    q_cb = g.quat_conj(ext.q_bc)
+    v_b = g.quat_rotate(g.quat_conj(q_wb), v_w) + g._cross(omega_b, ext.p_b_cb)
+    return CameraTwist(g.quat_rotate(q_cb, v_b), g.quat_rotate(q_cb, omega_b))
+
+
+def image_dynamics(q_cl, d: float, twist: CameraTwist):
+    """Bearing and distance rates under a camera twist, by ``_bearing_rates``.
+
+    Returns ``(u_mu, dd)`` with ``u_mu`` the 2D tangent-space angular
+    rate of the bearing, i.e. the camera-frame angular velocity of the
+    bearing projected onto its tangent basis; the quaternion rate is
+    ``dq_cl = 1/2 [0, N(q_cl) u_mu] (x) q_cl``.
+    """
+    u_mu, _, dd = _bearing_rates(q_cl, np.array([d], dtype=np.float64), twist.v_c, twist.w_c)
+    return u_mu, float(dd[0])
+
+
+def full_dynamics(x, u, ext) -> np.ndarray:
+    """``dx/dt`` of the solver's kernel ``_f`` as a flat 12-vector."""
+    return np.array(_f(x.as_vector(), u.as_vector(), ext.p_b_cb, g.quat_to_rotmat(ext.q_bc)))
+
+
+def f_jacobians(x, u, ext):
+    """Jacobians (A, B) of ``_f`` by the solver's ``fd_jacobian_batch``.
+
+    Central finite differences on the flat coordinates; quaternions are
+    treated as raw 4-vectors.
+    """
+    z0 = np.concatenate([x.as_vector(), u.as_vector()])[None, :]
+    r_bc = g.quat_to_rotmat(ext.q_bc)
+
+    def fun(z):
+        return np.array(_f(z[:, :12].T, z[:, 12:].T, ext.p_b_cb, r_bc)).T
+
+    jac = fd_jacobian_batch(fun, z0)[0]
+    return jac[:, :12], jac[:, 12:]
+
+
+def rk4_flat_step(x, u, dt, ext) -> np.ndarray:
+    """One ``dynamics._rk4_flat`` step of one flat state under one flat input."""
+    return _rk4_flat(np.atleast_2d(x), np.atleast_2d(u), dt, ext.p_b_cb, ext.q_bc)[0]
+
+
 def composed_dynamics(z, ext) -> np.ndarray:
-    """Flat derivative of ``z = [x (12), u (4)]`` composed from the public
-    rate functions on the raw vector (quaternions are not renormalized).
+    """Flat derivative of ``z = [x (12), u (4)]`` composed from the rate
+    functions above on the raw vector (quaternions are not renormalized).
 
     A second formulation of the coupled dynamics, through the broadcasting
     quaternion helpers instead of the solver's hand-expanded kernel.

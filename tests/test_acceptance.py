@@ -13,15 +13,8 @@ import pytest
 from quadvpc import geometry as g
 from quadvpc.config import default_config
 from quadvpc.costs import Bounds, CostWeights, ReferencePoint
-from quadvpc.dynamics import (
-    CameraTwist,
-    ControlInput,
-    QuadVisualState,
-    dynamics_jacobians,
-    image_dynamics,
-    propagate_camera_pose,
-)
-from quadvpc.ocp import OcpParams, SolveStatus, build_problem, solution_cost, solve
+from quadvpc.dynamics import CameraTwist, ControlInput, QuadVisualState, propagate_camera_pose
+from quadvpc.ocp import OcpParams, SolveStatus, _Workspace, build_problem, solve
 from quadvpc.outputs import CSV_HEADER, write_run_csv
 from quadvpc.scenarios import (
     bearing_prediction_step,
@@ -34,7 +27,18 @@ from quadvpc.scenarios import (
 )
 from quadvpc.simulator import DEFAULT_EXTRINSICS
 
-from conftest import STAGE_BLOCKS, composed_dynamics, fd_gradient, fd_jacobian, random_quat, stage_block, stage_block_gradient
+from conftest import (
+    STAGE_BLOCKS,
+    bearing_N,
+    composed_dynamics,
+    f_jacobians,
+    fd_gradient,
+    fd_jacobian,
+    image_dynamics,
+    random_quat,
+    stage_block,
+    stage_block_gradient,
+)
 
 
 def report(criterion: str, detail: str):
@@ -66,7 +70,7 @@ def quarter_results():
 
 
 def test_criterion_01_image_dynamics_oracle():
-    """Analytic bearing/distance rates vs exact geometric propagation."""
+    """Analytic bearing/distance rates of ``dynamics._bearing_rates`` vs exact geometric propagation."""
     rng = np.random.default_rng(101)
     delta = 1e-4
     t0 = time.perf_counter()
@@ -78,7 +82,7 @@ def test_criterion_01_image_dynamics_oracle():
         w_c = rng.uniform(-3, 3, 3)
         u_mu, dd = image_dynamics(q_cl, d, CameraTwist(v_c, w_c))
         n0 = g.bearing_n(q_cl)
-        ndot = np.cross(g.bearing_N(q_cl) @ u_mu, n0)
+        ndot = np.cross(bearing_N(q_cl) @ u_mu, n0)
         lm = n0 * d
 
         def bearing_dist(t):
@@ -146,7 +150,7 @@ def test_criterion_03_derivative_checks():
     for _ in range(100):
         x = QuadVisualState(rng.uniform(-5, 5, 3), random_quat(rng), random_quat(rng), rng.uniform(1.0, 10.0))
         u = ControlInput(rng.uniform(2, 20), rng.uniform(-3, 3, 3))
-        a, b = dynamics_jacobians(x, u, ext)
+        a, b = f_jacobians(x, u, ext)
         z0 = np.concatenate([x.as_vector(), u.as_vector()])
         jac = fd_jacobian(lambda z: composed_dynamics(z, ext), z0, h=1e-7)
         scale = np.maximum(np.abs(jac), 1.0)
@@ -335,13 +339,10 @@ def test_criterion_10_small_instance_optimality():
     problem = build_problem(x0, ref, CostWeights(), Bounds(), DEFAULT_EXTRINSICS, params)
     sol = solve(problem)
 
-    from quadvpc.ocp import _rollout
-
     lo = problem.bounds.input_lower()
     hi = problem.bounds.input_upper()
     best = np.inf
     for u in rng.uniform(lo, hi, size=(10_000, horizon, 4)):
-        x = _rollout(x0.as_vector(), u, params.dt, DEFAULT_EXTRINSICS)
-        best = min(best, solution_cost(problem, x, u))
+        best = min(best, _Workspace(u, problem).cost)
     assert sol.cost <= best + 1e-3
     report("10", f"solver {sol.cost:.6f} <= multistart bound {best:.6f} + 1e-3")

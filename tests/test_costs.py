@@ -215,7 +215,7 @@ class TestDynamicVisualWeight:
         assert np.allclose(dynamic_visual_weight(3.0, np.array([1.0, 1.0])), [9.0, 9.0])
 
     def test_clamp_ceiling(self):
-        assert np.allclose(dynamic_visual_weight(100.0, np.array([1.0, 1.0]), d_cap=10.0), [100.0, 100.0])
+        assert np.allclose(dynamic_visual_weight(100.0, np.array([1.0, 1.0])), [100.0, 100.0])
 
 
 def visibility(q_cl, b=Bounds()):

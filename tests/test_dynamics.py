@@ -2,27 +2,34 @@ import numpy as np
 import pytest
 
 from quadvpc import geometry as g
+from quadvpc import dynamics
 from quadvpc.dynamics import (
     CameraExtrinsics,
     CameraTwist,
     ControlInput,
     QuadVisualState,
     _rk4_flat,
-    camera_twist,
-    dynamics_jacobians,
     fd_jacobian_batch,
-    full_dynamics,
     homogeneous_image_dynamics,
-    image_dynamics,
     propagate_camera_pose,
-    quad_dynamics,
     rk4_jacobians,
-    rk4_step,
 )
 from quadvpc.scenarios import bearing_prediction_step, homogeneous_prediction_step
 from quadvpc.simulator import DEFAULT_EXTRINSICS
 
-from conftest import composed_dynamics, fd_jacobian, quat_oracle_from_axis_angle, random_quat
+from conftest import (
+    bearing_N,
+    camera_twist,
+    composed_dynamics,
+    f_jacobians,
+    fd_jacobian,
+    full_dynamics,
+    image_dynamics,
+    quad_dynamics,
+    quat_oracle_from_axis_angle,
+    random_quat,
+    rk4_flat_step,
+)
 
 IDENTITY_EXT = CameraExtrinsics()
 
@@ -133,7 +140,7 @@ class TestImageDynamics:
             w_c = rng.uniform(-3, 3, 3)
             u_mu, dd = image_dynamics(q_cl, d, CameraTwist(v_c, w_c))
             n0 = g.bearing_n(q_cl)
-            ndot = np.cross(g.bearing_N(q_cl) @ u_mu, n0)
+            ndot = np.cross(bearing_N(q_cl) @ u_mu, n0)
 
             lm = n0 * d
 
@@ -166,28 +173,29 @@ class TestFullDynamics:
 
 
 class TestRk4:
+    # the solver's RK4 step, _rk4_flat, on one flat state
     def test_equilibrium_fixed_point(self):
-        x = QuadVisualState(np.zeros(3), g.quat_identity(), g.quat_identity(), 2.0)
-        x1 = rk4_step(x, ControlInput(9.81, np.zeros(3)), 0.05, IDENTITY_EXT)
-        assert np.allclose(x1.as_vector(), x.as_vector(), atol=1e-12)
+        x = QuadVisualState(np.zeros(3), g.quat_identity(), g.quat_identity(), 2.0).as_vector()
+        x1 = rk4_flat_step(x, ControlInput(9.81, np.zeros(3)).as_vector(), 0.05, IDENTITY_EXT)
+        assert np.allclose(x1, x, atol=1e-12)
 
     def test_quaternion_norms_exact(self, rng):
-        x = random_state(rng)
-        x1 = rk4_step(x, random_input(rng), 0.05, DEFAULT_EXTRINSICS)
-        assert abs(np.linalg.norm(x1.q_wb) - 1.0) < 1e-15
-        assert abs(np.linalg.norm(x1.q_cl) - 1.0) < 1e-15
+        x = random_state(rng).as_vector()
+        x1 = rk4_flat_step(x, random_input(rng).as_vector(), 0.05, DEFAULT_EXTRINSICS)
+        assert abs(np.linalg.norm(x1[3:7]) - 1.0) < 1e-15
+        assert abs(np.linalg.norm(x1[7:11]) - 1.0) < 1e-15
 
     def test_fourth_order_convergence(self, rng):
         # halving dt shrinks the end-state error roughly 16x
         x0 = QuadVisualState(v_w=[1.0, -0.5, 0.2], q_wb=g.quat_identity(), q_cl=g.bearing_from_image([0.2, -0.1]), d=4.0)
-        u = ControlInput(11.0, [0.5, -0.4, 0.3])
+        u = ControlInput(11.0, [0.5, -0.4, 0.3]).as_vector()
         horizon = 0.16
 
         def integrate(dt):
-            x = x0
+            x = x0.as_vector()
             for _ in range(int(round(horizon / dt))):
-                x = rk4_step(x, u, dt, DEFAULT_EXTRINSICS)
-            return x.as_vector()
+                x = rk4_flat_step(x, u, dt, DEFAULT_EXTRINSICS)
+            return x
 
         ref = integrate(1e-4)
         e1 = np.linalg.norm(integrate(0.02) - ref)
@@ -195,19 +203,18 @@ class TestRk4:
         assert 10.0 < e1 / e2 < 22.0
 
     def test_speed_conserved_at_hover_thrust(self):
-        x = QuadVisualState(v_w=[1.0, 2.0, 0.0], q_wb=g.quat_identity(), q_cl=g.quat_identity(), d=5.0)
-        u = ControlInput(9.81, np.zeros(3))
+        x = QuadVisualState(v_w=[1.0, 2.0, 0.0], q_wb=g.quat_identity(), q_cl=g.quat_identity(), d=5.0).as_vector()
+        u = ControlInput(9.81, np.zeros(3)).as_vector()
         for _ in range(10):
-            x1 = rk4_step(x, u, 0.05, IDENTITY_EXT)
-            assert abs(np.linalg.norm(x1.v_w) - np.linalg.norm(x.v_w)) < 1e-9
+            x1 = rk4_flat_step(x, u, 0.05, IDENTITY_EXT)
+            assert abs(np.linalg.norm(x1[:3]) - np.linalg.norm(x[:3])) < 1e-9
             x = x1
 
     def test_distance_floor(self):
-        x = QuadVisualState(v_w=[0, 0, 0], q_wb=g.quat_identity(), q_cl=g.quat_identity(), d=0.06)
+        x = QuadVisualState(v_w=[0, 0, 0], q_wb=g.quat_identity(), q_cl=g.quat_identity(), d=0.051).as_vector()
         # approach fast enough to cross the floor within one step
-        ext = IDENTITY_EXT
-        x1 = rk4_step(QuadVisualState(x.v_w, x.q_wb, x.q_cl, 0.051), ControlInput(9.81, np.zeros(3)), 0.5, ext)
-        assert x1.d >= 0.05
+        x1 = rk4_flat_step(x, ControlInput(9.81, np.zeros(3)).as_vector(), 0.5, IDENTITY_EXT)
+        assert x1[11] >= 0.05
 
 
 class TestOneKernel:
@@ -358,14 +365,15 @@ class TestOneKernel:
 
 
 class TestDynamicsJacobians:
+    # fd_jacobian_batch over the solver's kernel _f
     def test_thrust_column_at_identity(self):
         x = QuadVisualState(np.zeros(3), g.quat_identity(), g.quat_identity(), 2.0)
-        _, b = dynamics_jacobians(x, ControlInput(9.81, np.zeros(3)), IDENTITY_EXT)
+        _, b = f_jacobians(x, ControlInput(9.81, np.zeros(3)), IDENTITY_EXT)
         assert np.allclose(b[0:3, 0], [0, 0, 1], atol=1e-9)
 
     def test_distance_rate_independent_of_distance(self, rng):
         x = random_state(rng)
-        a, _ = dynamics_jacobians(x, random_input(rng), DEFAULT_EXTRINSICS)
+        a, _ = f_jacobians(x, random_input(rng), DEFAULT_EXTRINSICS)
         n = g.bearing_n(x.q_cl)
         # dd = -n . v_c has no d dependence
         assert abs(a[11, 11]) < 1e-6
@@ -375,7 +383,7 @@ class TestDynamicsJacobians:
         for _ in range(100):
             x = random_state(rng, d_lo=1.0)
             u = random_input(rng)
-            a, b = dynamics_jacobians(x, u, ext)
+            a, b = f_jacobians(x, u, ext)
             z0 = np.concatenate([x.as_vector(), u.as_vector()])
             jac = fd_jacobian(lambda z: composed_dynamics(z, ext), z0, h=1e-7)
             full = np.hstack([a, b])
@@ -384,13 +392,14 @@ class TestDynamicsJacobians:
 
 
 class TestFdJacobianBatch:
-    def test_linear_map_per_row(self, rng):
+    def test_linear_map_per_row(self, rng, monkeypatch):
         # the + and - halves and the (row, component) order of the one
         # batched call: a linear map's Jacobian is its matrix in every row.
-        # Central differences are exact on it; h = 1e-4 keeps roundoff ~1e-12.
+        # Central differences are exact on it; a step of 1e-4 keeps roundoff ~1e-12.
+        monkeypatch.setattr(dynamics, "FD_STEP", 1e-4)
         m = rng.normal(size=(5, 7))
         z = rng.uniform(-3.0, 3.0, (4, 7))
-        jac = fd_jacobian_batch(lambda zz: zz @ m.T, z, h=1e-4)
+        jac = fd_jacobian_batch(lambda zz: zz @ m.T, z)
         assert jac.shape == (4, 5, 7)
         for row in jac:
             assert np.max(np.abs(row - m)) < 1e-9

@@ -571,6 +571,27 @@ class TestReadme:
         assert 0.0 <= scope["u"].c <= 20.0
 
 
+class TestPublicApi:
+    def test_every_export_has_a_program_reader(self):
+        # each exported name is read by the program itself, not only by tests
+        import ast
+        import types
+
+        import quadvpc
+
+        files = [p for p in (ROOT / "src" / "quadvpc").glob("*.py") if p.name != "__init__.py"]
+        files += [p for p in (ROOT / "bench").glob("*.py") if not p.name.startswith("test_")]
+        loaded = set()
+        for path in files:
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    loaded.add(node.id)
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    loaded.add(node.attr)
+        exports = {name for name in quadvpc.__all__ if not isinstance(getattr(quadvpc, name), types.ModuleType)}
+        assert sorted(exports - loaded) == []
+
+
 class TestBenchSurface:
     @pytest.mark.parametrize("workload", ["hover_hold", "gate_reach", "track_fast"])
     def test_setup_probe_runs(self, workload):
