@@ -1,13 +1,15 @@
 """Weights, bounds and references of the servoing OCP.
 
-The three stage objectives (visual servoing: rotation-compensated image
-error plus distance error; perception: feature pulled toward the image
-center; action: velocity and attitude tracking) and the image-plane
-visibility box are evaluated once, as the solver's batched residuals and
-hinge in :mod:`quadvpc.ocp`.  This module holds what they are weighted,
-bounded and compared with: the cost weights, the visibility and
-thrust/body-rate boxes, the reference of one node or a whole horizon,
-the dynamic distance-based visual weight, and the input clamp.
+The three stage objectives (visual servoing: the rotation-compensated
+bearing's error from the target bearing, plus distance error;
+perception: the bearing pulled toward the optical axis; action: velocity
+and attitude tracking) and the visibility cone are evaluated once, on the
+feature's unit bearing ``n``, as the solver's batched residuals and hinge
+in :mod:`quadvpc.ocp`.  This module holds what they are weighted,
+bounded and compared with: the cost weights, the image box that the cone
+``s_min n_z <= n_xy <= s_max n_z`` is built from, the thrust/body-rate
+boxes, the reference of one node or a whole horizon, the dynamic
+distance-based visual weight, and the input clamp.
 
 All weights are diagonal and stored as vectors of diagonal entries.
 """
@@ -20,10 +22,6 @@ import numpy as np
 
 from .dynamics import ControlInput, _vec3
 from .geometry import Array
-
-# Stage-cost value substituted when a projection is degenerate: keeps the
-# NLP finite while making behind-camera states strongly repellent.
-PENALTY_CEILING = 1e6
 
 # Ceiling of the dynamic visual-weight scaling, in meters.
 D_CAP = 10.0

@@ -197,30 +197,16 @@ def bearing_n(q: Array) -> Array:
     return quat_rotate(q, EZ)
 
 
-def project_guarded(v: Array):
-    """Homogeneous projection with a validity mask instead of raising.
-
-    Returns ``(s, ok)`` where ``s`` is ``(x/z, y/z)`` (zeros where
-    invalid) and ``ok`` marks entries with ``z > EPS_Z``.  Used by batched
-    code paths that handle degeneracy via penalties.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    z = v[..., 2]
-    ok = z > EPS_Z
-    z_safe = np.where(ok, z, 1.0)
-    s = v[..., :2] / z_safe[..., None]
-    return np.where(ok[..., None], s, 0.0), ok
-
-
 def to_homogeneous(v: Array) -> Array:
     """Normalized image coordinates ``(x/z, y/z)`` of a 3D point.
 
     Raises :class:`DegenerateProjection` if any entry has ``z <= EPS_Z``.
     """
-    s, ok = project_guarded(v)
-    if not np.all(ok):
+    v = np.asarray(v, dtype=np.float64)
+    z = v[..., 2]
+    if not np.all(z > EPS_Z):
         raise DegenerateProjection("point behind or grazing the image plane")
-    return s
+    return v[..., :2] / z[..., None]
 
 
 def bearing_from_image(s: Array) -> Array:

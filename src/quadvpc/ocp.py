@@ -4,8 +4,17 @@ The horizon is discretized into N RK4 shooting intervals with per-node
 state variables.  Each SQP iteration linearizes the shooting map,
 condenses the state deviations onto the input moves, builds a
 Gauss-Newton quadratic model of the stage costs, and solves a
-box-constrained QP with L1-penalized slacks on the visibility bounds.
+box-constrained QP with L1-penalized slacks on the visibility rows.
 Steps are globalized by an Armijo line search on an L1 merit function.
+
+The objectives and the visibility constraint read the feature's unit
+bearing ``n``, never the image coordinate ``n_xy / n_z``, so nothing
+divides by depth.  Visibility is the linear cone ``cone @ n <= 0``,
+``(s_min + m) n_z <= n_xy <= (s_max - m) n_z``: for ``n_z > 0`` it is the
+image box shrunk by the margin ``m``, and it excludes ``n_z <= 0`` by
+itself.  Every node k >= 1 therefore contributes the same four one-sided
+rows to every model, and the step QP's row multipliers are carried from
+one SQP iteration to the next.
 
 Input boxes are handled by clamping/projection and are never violated in
 a returned solution.  Returned state trajectories are re-rolled from the
@@ -35,7 +44,6 @@ from .dynamics import (
 from .geometry import (
     EZ,
     Array,
-    project_guarded,
     quat_conj,
     quat_normalize,
     quat_prod,
@@ -143,24 +151,25 @@ def build_problem(
 
 
 def _stage_outputs(x: Array, ref: ReferencePoint, w: CostWeights, q_bc: Array, dt: float):
-    """Batched stage residuals and image coordinates.
+    """Batched stage residuals and unit bearings.
 
     This is the one definition of the three objectives.  ``x`` is
     ``(M, 12)`` with one row per horizon node (possibly tiled for finite
     differencing), and ``ref`` has leading shape ``(M,)`` or ``()``.
     Returns the sqrt-weighted residual vector ``(M, 12)`` whose squared
-    norm is the stage cost times dt, the uncompensated image coordinate
-    ``(M, 2)``, and its validity mask.  The residual columns are, in
+    norm is the stage cost times dt, and the unit bearing ``n_c (M, 3)``
+    that the visibility cone constrains.  The residual columns are, in
     blocks:
 
-    - ``0:2`` rotation-compensated image error and ``2`` distance error
+    - ``0:2`` the ``xy`` error of the rotation-compensated bearing from the
+      target bearing ``n* = (s*, 1) / |(s*, 1)|`` and ``2`` distance error
       (visual servoing);
-    - ``3:5`` uncompensated image coordinate (perception);
+    - ``3:5`` the ``xy`` of the bearing, zero on the optical axis
+      (perception);
     - ``5:8`` velocity error and ``8:12`` sign-aligned attitude error
       (action).
 
-    Degenerate projections contribute the penalty-ceiling cost through
-    constant residual entries.
+    Every entry is defined on the whole bearing sphere.
     """
     v_w = x[:, 0:3]
     q_wb = x[:, 3:7]
@@ -168,22 +177,19 @@ def _stage_outputs(x: Array, ref: ReferencePoint, w: CostWeights, q_bc: Array, d
     d = x[:, 11]
 
     sdt = np.sqrt(dt)
-    fill = np.sqrt(_costs.PENALTY_CEILING * dt / 2.0)
 
     # visual servoing: compensate by the attitude deviation from the reference
     q_rel = quat_normalize(quat_prod(quat_conj(ref.q_star), q_wb))
     q_comp = quat_normalize(
         quat_prod(quat_prod(quat_conj(q_bc), quat_prod(q_rel, q_bc)), q_cl)
     )
-    s_comp, ok_comp = project_guarded(quat_rotate(q_comp, EZ))
-    r_img = np.sqrt(w.q_s) * (s_comp - ref.s_star) * sdt
-    r_img = np.where(ok_comp[:, None], r_img, fill)
+    n_star = ref.s_star / np.sqrt(1.0 + np.sum(ref.s_star * ref.s_star, axis=-1, keepdims=True))
+    r_img = np.sqrt(w.q_s) * (quat_rotate(q_comp, EZ)[:, :2] - n_star) * sdt
     r_dist = (np.sqrt(w.q_d) * (d - ref.d_star) * sdt)[:, None]
 
     # perception
-    s_c, ok_c = project_guarded(quat_rotate(q_cl, EZ))
-    r_per = np.sqrt(w.q_p) * s_c * sdt
-    r_per = np.where(ok_c[:, None], r_per, fill)
+    n_c = quat_rotate(q_cl, EZ)
+    r_per = np.sqrt(w.q_p) * n_c[:, :2] * sdt
 
     # action
     sgn = np.where(np.sum(q_wb * ref.q_star, axis=-1) >= 0.0, 1.0, -1.0)[:, None]
@@ -191,18 +197,17 @@ def _stage_outputs(x: Array, ref: ReferencePoint, w: CostWeights, q_bc: Array, d
     r_att = np.sqrt(w.q_q) * (sgn * q_wb - ref.q_star) * sdt
 
     res = np.concatenate([r_img, r_dist, r_per, r_vel, r_att], axis=1)
-    return res, s_c, ok_c
+    return res, n_c
 
 
 def _stage_jacobians(x: Array, ref: ReferencePoint, w: CostWeights, q_bc: Array, dt: float):
-    """FD Jacobians of residuals and image coordinates per node; ``ref`` is ``(M,)``."""
+    """FD Jacobians of residuals and bearings per node; ``ref`` is ``(M,)``."""
     # one reference row per perturbed point: (+/- step, node, component),
     # taken as it is, since normalising a unit quaternion again moves its bits
     ref_tiled = ref._take(np.tile(np.repeat(np.arange(len(x)), NX), 2))
 
     def fun(z):
-        res, s_c, _ = _stage_outputs(z, ref_tiled, w, q_bc, dt)
-        return np.concatenate([res, s_c], axis=1)
+        return np.concatenate(_stage_outputs(z, ref_tiled, w, q_bc, dt), axis=1)
 
     jac = fd_jacobian_batch(fun, x)
     return jac[:, :12], jac[:, 12:]
@@ -213,7 +218,8 @@ def _rollout(x0: Array, u: Array, dt: float, ext: CameraExtrinsics) -> Array:
 
     The steps run on Python floats; numpy scalars would cost several times
     more per operation.  After a float division by zero the rest is stepped
-    on arrays, whose inf/NaN equal the batched kernel's.
+    on arrays, whose inf/NaN equal the batched kernel's; they are the
+    result, so their warnings are silenced.
     """
     r_bc = quat_to_rotmat(ext.q_bc)
     floats = (float(dt), ext.p_b_cb.tolist(), r_bc.tolist())
@@ -222,46 +228,52 @@ def _rollout(x0: Array, u: Array, dt: float, ext: CameraExtrinsics) -> Array:
         for uk in u.tolist():
             states.append(_rk4(states[-1], uk, *floats))
     except ZeroDivisionError:
-        for uk in u[len(states) - 1 :]:
-            states.append(_rk4(np.array(states[-1]), uk, dt, ext.p_b_cb, r_bc))
+        with np.errstate(all="ignore"):
+            for uk in u[len(states) - 1 :]:
+                states.append(_rk4(np.array(states[-1]), uk, dt, ext.p_b_cb, r_bc))
     return np.array(states)
 
 
-def _hinge(s: Array, ok: Array, s_min: Array, s_max: Array) -> Array:
-    """Per-node visibility violation, (M,) nonnegative."""
-    low = np.maximum(0.0, s_min - s)
-    high = np.maximum(0.0, s - s_max)
-    v = np.sum(low + high, axis=-1)
-    # behind-camera nodes are repelled through the cost ceiling instead
-    return np.where(ok, v, 0.0)
+def _cone(problem: OcpProblem) -> Array:
+    """The ``(4, 3)`` visibility cone: ``cone @ n <= 0`` on a unit bearing.
+
+    Its rows are ``(s_min + m) n_z - n_xy <= 0`` then
+    ``n_xy - (s_max - m) n_z <= 0``, ``u`` before ``v``, with the margin
+    ``m``.  For ``n_z > 0`` they hold iff ``n_xy / n_z`` lies in the shrunk
+    image box; no bearing with ``n_z <= 0`` satisfies all four.
+    """
+    m = problem.params.constraint_margin
+    lo = problem.bounds.s_min + m
+    hi = problem.bounds.s_max - m
+    return np.array([[-1.0, 0.0, lo[0]], [0.0, -1.0, lo[1]], [1.0, 0.0, -hi[0]], [0.0, 1.0, -hi[1]]])
 
 
-def _solve_step_qp(h_mat, g_vec, lb, ub, vis_rows, vis_base, vis_lo, vis_hi, lam_lo, lam_hi, rho, tol, max_iter):
-    """Box QP with L1-penalized slacks on the linear visibility rows.
+def _hinge(n: Array, cone: Array) -> Array:
+    """Per-node violation of the visibility cone by the bearings ``n``, (M,) nonnegative."""
+    return np.sum(np.maximum(0.0, n @ cone.T), axis=-1)
 
-    Each row bound ``t = lo - y <= 0`` or ``t = y - hi <= 0`` gets a slack
-    of price ``rho``.  An augmented Lagrangian over the bounds, with the
-    slacks eliminated in closed form, leaves a smooth box problem per
-    outer pass: its penalty ``fc (2 f - fc) / (2 mu)``, with
-    ``f = lam + mu t`` and ``fc = clip(f, 0, rho)``, is quadratic while
-    ``0 < f < rho`` and linear of slope ``rho`` beyond, where the slack
-    takes up the violation.  The multipliers ``clip(f, 0, rho)`` then
-    converge to those of the exact L1 penalty from any start in
-    ``[0, rho]``; ``lam_lo``/``lam_hi`` are that start, so a caller can
-    pass those of a QP with the same rows.  ``mu`` starts at ``10 rho``
-    and grows tenfold, up to ``1e6 rho``, after a pass that cuts the
-    change of the multipliers less than tenfold.  Each inner problem is
-    solved by projected Newton; its backtracking search scores all 30
-    trial steps in one batch.  With no rows the first outer pass solves
-    the whole problem.
 
-    Returns (step, row multipliers lo/hi, slack values, violation sum,
+def _solve_step_qp(h_mat, g_vec, lb, ub, vis_rows, vis_base, lam, rho, tol, max_iter):
+    """Box QP with L1-penalized slacks on one-sided linear rows.
+
+    Each row ``t = vis_rows @ z + vis_base <= 0`` gets a slack of price
+    ``rho``.  An augmented Lagrangian over the rows, with the slacks
+    eliminated in closed form, leaves a smooth box problem per outer
+    pass: its penalty ``fc (2 f - fc) / (2 mu)``, with ``f = lam + mu t``
+    and ``fc = clip(f, 0, rho)``, is quadratic while ``0 < f < rho`` and
+    linear of slope ``rho`` beyond, where the slack takes up the
+    violation.  The multipliers ``clip(f, 0, rho)`` then converge to
+    those of the exact L1 penalty from any start ``lam`` in ``[0, rho]``,
+    so a caller can pass those of a QP with the same rows.  ``mu`` starts
+    at ``10 rho`` and grows tenfold, up to ``1e6 rho``, after a pass that
+    cuts the change of the multipliers less than tenfold.  Each inner
+    problem is solved by projected Newton; its backtracking search scores
+    all 30 trial steps in one batch.  With no rows the first outer pass
+    solves the whole problem.
+
+    Returns (step, row multipliers, slack values, violation sum,
     projected-Newton steps).
     """
-    n_rows = len(vis_rows)
-    rows = np.vstack([-vis_rows, vis_rows])  # t = rows @ z + off, lower bounds first
-    off = np.concatenate([vis_lo - vis_base, vis_base - vis_hi])
-    lam = np.concatenate([lam_lo, lam_hi])
     mu = 10.0 * rho
     alphas = 0.5 ** np.arange(30)
     steps = 0
@@ -270,14 +282,14 @@ def _solve_step_qp(h_mat, g_vec, lb, ub, vis_rows, vis_base, vis_lo, vis_hi, lam
     for _outer in range(12):
         z_pass = z
         for _inner in range(max_iter):
-            f = lam + mu * (rows @ z + off)
+            f = lam + mu * (vis_rows @ z + vis_base)
             fc = np.clip(f, 0.0, rho)
             grad_q = h_mat @ z + g_vec
-            grad = grad_q + fc @ rows
+            grad = grad_q + fc @ vis_rows
             pg = np.max(np.abs(z - np.clip(z - grad, lb, ub)))
             if pg < tol:
                 break
-            curved = rows[(f > 0.0) & (f < rho)]
+            curved = vis_rows[(f > 0.0) & (f < rho)]
             h_eff = h_mat + mu * curved.T @ curved if len(curved) else h_mat
             # inputs within eps of a bound they are pushed against move onto
             # it and leave the Newton system; an input left free there can
@@ -298,8 +310,7 @@ def _solve_step_qp(h_mat, g_vec, lb, ub, vis_rows, vis_base, vis_lo, vis_hi, lam
             # above roundoff; the longest step that decreases it is taken
             z_t = np.clip(z + alphas[:, None] * dz, lb, ub)
             moves = z_t - z
-            dy = moves @ vis_rows.T
-            f_t = f + mu * np.hstack([-dy, dy])
+            f_t = f + mu * (moves @ vis_rows.T)
             fc_t = np.clip(f_t, 0.0, rho)
             pen_t = np.sum(fc_t * (2.0 * f_t - fc_t), axis=1)
             pen = np.sum(fc * (2.0 * f - fc))
@@ -308,7 +319,7 @@ def _solve_step_qp(h_mat, g_vec, lb, ub, vis_rows, vis_base, vis_lo, vis_hi, lam
             if not len(better):
                 break
             z = z_t[better[0]]
-        new = np.clip(lam + mu * (rows @ z + off), 0.0, rho)
+        new = np.clip(lam + mu * (vis_rows @ z + vis_base), 0.0, rho)
         change = np.max(np.abs(new - lam), initial=0.0)
         lam = new
         residual = change / mu  # how far the moved bounds are from holding
@@ -322,9 +333,8 @@ def _solve_step_qp(h_mat, g_vec, lb, ub, vis_rows, vis_base, vis_lo, vis_hi, lam
         if residual > 0.1 * last:
             mu = min(10.0 * mu, 1e6 * rho)
         last = residual
-    t = np.maximum(0.0, rows @ z + off)
-    slack = t[:n_rows] + t[n_rows:]
-    return z, lam[:n_rows], lam[n_rows:], slack, float(np.sum(slack)), steps
+    slack = np.maximum(0.0, vis_rows @ z + vis_base)
+    return z, lam, slack, float(np.sum(slack)), steps
 
 
 _HOVER_U = np.array([9.81, 0.0, 0.0, 0.0])
@@ -339,15 +349,19 @@ class _Workspace:
         p = problem.params
         ext = problem.extrinsics
         self.x = _rollout(problem.x0.as_vector(), u, p.dt, ext)
-        self.outputs = res, s_c, ok = _stage_outputs(self.x, problem.ref, problem.weights, ext.q_bc, p.dt)
+        self.outputs = None
+        self.cost = self.viol_sum = self.viol_max = self.merit = float("nan")
+        self.finite = bool(np.all(np.isfinite(self.x)))
+        if not self.finite:  # a diverged rollout is rejected unevaluated
+            return
+        self.outputs = res, n_c = _stage_outputs(self.x, problem.ref, problem.weights, ext.q_bc, p.dt)
         du = u - _HOVER_U
         self.cost = float(np.sum(res**2)) + p.dt * float(np.sum(du * du * problem.weights.q_u))
-        m = p.constraint_margin
-        viol = _hinge(s_c, ok, problem.bounds.s_min + m, problem.bounds.s_max - m)
-        self.viol_sum = float(np.sum(viol[1:]))
-        self.viol_max = float(np.max(viol[1:], initial=0.0))
+        viol = _hinge(n_c[1:], _cone(problem))
+        self.viol_sum = float(np.sum(viol))
+        self.viol_max = float(np.max(viol, initial=0.0))
         self.merit = self.cost + p.slack_weight * self.viol_sum
-        self.finite = bool(np.isfinite(self.merit)) and bool(np.all(np.isfinite(self.x)))
+        self.finite = bool(np.isfinite(self.merit))
 
 
 @dataclass
@@ -358,10 +372,6 @@ class _Model:
     g: Array
     vis_rows: Array
     vis_base: Array
-    vis_lo: Array
-    vis_hi: Array
-    s_c: Array
-    ok: Array
 
 
 def _reduced_model(x, u, problem, outputs):
@@ -370,17 +380,16 @@ def _reduced_model(x, u, problem, outputs):
     ``outputs`` are the ``_stage_outputs`` of ``x``.  The shooting defects
     are exactly zero on a rollout, so the state deviations are the input
     moves mapped through the linearised RK4 map alone.  The visibility
-    linearization of node k >= 1 becomes one pair of rows
-    ``vis_base + vis_rows @ dU`` between ``vis_lo`` and ``vis_hi``; nodes
-    whose projection is degenerate contribute no rows.
+    cone of node k >= 1 becomes four one-sided rows
+    ``vis_base + vis_rows @ dU <= 0``, for every node: ``4N`` rows in all.
     """
     p = problem.params
     n = p.horizon
     ext = problem.extrinsics
 
     a_k, b_k = rk4_jacobians(x[:-1], u, p.dt, ext)
-    j_res, j_s = _stage_jacobians(x, problem.ref, problem.weights, ext.q_bc, p.dt)
-    res, s_c, ok = outputs
+    j_res, j_n = _stage_jacobians(x, problem.ref, problem.weights, ext.q_bc, p.dt)
+    res, n_c = outputs
 
     big_m = np.zeros((n, NX, n * NU))
     big_m[0][:, :NU] = b_k[0]
@@ -399,41 +408,29 @@ def _reduced_model(x, u, problem, outputs):
     h_mat[np.diag_indices_from(h_mat)] += 2.0 * p.dt * qu
     g_vec += 2.0 * p.dt * qu * (u.ravel() - np.tile(_HOVER_U, n))
 
-    s_rows = np.einsum("kij,kjl->kil", j_s[1:], big_m)  # (n, 2, n*NU)
-
-    # the rows of the nodes k >= 1 that project, node by node, u before v
-    b = problem.bounds
-    margin = p.constraint_margin
-    count = int(np.count_nonzero(ok[1:]))
+    cone = _cone(problem)
     return _Model(
         h=h_mat,
         g=g_vec,
-        vis_rows=s_rows[ok[1:]].reshape(-1, n * NU),
-        vis_base=s_c[1:][ok[1:]].ravel(),
-        vis_lo=np.tile(b.s_min + margin, count),
-        vis_hi=np.tile(b.s_max - margin, count),
-        s_c=s_c,
-        ok=ok,
+        vis_rows=((cone @ j_n[1:]) @ big_m).reshape(4 * n, n * NU),
+        vis_base=(n_c[1:] @ cone.T).ravel(),
     )
 
 
-def _kkt_from_model(u_flat, model, problem, lam_lo, lam_hi):
+def _kkt_from_model(u_flat, model, problem, lam, viol_max):
     """Max-norm KKT residual of the condensed problem at the iterate.
 
     Stationarity uses the visibility-row multipliers from the step QP;
-    feasibility is the visibility violation at the iterate.
+    feasibility is the iterate's largest visibility violation of a node,
+    ``viol_max``.
     """
     b = problem.bounds
     n = problem.params.horizon
-    g_total = model.g.copy()
-    if len(model.vis_rows):
-        g_total += model.vis_rows.T @ (lam_hi - lam_lo)
+    g_total = model.g + model.vis_rows.T @ lam
     lb = np.tile(b.input_lower(), n)
     ub = np.tile(b.input_upper(), n)
     stat = float(np.max(np.abs(u_flat - np.clip(u_flat - g_total, lb, ub))))
-    m = problem.params.constraint_margin
-    viol = _hinge(model.s_c, model.ok, b.s_min + m, b.s_max - m)
-    return max(stat, float(np.max(viol[1:], initial=0.0)))
+    return max(stat, viol_max)
 
 
 def solve(problem: OcpProblem, warm: OcpSolution | None = None) -> OcpSolution:
@@ -469,7 +466,7 @@ def solve(problem: OcpProblem, warm: OcpSolution | None = None) -> OcpSolution:
     status = SolveStatus.MAX_ITERS
     qp_steps = 0
     iters_done = 0
-    prev_ok, lam_lo, lam_hi = None, None, None  # the previous model's rows and their multipliers
+    lam = np.zeros(4 * n)  # multipliers of the visibility rows, the same rows in every model
     kkt_u, kkt_out = None, float("inf")  # the last linearised iterate and its KKT residual
 
     if not ws.finite:
@@ -483,16 +480,11 @@ def solve(problem: OcpProblem, warm: OcpSolution | None = None) -> OcpSolution:
     for _ in range(p.max_sqp_iters):
         iters_done += 1
         model = _reduced_model(ws.x, u, problem, ws.outputs)
-        # the same nodes give the same rows, so the last multipliers start the QP
-        if prev_ok is None or not np.array_equal(model.ok, prev_ok):
-            lam_lo = lam_hi = np.zeros(len(model.vis_rows))
-        prev_ok = model.ok
-
         lb_step = np.maximum(lb - u.ravel(), -tr_radius * tr_scale)
         ub_step = np.minimum(ub - u.ravel(), tr_radius * tr_scale)
-        du, lam_lo, lam_hi, _, lin_viol, steps = _solve_step_qp(
-            model.h, model.g, lb_step, ub_step,
-            model.vis_rows, model.vis_base, model.vis_lo, model.vis_hi, lam_lo, lam_hi,
+        # the last QP's multipliers start this one
+        du, lam, _, lin_viol, steps = _solve_step_qp(
+            model.h, model.g, lb_step, ub_step, model.vis_rows, model.vis_base, lam,
             p.slack_weight, p.qp_tol, p.qp_max_iter,
         )
         qp_steps += steps
@@ -500,7 +492,7 @@ def solve(problem: OcpProblem, warm: OcpSolution | None = None) -> OcpSolution:
             status = SolveStatus.INFEASIBLE
             break
 
-        kkt_u, kkt_out = u, _kkt_from_model(u.ravel(), model, problem, lam_lo, lam_hi)
+        kkt_u, kkt_out = u, _kkt_from_model(u.ravel(), model, problem, lam, ws.viol_max)
         if kkt_out < p.sqp_tol or np.max(np.abs(du)) < 1e-9:
             status = SolveStatus.CONVERGED
             break

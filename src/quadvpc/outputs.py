@@ -16,9 +16,7 @@ import numpy as np
 
 from .simulator import RunLog
 
-CSV_HEADER = (
-    "t,px,py,pz,vx,vy,vz,qw,qx,qy,qz,su,sv,d,c,wx,wy,wz,solve_ms,kkt,visible"
-)
+CSV_HEADER = "t,px,py,pz,vx,vy,vz,qw,qx,qy,qz,su,sv,d,c,wx,wy,wz,solve_ms,kkt"
 SOLVER_TRACE_HEADER = "run,t,sqp_iters,qp_iters,slack_max,status"
 
 SUMMARY_SCHEMA_VERSION = 1
@@ -40,8 +38,7 @@ def write_run_csv(log: RunLog, path: str | Path) -> Path:
             log.solve_ms[i],
             log.kkt[i],
         ]
-        row = ",".join(f"{v:.12g}" for v in vals) + f",{int(log.visible[i])}"
-        lines.append(row)
+        lines.append(",".join(f"{v:.12g}" for v in vals))
     _write_text(path, "\n".join(lines) + "\n")
     return path
 

@@ -251,7 +251,6 @@ class RunLog:
     qp_iters: Array
     slack_max: Array
     status: list
-    visible: Array
     outcome: str
     fail_time: float | None = None
     fail_reason: str | None = None
@@ -281,7 +280,6 @@ class RunLog:
             qp_iters=np.zeros(0),
             slack_max=np.zeros(0),
             status=[],
-            visible=np.zeros(0, dtype=bool),
             outcome=outcome,
             fail_time=0.0,
             fail_reason=fail_reason,
@@ -310,7 +308,7 @@ def run_closed_loop(
     ps = plant0
     n_ticks = int(round(duration / dt))
 
-    rows = {key: [] for key in ("t", "p_w", "v_w", "q_wb", "s_c", "d", "u", "ref_s", "ref_d", "solve_ms", "kkt", "sqp_iters", "qp_iters", "slack_max", "visible")}
+    rows = {key: [] for key in ("t", "p_w", "v_w", "q_wb", "s_c", "d", "u", "ref_s", "ref_d", "solve_ms", "kkt", "sqp_iters", "qp_iters", "slack_max")}
     status: list = []
     outcome = "success"
     fail_time = None
@@ -342,7 +340,6 @@ def run_closed_loop(
         rows["sqp_iters"].append(sol.sqp_iters)
         rows["qp_iters"].append(sol.qp_iters)
         rows["slack_max"].append(sol.slack_max)
-        rows["visible"].append(True)
         status.append(sol.status.value)
 
         ps = plant_step(ps, u, dt)
@@ -369,7 +366,6 @@ def run_closed_loop(
         qp_iters=np.array(rows["qp_iters"]),
         slack_max=np.array(rows["slack_max"]),
         status=status,
-        visible=np.array(rows["visible"], dtype=bool),
         outcome=outcome,
         fail_time=fail_time,
         fail_reason=fail_reason,

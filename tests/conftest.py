@@ -200,21 +200,21 @@ def stage_block(x, ref, w, block, q_bc=None):
     """One node's objective through the solver's own residuals, at dt = 1.
 
     Evaluates ``ocp._stage_outputs`` on the raw flat state (quaternions
-    are not renormalized) and returns ``(cost, r, ok)``: the sum of
-    squares of the ``block`` residuals, those residuals, and the
-    perception validity flag.
+    are not renormalized) and returns ``(cost, r, n)``: the sum of
+    squares of the ``block`` residuals, those residuals, and the node's
+    unit bearing.
     """
     x, ref, q_bc = _stage_node(x, ref, q_bc)
-    res, _, ok = _stage_outputs(x, ref, w, q_bc, 1.0)
+    res, n_c = _stage_outputs(x, ref, w, q_bc, 1.0)
     r = res[0, STAGE_BLOCKS[block]]
-    return float(np.sum(r * r)), r, bool(ok[0])
+    return float(np.sum(r * r)), r, n_c[0]
 
 
 def stage_block_gradient(x, ref, w, block, q_bc=None):
     """The solver's gradient of ``stage_block``: ``2 J[block]^T r[block]``,
     with ``J`` from ``ocp._stage_jacobians``."""
     x, ref, q_bc = _stage_node(x, ref, q_bc)
-    res, _, _ = _stage_outputs(x, ref, w, q_bc, 1.0)
+    res, _ = _stage_outputs(x, ref, w, q_bc, 1.0)
     j_res, _ = _stage_jacobians(x, ref, w, q_bc, 1.0)
     cols = STAGE_BLOCKS[block]
     return 2.0 * j_res[0, cols].T @ res[0, cols]
@@ -232,7 +232,7 @@ def gate_tail_qp():
     A real instance from the tail of the gate-reaching solves, with every
     visibility row in the model.  Captured from the solver's own call, it
     is a dict of ``_solve_step_qp`` arguments without the starting
-    multipliers ``lam_lo``/``lam_hi``.
+    multipliers ``lam``.
     """
     import inspect
 
@@ -255,5 +255,5 @@ def gate_tail_qp():
     finally:
         ocp._solve_step_qp = solve_qp
     qp = calls[0]
-    del qp["lam_lo"], qp["lam_hi"]
+    del qp["lam"]
     return qp

@@ -1,9 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from quadvpc import geometry as g
 from quadvpc.costs import (
-    PENALTY_CEILING,
     Bounds,
     ControlInput,
     CostWeights,
@@ -12,7 +13,7 @@ from quadvpc.costs import (
     dynamic_visual_weight,
 )
 from quadvpc.dynamics import QuadVisualState
-from quadvpc.ocp import OcpParams, _hinge, _reduced_model, _stage_outputs, build_problem
+from quadvpc.ocp import OcpParams, _cone, _hinge, _reduced_model, _stage_outputs, build_problem
 from quadvpc.simulator import DEFAULT_EXTRINSICS
 
 from conftest import (
@@ -23,9 +24,6 @@ from conftest import (
     stage_block,
     stage_block_gradient,
 )
-
-# residual entry that replaces a degenerate projection's image error at dt = 1
-FILL = np.sqrt(PENALTY_CEILING / 2.0)
 
 
 def make_state(rng, front_only=True):
@@ -50,14 +48,15 @@ def make_ref(rng):
     )
 
 
-def compensated_image(q_wb, q_cl):
+def compensated_image(q_wb, q_cl, q_star=None, q_bc=None):
     """Image residual of the visual servoing block with unit image weight,
-    no distance weight, ``s* = 0``, an identity reference attitude and an
-    identity camera mounting: the rotation-compensated image coordinate."""
+    no distance weight and ``s* = 0`` (so ``n* = e_z``): the ``xy`` of the
+    rotation-compensated bearing.  The reference attitude and the camera
+    mounting default to identity."""
     x = QuadVisualState(np.zeros(3), q_wb, q_cl, 3.0)
-    ref = ReferencePoint(np.zeros(2), 3.0, np.zeros(3), g.quat_identity())
+    ref = ReferencePoint(np.zeros(2), 3.0, np.zeros(3), g.quat_identity() if q_star is None else q_star)
     w = CostWeights(q_s=np.ones(2), q_d=0.0)
-    _, r, _ = stage_block(x, ref, w, "visual_servo")
+    _, r, _ = stage_block(x, ref, w, "visual_servo", q_bc=q_bc)
     return r[:2]
 
 
@@ -65,7 +64,7 @@ class TestRotationCompensatedImage:
     def test_identity_attitude_collapses(self, rng):
         q_cl = g.bearing_from_image(np.array([0.3, -0.2]))
         out = compensated_image(g.quat_identity(), q_cl)
-        assert np.allclose(out, g.image_from_bearing(q_cl), atol=1e-15)
+        assert np.allclose(out, rotmat_oracle(q_cl)[:2, 2], atol=1e-15)
 
     def test_yaw_about_bearing_axis_at_center(self):
         q_wb = g.quat_yaw(0.7)
@@ -76,15 +75,27 @@ class TestRotationCompensatedImage:
         pitch = np.radians(10)
         q_wb = quat_oracle_from_axis_angle([0, 1, 0], pitch)
         out = compensated_image(q_wb, g.quat_identity())
-        v = rotmat_oracle(q_wb) @ np.array([0, 0, 1.0])
-        assert np.allclose(out, v[:2] / v[2], atol=1e-12)
+        v = rotmat_oracle(q_wb) @ g.EZ
+        assert np.allclose(out, v[:2], atol=1e-12)
 
     def test_degenerate_raises(self):
-        # the compensated bearing points away from the image plane; the
-        # solver fills the image residual instead of raising
+        # the compensated bearing points away from the image plane; it is
+        # still defined, and still the rotation-matrix oracle's bearing
         q_wb = quat_oracle_from_axis_angle([0, 1, 0], np.pi)
         out = compensated_image(q_wb, g.quat_identity())
-        assert np.all(out == FILL)
+        v = rotmat_oracle(q_wb) @ g.EZ
+        assert v[2] < 0.0
+        assert np.allclose(out, v[:2], atol=1e-12)
+
+    def test_random_matches_matrix_oracle(self, rng):
+        # n_comp = R_bc^T R_star^T R_wb R_bc R_cl e_z: the bearing as the
+        # camera would see it at the reference attitude, front and back
+        for _ in range(50):
+            q_wb, q_cl, q_star, q_bc = (random_quat(rng) for _ in range(4))
+            out = compensated_image(q_wb, q_cl, q_star, q_bc)
+            r_bc = rotmat_oracle(q_bc)
+            v = r_bc.T @ rotmat_oracle(q_star).T @ rotmat_oracle(q_wb) @ r_bc @ rotmat_oracle(q_cl) @ g.EZ
+            assert np.allclose(out, v[:2], atol=1e-12)
 
 
 class TestVisualServoCost:
@@ -113,24 +124,31 @@ class TestVisualServoCost:
         assert cost == pytest.approx(2.0)
 
     def test_quadratic_homogeneity(self):
+        # bearings whose x components are 0.1 and 0.2: twice the error, four times the cost
         w = CostWeights(q_s=np.array([1.0, 1.0]), q_d=0.0)
         ref = ReferencePoint(np.zeros(2), 3.0, np.zeros(3), g.quat_identity())
-        x1 = QuadVisualState(np.zeros(3), g.quat_identity(), g.bearing_from_image([0.1, 0.0]), 3.0)
-        x2 = QuadVisualState(np.zeros(3), g.quat_identity(), g.bearing_from_image([0.2, 0.0]), 3.0)
+        x1, x2 = (
+            QuadVisualState(np.zeros(3), g.quat_identity(), g.bearing_from_image([n_x / np.sqrt(1.0 - n_x * n_x), 0.0]), 3.0)
+            for n_x in (0.1, 0.2)
+        )
         c1, _, _ = stage_block(x1, ref, w, "visual_servo")
         c2, _, _ = stage_block(x2, ref, w, "visual_servo")
         assert c2 / c1 == pytest.approx(4.0, rel=1e-9)
 
-    def test_degenerate_returns_ceiling(self):
+    def test_behind_camera_is_finite(self):
+        # a feature straight behind the camera: the residuals are the xy of
+        # its bearing (0, 0, -1), with no fill; the visibility cone keeps
+        # such bearings out instead (test_behind_camera_has_rows)
         q_cl = quat_oracle_from_axis_angle([1, 0, 0], np.pi)
         x = QuadVisualState(np.zeros(3), g.quat_identity(), q_cl, 3.0)
         ref = ReferencePoint(np.zeros(2), 3.0, np.zeros(3), g.quat_identity())
-        cost, r, _ = stage_block(x, ref, CostWeights(), "visual_servo")
-        _, r_per, ok = stage_block(x, ref, CostWeights(), "perception")
-        assert np.all(r[:2] == FILL) and r[2] == 0.0
-        assert np.all(r_per == FILL) and not ok
-        # two fill entries carry the ceiling (FILL**2 rounds to 5e5 + 6e-11)
-        assert cost == 2.0 * FILL**2 == 1000000.0000000001
+        cost, r, n = stage_block(x, ref, CostWeights(), "visual_servo")
+        _, r_per, _ = stage_block(x, ref, CostWeights(), "perception")
+        v = rotmat_oracle(q_cl) @ g.EZ
+        assert np.allclose(n, v, atol=1e-15) and n[2] == -1.0
+        assert np.allclose(r, [0.0, 0.0, 0.0], atol=1e-15)
+        assert np.allclose(r_per, [0.0, 0.0], atol=1e-15)
+        assert cost < 1e-30
 
 
 class TestPerceptionCost:
@@ -141,7 +159,8 @@ class TestPerceptionCost:
     def test_quadratic_value(self):
         x = QuadVisualState(np.zeros(3), g.quat_identity(), g.bearing_from_image([0.5, 0.0]), 3.0)
         w = CostWeights(q_p=np.array([4.0, 4.0]))
-        assert stage_block(x, None, w, "perception")[0] == pytest.approx(1.0, rel=1e-12)
+        # the bearing of s = (0.5, 0) has n_x = 0.5 / sqrt(1.25)
+        assert stage_block(x, None, w, "perception")[0] == pytest.approx(4.0 * 0.25 / 1.25, rel=1e-12)
 
     def test_invariant_to_attitude(self, rng):
         q_cl = g.bearing_from_image(np.array([0.3, -0.4]))
@@ -221,50 +240,55 @@ class TestDynamicVisualWeight:
 def visibility(q_cl, b=Bounds()):
     """One node's visibility as the solver evaluates it, without the margin.
 
-    Returns the box slack ``(s - s_min, s_max - s)`` of the image
-    coordinate from ``ocp._stage_outputs``, its validity flag, and the
-    violation that ``ocp._hinge`` charges for it.
+    Returns the slack ``-(cone @ n)`` of the four cone rows at the bearing
+    ``n`` from ``ocp._stage_outputs``, that bearing, and the violation that
+    ``ocp._hinge`` charges for it.  For ``n_z > 0`` the slack is ``n_z``
+    times the image box slack ``(s - s_min, s_max - s)``.
     """
     x = QuadVisualState(np.zeros(3), g.quat_identity(), q_cl, 3.0).as_vector()[None, :]
     ref = ReferencePoint(np.zeros(2), np.full(1, 3.0), np.zeros(3), g.quat_identity())
-    _, s_c, ok = _stage_outputs(x, ref, CostWeights(), g.quat_identity(), 1.0)
-    slack = np.concatenate([s_c[0] - b.s_min, b.s_max - s_c[0]])
-    return slack, bool(ok[0]), float(_hinge(s_c, ok, b.s_min, b.s_max)[0])
+    _, n_c = _stage_outputs(x, ref, CostWeights(), g.quat_identity(), 1.0)
+    cone = _cone(SimpleNamespace(params=OcpParams(constraint_margin=0.0), bounds=b))
+    return -(cone @ n_c[0]), n_c[0], float(_hinge(n_c, cone)[0])
 
 
 class TestVisibilityResidual:
     def test_centered(self):
-        slack, ok, viol = visibility(g.quat_identity())
-        assert ok and viol == 0.0
+        slack, n, viol = visibility(g.quat_identity())
+        assert viol == 0.0
         assert np.allclose(slack, [1, 1, 1, 1])
 
     def test_active_border(self):
-        slack, ok, viol = visibility(g.bearing_from_image([1.0, 0.0]))
-        assert ok and viol == pytest.approx(0.0, abs=1e-12)
-        assert np.allclose(slack, [2, 1, 0, 1], atol=1e-12)
+        slack, n, viol = visibility(g.bearing_from_image([1.0, 0.0]))
+        assert viol == pytest.approx(0.0, abs=1e-12)
+        assert np.allclose(slack / n[2], [2, 1, 0, 1], atol=1e-12)
 
     def test_violated(self):
-        slack, ok, viol = visibility(g.bearing_from_image([1.2, 0.0]))
-        assert ok and slack[2] == pytest.approx(-0.2, abs=1e-12)
-        assert viol == pytest.approx(0.2, abs=1e-12)
+        slack, n, viol = visibility(g.bearing_from_image([1.2, 0.0]))
+        assert slack[2] / n[2] == pytest.approx(-0.2, abs=1e-12)
+        # the cone charges the image violation scaled by n_z = 1 / sqrt(1 + 1.2^2)
+        assert viol == pytest.approx(0.2 / np.sqrt(2.44), abs=1e-12)
 
     def test_nonnegative_iff_inside(self, rng):
-        # the slack is nonnegative, and the violation zero, iff s is in the box
+        # in front of the camera, the slack is nonnegative, and the violation
+        # zero, iff s is in the box
         b = Bounds()
         for _ in range(100):
             s = rng.uniform(-1.5, 1.5, 2)
-            slack, ok, viol = visibility(g.bearing_from_image(s), b)
+            slack, n, viol = visibility(g.bearing_from_image(s), b)
             inside = np.all(s >= b.s_min - 1e-12) and np.all(s <= b.s_max + 1e-12)
-            assert ok
+            assert n[2] > 0.0
             assert (np.all(slack >= -1e-9)) == inside
             assert (viol <= 1e-9) == inside
 
-    def test_behind_camera_no_row(self):
-        # repelled through the cost ceiling instead: invalid, no violation,
-        # and no linearised visibility row in the step QP
+    def test_behind_camera_has_rows(self):
+        # the cone excludes a bearing behind the camera by itself: (0, 0, -1)
+        # violates all four rows by 1, and the node keeps its rows in the
+        # step QP, with positive values at the iterate
         behind = quat_oracle_from_axis_angle([1, 0, 0], np.pi)
-        _, ok, viol = visibility(behind)
-        assert not ok and viol == 0.0
+        slack, n, viol = visibility(behind)
+        assert n[2] < 0.0 and np.allclose(slack, -1.0, atol=1e-12)
+        assert viol == pytest.approx(4.0, abs=1e-12)
         params = OcpParams(horizon=2)
         x0 = QuadVisualState(np.zeros(3), g.quat_identity(), g.quat_identity(), 3.0)
         ref = ReferencePoint(np.zeros(2), np.full(3, 3.0), np.zeros(3), g.quat_identity())
@@ -274,8 +298,11 @@ class TestVisibilityResidual:
         u = np.tile(ControlInput.hover().as_vector(), (2, 1))
         outputs = _stage_outputs(x, problem.ref, problem.weights, DEFAULT_EXTRINSICS.q_bc, params.dt)
         model = _reduced_model(x, u, problem, outputs)
-        assert list(model.ok) == [True, True, False]
-        assert model.vis_rows.shape == (2, 8)  # the (u, v) rows of node 1 only
+        assert model.vis_rows.shape == (8, 8)  # four rows for each of nodes 1 and 2
+        m = params.constraint_margin
+        assert np.allclose(model.vis_base[:4], -(1.0 - m), atol=1e-12)  # node 1 on the axis
+        assert np.allclose(model.vis_base[4:], 1.0 - m, atol=1e-12)  # node 2 behind
+        assert np.all(np.isfinite(model.vis_rows)) and np.any(model.vis_rows[4:] != 0.0)
 
 
 class TestClampInput:

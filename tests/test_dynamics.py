@@ -211,10 +211,12 @@ class TestRk4:
             x = x1
 
     def test_distance_floor(self):
-        x = QuadVisualState(v_w=[0, 0, 0], q_wb=g.quat_identity(), q_cl=g.quat_identity(), d=0.051).as_vector()
-        # approach fast enough to cross the floor within one step
-        x1 = rk4_flat_step(x, ControlInput(9.81, np.zeros(3)).as_vector(), 0.5, IDENTITY_EXT)
-        assert x1[11] >= 0.05
+        # climb at 1 m/s straight at a landmark 0.051 m above: the bearing
+        # stays on the velocity, hover thrust holds the speed, and a 50 ms
+        # step would end at d = 0.001 without the floor
+        x = QuadVisualState(v_w=[0, 0, 1.0], q_wb=g.quat_identity(), q_cl=g.quat_identity(), d=0.051).as_vector()
+        x1 = rk4_flat_step(x, ControlInput(9.81, np.zeros(3)).as_vector(), 0.05, IDENTITY_EXT)
+        assert x1[11] == dynamics.D_FLOOR
 
 
 class TestOneKernel:

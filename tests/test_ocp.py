@@ -1,4 +1,5 @@
 import itertools
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from quadvpc import geometry as g
 from quadvpc.costs import Bounds, CostWeights, ReferencePoint
-from quadvpc.dynamics import ControlInput, QuadVisualState, _rk4_flat
+from quadvpc.dynamics import ControlInput, QuadVisualState, _rk4_flat, rk4_jacobians
 from quadvpc.ocp import (
     BadReferenceLength,
     InvalidInitialState,
@@ -14,6 +15,7 @@ from quadvpc.ocp import (
     OcpSolution,
     SolveStatus,
     VisualPredictiveController,
+    _cone,
     _reduced_model,
     _rollout,
     _solve_step_qp,
@@ -24,7 +26,7 @@ from quadvpc.ocp import (
     shift_warm_start,
     solve,
 )
-from quadvpc.simulator import DEFAULT_EXTRINSICS
+from quadvpc.simulator import DEFAULT_EXTRINSICS, Landmark, NoiseModel, PlantState, observe, run_closed_loop
 
 from conftest import random_quat, rk4_flat_step
 
@@ -101,6 +103,50 @@ class TestStageJacobians:
             j_res_k, j_s_k = _stage_jacobians(x[k : k + 1], ref._take([k]), w, q_bc, dt)
             assert np.array_equal(j_res[k], j_res_k[0])
             assert np.array_equal(j_s[k], j_s_k[0])
+
+    @staticmethod
+    def bearing_closed_form(q):
+        """``n = R(q) e_z`` and its ``(3, 4)`` derivative, written out.
+
+        On a raw ``q = (w, x, y, z)`` the solver's bearing is the polynomial
+        ``(2 (xz + wy), 2 (yz - wx), 1 - 2 (x^2 + y^2))``, the third column
+        of the rotation matrix; it depends on nothing else in the state.
+        """
+        w, x, y, z = q
+        n = np.array([2 * (x * z + w * y), 2 * (y * z - w * x), 1 - 2 * (x * x + y * y)])
+        dn = 2.0 * np.array([[y, z, w, x], [-x, -w, z, y], [0.0, -2 * x, -2 * y, 0.0]])
+        return n, dn
+
+    def test_bearing_block_matches_closed_form(self, rng):
+        # bearings anywhere on the sphere, behind the camera too
+        n = 21
+        x = np.column_stack([rng.uniform(-3, 3, (n, 3)), random_quat(rng, n), random_quat(rng, n), rng.uniform(1.0, 8.0, n)])
+        ref = ReferencePoint(rng.uniform(-0.5, 0.5, (n, 2)), rng.uniform(1, 8, n), rng.uniform(-2, 2, (n, 3)), random_quat(rng, n))
+        _, j_n = _stage_jacobians(x, ref, CostWeights(), DEFAULT_EXTRINSICS.q_bc, 0.05)
+        assert any(self.bearing_closed_form(q)[0][2] < 0.0 for q in x[:, 7:11])
+        for k in range(n):
+            want = np.zeros((3, 12))
+            want[:, 7:11] = self.bearing_closed_form(x[k, 7:11])[1]
+            assert np.max(np.abs(j_n[k] - want)) <= 1e-8 * np.max(np.abs(want))
+
+    def test_cone_rows_match_closed_form(self, rng):
+        # with one shooting interval the model's rows are cone @ dn/dq @ B_0
+        # exactly, B_0 being the input Jacobian of the RK4 step
+        params = OcpParams(horizon=1)
+        for _ in range(10):
+            x0 = QuadVisualState(rng.uniform(-3, 3, 3), g.quat_exp(rng.uniform(-0.3, 0.3, 3)), random_quat(rng), rng.uniform(1.0, 8.0))
+            ref = ReferencePoint(np.zeros(2), np.full(2, 2.0), np.zeros(3), g.quat_identity())
+            problem = build_problem(x0, ref, CostWeights(), Bounds(), DEFAULT_EXTRINSICS, params)
+            u = rng.uniform(problem.bounds.input_lower(), problem.bounds.input_upper(), (1, 4))
+            ws = _Workspace(u, problem)
+            model = _reduced_model(ws.x, u, problem, ws.outputs)
+            _, b_0 = rk4_jacobians(ws.x[:1], u, params.dt, DEFAULT_EXTRINSICS)
+            n_1, dn_1 = self.bearing_closed_form(ws.x[1, 7:11])
+            cone = _cone(problem)
+            want = cone @ dn_1 @ b_0[0, 7:11]
+            assert model.vis_rows.shape == (4, 4)
+            assert np.max(np.abs(model.vis_rows - want)) <= 1e-8 * np.max(np.abs(want))
+            assert np.allclose(model.vis_base, cone @ n_1, rtol=0.0, atol=1e-14)
 
 
 class TestHoverSolve:
@@ -265,7 +311,7 @@ class TestSkippedDefects:
             outputs = _stage_outputs(x, problem.ref, problem.weights, problem.extrinsics.q_bc, problem.params.dt)
             fresh = _reduced_model(x, u, problem, outputs)
             assert len(built.vis_rows) > 0
-            for name in ("h", "g", "vis_rows", "vis_base", "s_c", "ok"):
+            for name in ("h", "g", "vis_rows", "vis_base"):
                 assert np.array_equal(getattr(built, name), getattr(fresh, name))
 
     def test_gate_iterates(self, monkeypatch):
@@ -320,22 +366,32 @@ class TestStepQpWithoutRows:
             lb = -rng.uniform(0.1, 1.0, n)
             ub = rng.uniform(0.1, 1.0, n)
             none = np.zeros(0)
-            z, lam_lo, lam_hi, slack, viol, _ = _solve_step_qp(
-                h_mat, g_vec, lb, ub, np.zeros((0, n)), none, none, none, none, none, 200.0, 1e-10, 60
-            )
+            z, lam, slack, viol, _ = _solve_step_qp(h_mat, g_vec, lb, ub, np.zeros((0, n)), none, none, 200.0, 1e-10, 60)
             want = box_qp_oracle(h_mat, g_vec, lb, ub)
             assert np.max(np.abs(z - want)) < 1e-8
-            assert lam_lo.shape == lam_hi.shape == slack.shape == (0,)
+            assert lam.shape == slack.shape == (0,)
             assert viol == 0.0
             n_active += int(np.any((want == lb) | (want == ub)))
         assert n_active > 50
 
 
-def l1_objective(z, h_mat, g_vec, vis_rows, vis_base, vis_lo, vis_hi, rho, **_):
-    """The exact L1-penalty objective the step QP minimizes."""
-    y = vis_rows @ z + vis_base
-    hinge = np.maximum(0.0, vis_lo - y) + np.maximum(0.0, y - vis_hi)
-    return 0.5 * z @ h_mat @ z + g_vec @ z + rho * np.sum(hinge)
+def one_sided(h_mat, g_vec, lb, ub, vis_rows, vis_base, vis_lo, vis_hi, rho):
+    """The step QP's arguments for a two-sided instance.
+
+    Each row ``lo <= a @ z + base <= hi`` becomes the one-sided rows
+    ``-a @ z + (lo - base) <= 0`` and ``a @ z + (base - hi) <= 0``: all the
+    lower rows, then all the upper ones.
+    """
+    return dict(
+        h_mat=h_mat, g_vec=g_vec, lb=lb, ub=ub, rho=rho,
+        vis_rows=np.vstack([-vis_rows, vis_rows]),
+        vis_base=np.concatenate([vis_lo - vis_base, vis_base - vis_hi]),
+    )
+
+
+def l1_objective(z, h_mat, g_vec, vis_rows, vis_base, rho, **_):
+    """The exact L1-penalty objective the step QP minimizes, on one-sided rows."""
+    return 0.5 * z @ h_mat @ z + g_vec @ z + rho * np.sum(np.maximum(0.0, vis_rows @ z + vis_base))
 
 
 def l1_qp_oracle(h_mat, g_vec, lb, ub, vis_rows, vis_base, vis_lo, vis_hi, rho):
@@ -349,7 +405,7 @@ def l1_qp_oracle(h_mat, g_vec, lb, ub, vis_rows, vis_base, vis_lo, vis_hi, rho):
     the best candidate by the exact objective is the optimum.
     """
     n = len(g_vec)
-    obj = dict(h_mat=h_mat, g_vec=g_vec, vis_rows=vis_rows, vis_base=vis_base, vis_lo=vis_lo, vis_hi=vis_hi, rho=rho)
+    obj = one_sided(h_mat, g_vec, lb, ub, vis_rows, vis_base, vis_lo, vis_hi, rho)
     best, best_obj = None, np.inf
     for inputs in itertools.product((-1, 0, 1), repeat=n):
         for rows in itertools.product(("below", "lo", "inside", "hi", "above"), repeat=len(vis_base)):
@@ -384,7 +440,8 @@ class TestStepQpWithRows:
     def test_matches_piecewise_oracle(self, rng):
         # from zero multipliers and from any start in [0, rho] the step QP
         # reaches the exact L1-penalty optimum, so a warm start cannot
-        # change the answer; rows may be infeasible inside the box
+        # change the answer; rows may be infeasible inside the box.  Each
+        # two-sided instance goes in as its stacked one-sided rows
         rho = 200.0
         n_active = 0
         for _ in range(200):
@@ -402,10 +459,11 @@ class TestStepQpWithRows:
                 rho=rho,
             )
             want, f_want = l1_qp_oracle(**qp)
-            for lam_lo, lam_hi in [(np.zeros(m), np.zeros(m)), (rng.uniform(0.0, rho, m), rng.uniform(0.0, rho, m))]:
-                z, _, _, slack, viol, _ = _solve_step_qp(**qp, lam_lo=lam_lo, lam_hi=lam_hi, tol=1e-10, max_iter=60)
+            rows = one_sided(**qp)
+            for lam in [np.zeros(2 * m), rng.uniform(0.0, rho, 2 * m)]:
+                z, _, slack, viol, _ = _solve_step_qp(**rows, lam=lam, tol=1e-10, max_iter=60)
                 assert np.all(z >= qp["lb"]) and np.all(z <= qp["ub"])
-                assert abs(l1_objective(z, **qp) - f_want) <= 1e-8 * max(1.0, abs(f_want))
+                assert abs(l1_objective(z, **rows) - f_want) <= 1e-8 * max(1.0, abs(f_want))
                 assert viol == pytest.approx(np.sum(slack))
             y = qp["vis_rows"] @ want + qp["vis_base"]
             n_active += int(np.any((y <= qp["vis_lo"] + 1e-9) | (y >= qp["vis_hi"] - 1e-9)))
@@ -436,10 +494,12 @@ class TestStepQpWithRows:
             return solve(a, b)
 
         monkeypatch.setattr(np.linalg, "solve", spy)
-        z, _, lam_hi, _, _, _ = _solve_step_qp(**qp, lam_lo=np.zeros(2), lam_hi=np.zeros(2), tol=1e-10, max_iter=60)
+        rows = one_sided(**qp)
+        z, lam, _, _, _ = _solve_step_qp(**rows, lam=np.zeros(4), tol=1e-10, max_iter=60)
+        lam_hi = lam[2:]
         cap = 1.0 + 1e6 * rho * 9.0  # h + mu a a^T with mu at its cap
         assert cap * (1.0 - 1e-12) <= max(largest) <= cap * (1.0 + 1e-12)
-        assert abs(l1_objective(z, **qp) - f_want) <= 1e-8 * max(1.0, abs(f_want))
+        assert abs(l1_objective(z, **rows) - f_want) <= 1e-8 * max(1.0, abs(f_want))
         # stationarity at the kink: h z + g + 3 lam_hi[1] - 3 lam_hi[0] = 0
         assert lam_hi == pytest.approx([(3.0 * rho - 2.2) / 3.0, rho], rel=1e-8)
 
@@ -459,15 +519,15 @@ class TestStepQpWithRows:
             rho=200.0,
         )
         _, f_want = l1_qp_oracle(**qp)
-        z = _solve_step_qp(**qp, lam_lo=np.zeros(2), lam_hi=np.zeros(2), tol=1e-10, max_iter=60)[0]
-        assert abs(l1_objective(z, **qp) - f_want) <= 1e-8 * max(1.0, abs(f_want))
+        rows = one_sided(**qp)
+        z = _solve_step_qp(**rows, lam=np.zeros(4), tol=1e-10, max_iter=60)[0]
+        assert abs(l1_objective(z, **rows) - f_want) <= 1e-8 * max(1.0, abs(f_want))
 
     def test_gate_tail_instance(self, gate_tail_qp):
-        # the first model of the first gate pose, with all 40 rows
+        # the first model of the first gate pose, with its 4 N = 80 rows
         qp = gate_tail_qp
-        assert qp["vis_rows"].shape == (40, 80)
-        zeros = np.zeros(40)
-        runs = [_solve_step_qp(**qp, lam_lo=zeros, lam_hi=zeros) for _ in range(2)]
+        assert qp["vis_rows"].shape == (80, 80)
+        runs = [_solve_step_qp(**qp, lam=np.zeros(80)) for _ in range(2)]
         z = runs[0][0]
         assert np.all(np.isfinite(z))
         assert np.all(z >= qp["lb"]) and np.all(z <= qp["ub"])
@@ -587,10 +647,12 @@ DIVERGING_U = np.array([
 
 class TestDivergedWarmStart:
     # a warm start whose rollout is not finite restarts once from hover,
-    # whose rollout from the same state stays finite
+    # whose rollout from the same state stays finite; the diverged rollout
+    # is rejected without a numpy warning
     @staticmethod
     def rollout_finite(problem, u):
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             x = _rollout(problem.x0.as_vector(), u, problem.params.dt, problem.extrinsics)
         return bool(np.all(np.isfinite(x)))
 
@@ -599,7 +661,8 @@ class TestDivergedWarmStart:
         problem = build_problem(x0, constant_ref(2.0), CostWeights(), Bounds(), DEFAULT_EXTRINSICS, OcpParams())
         assert not self.rollout_finite(problem, DIVERGING_U)
         warm = OcpSolution(DIVERGING_U, np.tile(x0.as_vector(), (21, 1)), np.nan, np.nan, 0, SolveStatus.MAX_ITERS)
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             sol = solve(problem, warm)
         assert sol.status is not SolveStatus.INFEASIBLE
         assert np.all(np.isfinite(sol.inputs)) and np.all(np.isfinite(sol.states))
@@ -617,10 +680,49 @@ class TestDivergedWarmStart:
         )
         problem = build_problem(x0, constant_ref(2.0), CostWeights(), Bounds(), DEFAULT_EXTRINSICS, ctrl.params)
         assert not self.rollout_finite(problem, shift_warm_start(ctrl._prev).inputs)
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             u, sol = ctrl.step(x0, constant_ref(2.0))
         assert np.all(np.isfinite(u.as_vector()))
         assert sol.status is not SolveStatus.INFEASIBLE
+
+
+class TestLeavingView:
+    # 3 m behind the landmark's plane, flying forward at 3 m/s and sideways
+    # at 1 m/s: under the hover start the predicted feature drifts out of
+    # the image and, at the last two nodes, behind the camera, so the first
+    # model starts with a positive cone violation
+    plant0 = PlantState(p_w=[3.0, 0.0, 3.0], v_w=[3.0, 1.0, 0.0], q_wb=g.quat_yaw(0.2))
+    bounds = Bounds()
+
+    def problem(self):
+        meas = observe(self.plant0, Landmark(), DEFAULT_EXTRINSICS, NoiseModel(), np.random.default_rng(0))
+        ref = ReferencePoint(np.zeros(2), np.full(21, meas.d), np.zeros(3), g.quat_identity())
+        return build_problem(meas, ref, CostWeights(), self.bounds, DEFAULT_EXTRINSICS, OcpParams())
+
+    def test_hover_start_leaves_view(self):
+        ws = _Workspace(np.tile(ControlInput.hover().as_vector(), (20, 1)), self.problem())
+        assert ws.finite and ws.viol_sum > 1.0
+        assert np.min(ws.outputs[1][:, 2]) < 0.0
+
+    def test_solve_recovers(self):
+        problem = self.problem()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve(problem)
+        assert sol.status is not SolveStatus.INFEASIBLE
+        assert sol.slack_max < 1e-3
+        assert sol.cost < _Workspace(np.tile(ControlInput.hover().as_vector(), (20, 1)), problem).cost
+
+    def test_closed_loop_keeps_feature(self):
+        ref = self.problem().ref
+        ctrl = VisualPredictiveController(CostWeights(), self.bounds, DEFAULT_EXTRINSICS, OcpParams())
+        log = run_closed_loop(
+            ctrl, lambda t: ref, self.plant0, Landmark(), DEFAULT_EXTRINSICS, NoiseModel(),
+            duration=1.0, dt=0.05, sensor_bounds=(self.bounds.s_min, self.bounds.s_max),
+        )
+        assert log.outcome == "success" and log.n_ticks == 20
+        assert "infeasible" not in log.status
 
 
 class TestSmallInstanceOptimality:
