@@ -5,7 +5,8 @@ state variables.  Each SQP iteration linearizes the shooting map,
 condenses the state deviations onto the input moves, builds a
 Gauss-Newton quadratic model of the stage costs, and solves a
 box-constrained QP with L1-penalized slacks on the visibility rows.
-Steps are globalized by an Armijo line search on an L1 merit function.
+The QP's box is the input box intersected with a constant step box, and
+an Armijo line search on an L1 merit function is the one globalisation.
 
 The objectives and the visibility constraint read the feature's unit
 bearing ``n``, never the image coordinate ``n_xy / n_z``, so nothing
@@ -440,10 +441,15 @@ def solve(problem: OcpProblem, warm: OcpSolution | None = None) -> OcpSolution:
     rolled out from x0, so the shooting equalities hold exactly at each
     iterate and the merit function is the true discretized cost plus the
     L1 visibility penalty.  Cold starts use hover inputs, and so does a
-    warm start whose rollout is not finite.  The best iterate by merit is
-    returned, with the KKT residual of the last iterate the solver
-    linearised: the returned inputs when the solve ends without an
-    accepted step after that linearisation.
+    warm start whose rollout is not finite.  Each step QP is boxed by the
+    input box intersected with one constant step box, and the Armijo line
+    search on the merit is the one globalisation.  An accepted step never
+    raises the merit, so the last accepted iterate is returned, with the
+    KKT residual of the last iterate the solver linearised: the returned
+    inputs when no step was accepted after that linearisation.  The solve
+    is ``converged`` only when that KKT residual is below ``sqp_tol``; it
+    stops early, as ``max_iters``, on a step that does not descend, a line
+    search that fails, or two tiny decreases in a row.
     """
     p = problem.params
     n = p.horizon
@@ -462,26 +468,23 @@ def solve(problem: OcpProblem, warm: OcpSolution | None = None) -> OcpSolution:
         if ws.finite:
             break
     merits = [ws.merit]
-    best_u, best_ws = u, ws
+    if not ws.finite:
+        return _infeasible_solution(u, ws, merits, 0, problem)
+
     status = SolveStatus.MAX_ITERS
     qp_steps = 0
     iters_done = 0
     lam = np.zeros(4 * n)  # multipliers of the visibility rows, the same rows in every model
-    kkt_u, kkt_out = None, float("inf")  # the last linearised iterate and its KKT residual
-
-    if not ws.finite:
-        return _infeasible_solution(u, ws, merits, 0, problem)
-
-    # infinity-norm trust region on the input step; thrust moves 3x faster
-    tr_scale = np.tile([3.0, 1.0, 1.0, 1.0], n)
-    tr_radius = 1.0
+    kkt_out, kkt_at_inputs = float("inf"), False
+    # the constant step box in the infinity norm; thrust moves 3x faster
+    step_box = np.tile([3.0, 1.0, 1.0, 1.0], n)
     tiny_steps = 0
 
     for _ in range(p.max_sqp_iters):
         iters_done += 1
         model = _reduced_model(ws.x, u, problem, ws.outputs)
-        lb_step = np.maximum(lb - u.ravel(), -tr_radius * tr_scale)
-        ub_step = np.minimum(ub - u.ravel(), tr_radius * tr_scale)
+        lb_step = np.maximum(lb - u.ravel(), -step_box)
+        ub_step = np.minimum(ub - u.ravel(), step_box)
         # the last QP's multipliers start this one
         du, lam, _, lin_viol, steps = _solve_step_qp(
             model.h, model.g, lb_step, ub_step, model.vis_rows, model.vis_base, lam,
@@ -492,46 +495,27 @@ def solve(problem: OcpProblem, warm: OcpSolution | None = None) -> OcpSolution:
             status = SolveStatus.INFEASIBLE
             break
 
-        kkt_u, kkt_out = u, _kkt_from_model(u.ravel(), model, problem, lam, ws.viol_max)
-        if kkt_out < p.sqp_tol or np.max(np.abs(du)) < 1e-9:
+        kkt_out = _kkt_from_model(u.ravel(), model, problem, lam, ws.viol_max)
+        kkt_at_inputs = True
+        if kkt_out < p.sqp_tol:
             status = SolveStatus.CONVERGED
             break
-
-        pred = -(float(model.g @ du) + 0.5 * float(du @ model.h @ du)) + p.slack_weight * (ws.viol_sum - lin_viol)
         descent = float(model.g @ du) - p.slack_weight * (ws.viol_sum - lin_viol)
-        if descent > -1e-12 or pred <= 1e-14:
-            if tr_radius <= 1e-4:
-                status = SolveStatus.CONVERGED
-                break
-            tr_radius *= 0.25
-            continue
+        if descent > -1e-12:
+            break
 
-        accepted = False
         alpha = 1.0
-        used_alpha = 1.0
         for _ls in range(12):
             u_t = np.clip(u + alpha * du.reshape(n, NU), lb.reshape(n, NU), ub.reshape(n, NU))
             ws_t = _Workspace(u_t, problem)
             if ws_t.finite and ws_t.merit <= ws.merit + 1e-4 * alpha * descent:
-                actual = ws.merit - ws_t.merit
-                u, ws = u_t, ws_t
-                accepted = True
-                used_alpha = alpha
                 break
             alpha *= 0.5
-        if not accepted:
-            if tr_radius <= 1e-4:
-                break
-            tr_radius *= 0.25
-            continue
+        else:
+            break
+        actual = ws.merit - ws_t.merit
+        u, ws, kkt_at_inputs = u_t, ws_t, False
         merits.append(ws.merit)
-        if ws.merit < best_ws.merit:
-            best_u, best_ws = u, ws
-        # adapt the trust region to how well the model predicted the step
-        if used_alpha >= 1.0 and actual > 0.5 * pred:
-            tr_radius = min(tr_radius * 2.0, 4.0)
-        elif used_alpha < 0.25:
-            tr_radius = max(tr_radius * 0.5, 1e-4)
         if actual < 1e-8 * (1.0 + abs(ws.merit)):
             tiny_steps += 1
             if tiny_steps >= 2:
@@ -539,23 +523,20 @@ def solve(problem: OcpProblem, warm: OcpSolution | None = None) -> OcpSolution:
         else:
             tiny_steps = 0
 
-    if ws.finite and ws.merit < best_ws.merit:
-        best_u, best_ws = u, ws
-
-    if not best_ws.finite or not np.all(np.isfinite(best_u)) or status is SolveStatus.INFEASIBLE:
-        return _infeasible_solution(best_u, best_ws, merits, iters_done, problem)
+    if status is SolveStatus.INFEASIBLE:
+        return _infeasible_solution(u, ws, merits, iters_done, problem)
 
     return OcpSolution(
-        inputs=best_u,
-        states=best_ws.x,
-        cost=best_ws.cost,
+        inputs=u,
+        states=ws.x,
+        cost=ws.cost,
         kkt=kkt_out,
         sqp_iters=iters_done,
         status=status,
-        slack_max=best_ws.viol_max,
+        slack_max=ws.viol_max,
         iter_merits=merits,
         qp_iters=qp_steps,
-        kkt_at_inputs=kkt_u is best_u,
+        kkt_at_inputs=kkt_at_inputs,
         params=p,
         extrinsics=ext,
     )

@@ -249,7 +249,7 @@ def test_criterion_07_perception_ab_sweep():
 
 
 def test_criterion_08_feasibility_audit(hover_result, gate_results, quarter_results):
-    """Inputs always inside the boxes; slacks zero on converged solves."""
+    """Inputs always inside the boxes; KKT below tolerance and slacks zero on converged solves."""
     _, hover_out = hover_result
     _, gate_res, _ = gate_results
     cfg, quarter = quarter_results
@@ -262,8 +262,9 @@ def test_criterion_08_feasibility_audit(hover_result, gate_results, quarter_resu
         total_inputs += log.n_ticks
     converged_slacks = []
     for log in logs:
-        for status, slack in zip(log.status, log.slack_max):
+        for status, slack, kkt in zip(log.status, log.slack_max, log.kkt):
             if status == SolveStatus.CONVERGED.value:
+                assert kkt < cfg.ocp.sqp_tol
                 converged_slacks.append(slack)
     converged_slacks = np.array(converged_slacks)
     assert len(converged_slacks) > 0

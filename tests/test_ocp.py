@@ -189,6 +189,38 @@ class TestSolveProperties:
         sol = solve(problem)
         merits = np.array(sol.iter_merits)
         assert np.all(np.diff(merits) <= 1e-12)
+        # the last accepted iterate is a best one, and it is the one returned
+        assert sol.iter_merits[-1] == min(sol.iter_merits)
+        assert sol.iter_merits[-1] == _Workspace(sol.inputs, problem).merit
+
+    def test_step_box(self, monkeypatch):
+        # every step QP is boxed by the input box around the iterate,
+        # clipped to the constant step box (3, 1, 1, 1) per node
+        import quadvpc.ocp as ocp
+
+        _, _, problem = gate_setup(max_sqp_iters=25)
+        n = problem.params.horizon
+        step_box = np.tile([3.0, 1.0, 1.0, 1.0], n)
+        lower, upper = np.tile(problem.bounds.input_lower(), n), np.tile(problem.bounds.input_upper(), n)
+        iterates, boxes = [], []
+        build, step_qp = ocp._reduced_model, ocp._solve_step_qp
+
+        def model_spy(x, u, problem, outputs):
+            iterates.append(u.ravel().copy())
+            return build(x, u, problem, outputs)
+
+        def qp_spy(h_mat, g_vec, lb, ub, *args):
+            boxes.append((lb.copy(), ub.copy()))
+            return step_qp(h_mat, g_vec, lb, ub, *args)
+
+        monkeypatch.setattr(ocp, "_reduced_model", model_spy)
+        monkeypatch.setattr(ocp, "_solve_step_qp", qp_spy)
+        sol = solve(problem)
+        monkeypatch.undo()
+        assert len(boxes) == len(iterates) == sol.sqp_iters > 1
+        for u, (lb, ub) in zip(iterates, boxes):
+            assert np.array_equal(lb, np.maximum(lower - u, -step_box))
+            assert np.array_equal(ub, np.minimum(upper - u, step_box))
 
     def test_shooting_consistency(self):
         _, _, problem = gate_setup(max_sqp_iters=10)
@@ -723,6 +755,24 @@ class TestLeavingView:
         )
         assert log.outcome == "success" and log.n_ticks == 20
         assert "infeasible" not in log.status
+
+
+class TestFlyingIntoLandmark:
+    # 4 m in front of the landmark, flying straight at it at 4 m/s: the
+    # hover start reaches the distance floor, and its model's step QP
+    # returns a step too small to descend; the solve must not report that
+    # as converged, since the KKT residual there is far from zero
+    def test_not_converged(self):
+        plant0 = PlantState(p_w=[2.0, 0.0, 3.0], v_w=[4.0, 0.0, 0.0], q_wb=g.quat_identity())
+        meas = observe(plant0, Landmark(), DEFAULT_EXTRINSICS, NoiseModel(), np.random.default_rng(0))
+        assert meas.d == pytest.approx(3.9)
+        params = OcpParams()
+        problem = build_problem(meas, constant_ref(2.0), CostWeights(), Bounds(), DEFAULT_EXTRINSICS, params)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the FD Jacobians overflow beyond the floor
+            sol = solve(problem)
+        assert sol.status is not SolveStatus.CONVERGED
+        assert sol.kkt > params.sqp_tol
 
 
 class TestSmallInstanceOptimality:
