@@ -20,7 +20,12 @@ The bearing rates of the prediction study take components on the last
 axis.  The solver's kernel ``_f`` takes a sequence of components, each
 a Python float (one state) or an array of one shared shape (a batch),
 and returns the tuple of its derivative components; :func:`rk4`, the
-one RK4 stage sequence, steps any such sequence.  Thin dataclass
+one RK4 stage sequence, steps any such sequence and can record its
+stage derivatives.  The derivatives are exact: :func:`_f_jacobian`
+differentiates the kernel in matrix form, with the rotation matrix and
+the quaternion products as constant tensors taken from the kernel's own
+code, and :func:`rk4_jacobians` carries it through the recorded stages
+of a step, its renormalisation and its distance floor.  Thin dataclass
 wrappers provide the typed public surface.
 """
 
@@ -52,10 +57,6 @@ GRAVITY_W = np.array([0.0, 0.0, -9.81])
 # Distance floor applied after integration; keeps 1/d bounded when the
 # solver explores near-contact states.
 D_FLOOR = 0.05
-
-# Relative step of the central differences: the step of component i is
-# FD_STEP * max(1, |z_i|).
-FD_STEP = 1e-6
 
 # Taylor coefficients of the SO(3) integrals, used for rotation angles
 # |a| < 1: there the closed forms cancel (that of ``k3`` loses about
@@ -186,6 +187,32 @@ def _rotmat_cols(qw, qx, qy, qz):
     return c0, c1, c2
 
 
+def _product_tensors():
+    """The kernel's quaternion products and rotation matrix as constant tensors.
+
+    Each is built by one call of the code it differentiates, on basis
+    quaternions, and laid out so that a matmul with quaternions
+    ``(..., 4)`` gives the matrices of :func:`_quat_lmat`,
+    :func:`_quat_rmat` and :func:`_rotmat_jacobian`.  The rotation matrix
+    is ``R(q) = I + B(q, q)`` with ``B`` symmetric, so its derivative
+    along ``e_i`` at ``q`` is ``2 B(e_i, q)``, which is
+    ``sum_j q_j (R(e_i + e_j) - R(e_i - e_j)) / 2``.
+    """
+    eye = np.eye(4)
+    ham = quat_prod(eye[:, None], eye[None, :])  # [i, j, a]: (e_i (x) e_j)[a]
+    sums = np.stack([eye[:, None] + eye[None, :], eye[:, None] - eye[None, :]])  # [sign, i, j, component]
+    cols = np.array(_rotmat_cols(*np.moveaxis(sums, -1, 0)))  # [column, row, sign, i, j]
+    d_rot = 0.5 * (cols[:, :, 0] - cols[:, :, 1])
+    return (
+        ham.transpose(0, 2, 1).reshape(4, 16),
+        ham.transpose(1, 2, 0).reshape(4, 16),
+        d_rot.transpose(3, 1, 0, 2).reshape(4, 36),
+    )
+
+
+_QL, _QR, _DR = _product_tensors()
+
+
 def _f(x, u, p_b_cb, r_bc) -> tuple:
     """Flat-state derivative ``dx/dt``, the one kernel of the coupled dynamics.
 
@@ -248,32 +275,37 @@ def _f(x, u, p_b_cb, r_bc) -> tuple:
     return dvx, dvy, dvz, dqw, dqx, dqy, dqz, dbw, dbx, dby, dbz, dd
 
 
-def rk4(f, x, dt: float) -> list:
+def rk4(f, x, dt: float, stages: list | None = None) -> list:
     """Classical 4th-order Runge-Kutta step of ``dx/dt = f(x)``.
 
     ``x`` and ``f(x)`` are sequences of components, floats or arrays; each
-    component is combined elementwise with its own derivatives.
+    component is combined elementwise with its own derivatives.  The four
+    stage derivatives are appended to ``stages`` when it is given.
     """
     h = 0.5 * dt
     k1 = f(x)
     k2 = f([a + h * k for a, k in zip(x, k1)])
     k3 = f([a + h * k for a, k in zip(x, k2)])
     k4 = f([a + dt * k for a, k in zip(x, k3)])
+    if stages is not None:
+        stages += (k1, k2, k3, k4)
     s = dt / 6.0
     return [a + s * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
 
 
-def _rk4(x, u, dt: float, p_b_cb, r_bc) -> tuple:
+def _rk4(x, u, dt: float, p_b_cb, r_bc, stages: list | None = None) -> tuple:
     """RK4 step of :func:`_f`; quaternions renormalized, d floored.
 
-    12 floats in and out; or a ``(12, ...)`` array in, stepped as one stacked
-    component (not 12: fewer numpy calls), and 12 arrays out.
+    12 floats in and out, the four stage derivatives appended to
+    ``stages`` as tuples of 12 floats when it is given; or a ``(12, ...)``
+    array in, stepped as one stacked component (not 12: fewer numpy
+    calls), and 12 arrays out.
     """
     if isinstance(x, np.ndarray):
         (out,) = rk4(lambda z: (np.array(_f(z[0], u, p_b_cb, r_bc)),), (x,), dt)
         sqrt, floor = np.sqrt, np.maximum
     else:
-        out = rk4(lambda z: _f(z, u, p_b_cb, r_bc), x, dt)
+        out = rk4(lambda z: _f(z, u, p_b_cb, r_bc), x, dt, stages)
         sqrt, floor = math.sqrt, max
     v0, v1, v2, qw, qx, qy, qz, bw, bx, by, bz, d = out
     nq = sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
@@ -286,37 +318,114 @@ def _rk4_flat(x: Array, u: Array, dt: float, p_b_cb: Array, q_bc: Array) -> Arra
     return np.array(_rk4(x.T, u.T, dt, p_b_cb, quat_to_rotmat(q_bc))).T
 
 
-def fd_jacobian_batch(fun, z: Array) -> Array:
-    """Central-difference Jacobians of a batched map.
+def _quat_lmat(p: Array) -> Array:
+    """Left-multiplication matrices, ``p (x) q == _quat_lmat(p) @ q``, over leading axes."""
+    return (p @ _QL).reshape(np.shape(p)[:-1] + (4, 4))
 
-    ``fun`` maps ``(M, n) -> (M, m)`` row by row; returns ``(B, m, n)``.
-    Step sizes scale per component as ``FD_STEP * max(1, |z_i|)``.
-    ``fun`` is called once, on all ``2 B n`` perturbed points: the ``+``
-    steps then the ``-`` steps, each ordered by batch row, then by
-    component.
+
+def _quat_rmat(q: Array) -> Array:
+    """Right-multiplication matrices, ``p (x) q == _quat_rmat(q) @ p``, over leading axes."""
+    return (q @ _QR).reshape(np.shape(q)[:-1] + (4, 4))
+
+
+def _rotmat_jacobian(q: Array) -> Array:
+    """``dR/dq`` of :func:`_rotmat_cols` at raw quaternions ``q (..., 4)``: ``(..., 3, 3, 4)``, row, column, q."""
+    return (q @ _DR).reshape(np.shape(q)[:-1] + (3, 3, 4))
+
+
+def _normalize_jacobian(p: Array) -> Array:
+    """Jacobians ``(I - p^ p^T) / |p|`` of ``p / |p|`` over the last axis of ``p``."""
+    norm = np.sqrt(np.sum(p * p, axis=-1))[..., None]
+    unit = p / norm
+    return (np.eye(p.shape[-1]) - unit[..., :, None] * unit[..., None, :]) / norm[..., None]
+
+
+def _f_jacobian(x: Array, u: Array, p_b_cb: Array, r_bc: Array) -> Array:
+    """Jacobians of :func:`_f` in ``[x, u]`` at the rows of ``x (M, 12)`` and ``u (M, 4)``: ``(M, 12, 16)``.
+
+    The exact derivative of the kernel, with its quaternions taken raw,
+    not unit, as the RK4 stage points hold them.  Rotation matrices and
+    their derivatives come from :func:`_rotmat_cols`, products with a
+    quaternion from the Hamilton-product matrices.
     """
-    z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-    b, n = z.shape
-    steps = FD_STEP * np.maximum(1.0, np.abs(z))
-    pert = np.eye(n)[None, :, :] * steps[:, :, None]  # (B, n, n), row j = e_j * step_j
-    zz = z[:, None, :] + np.stack([pert, -pert])  # (2, B, n, n)
-    f = fun(zz.reshape(2 * b * n, n)).reshape(2, b, n, -1)
-    return (f[0] - f[1]).swapaxes(1, 2) / (2.0 * steps[:, None, :])
+    m = len(x)
+    v, q, b, d = x[:, 0:3], x[:, 3:7], x[:, 7:11], x[:, 11:12]
+    c, w = u[:, 0], u[:, 1:4]
+    dr_wb, dr_cl = _rotmat_jacobian(q), _rotmat_jacobian(b)
+    # R(q) - I is quadratic in q, so R(q) = I + (dR/dq) q / 2
+    r_wb = np.eye(3) + 0.5 * np.einsum("mrci,mi->mrc", dr_wb, q)
+    r_cl = np.eye(3) + 0.5 * np.einsum("mrci,mi->mrc", dr_cl, b)
+    jac = np.zeros((m, 12, 16))
+    # dv = R_wb e_z c + g
+    jac[:, 0:3, 3:7] = c[:, None, None] * dr_wb[:, :, 2]
+    jac[:, 0:3, 12] = r_wb[:, :, 2]
+    # dq_wb = 1/2 q_wb (x) [0, w]
+    jac[:, 3:7, 3:7] = 0.5 * _quat_rmat(pure_quat(w))
+    jac[:, 3:7, 13:16] = 0.5 * _quat_lmat(q)[:, :, 1:]
+
+    # camera twist v_c = R_bc^T (R_wb^T v + w x p), w_c = R_bc^T w, and
+    # their tangents in [x, u]
+    v_c = (np.einsum("mrc,mr->mc", r_wb, v) + _cross(w, p_b_cb)) @ r_bc
+    w_c = w @ r_bc
+    t_vb = np.zeros((m, 3, 16))
+    t_vb[:, :, 0:3] = r_wb.transpose(0, 2, 1)
+    t_vb[:, :, 3:7] = np.einsum("mrci,mr->mci", dr_wb, v)
+    t_vb[:, :, 13:16] = -skew(p_b_cb)
+    t_vc = r_bc.T @ t_vb
+    t_wc = np.zeros((3, 16))
+    t_wc[:, 13:16] = r_bc.T
+
+    n = r_cl[:, :, 2]
+    t_n = np.zeros((m, 3, 16))
+    t_n[:, :, 7:11] = dr_cl[:, :, 2]
+    # w_eff = -w_c - (n x v_c) / d
+    n_x_vc = _cross(n, v_c)
+    e = -w_c - n_x_vc / d
+    t_e = (skew(v_c) @ t_n - skew(n) @ t_vc) / d[:, :, None] - t_wc
+    t_e[:, :, 11] += n_x_vc / (d * d)
+    # w_bear = T T^T w_eff with the tangent basis T = (t1, t2), which moves with q_cl
+    tan, dtan = r_cl[:, :, :2], dr_cl[:, :, :2]
+    u_mu = np.einsum("mrc,mr->mc", tan, e)
+    w_bear = np.einsum("mrc,mc->mr", tan, u_mu)
+    t_w = tan @ (tan.transpose(0, 2, 1) @ t_e)
+    t_w[:, :, 7:11] += np.einsum("mrci,mc->mri", dtan, u_mu) + tan @ np.einsum("mrci,mr->mci", dtan, e)
+    # dq_cl = 1/2 [0, w_bear] (x) q_cl
+    jac[:, 7:11] = 0.5 * _quat_rmat(b)[:, :, 1:] @ t_w
+    jac[:, 7:11, 7:11] += 0.5 * _quat_lmat(pure_quat(w_bear))
+    # dd = -n . v_c
+    jac[:, 11] = -np.einsum("mr,mrj->mj", n, t_vc) - np.einsum("mr,mrj->mj", v_c, t_n)
+    return jac
 
 
-def rk4_jacobians(x: Array, u: Array, dt: float, ext: CameraExtrinsics):
-    """Batched Jacobians of the discrete RK4 map for shooting intervals.
+def rk4_jacobians(x: Array, u: Array, stages, dt: float, ext: CameraExtrinsics):
+    """Exact Jacobians of the discrete RK4 map :func:`_rk4` for shooting intervals.
 
-    ``x`` is ``(K, 12)``, ``u`` is ``(K, 4)``; returns ``(K, 12, 12)``
-    and ``(K, 12, 4)``.
+    ``x`` is ``(K, 12)``, ``u`` is ``(K, 4)`` and ``stages`` the four stage
+    derivatives of each step as :func:`rk4` records them, ``(K, 4, 12)``
+    or ``4K`` sequences of 12; returns ``(K, 12, 12)`` and ``(K, 12, 4)``.
+    One tangent pass: :func:`_f_jacobian` at all ``4K`` stage points, the
+    chain through the stages, then the renormalisation's projections.  The
+    distance row is zero where the floor clamps the step.
     """
-    z = np.concatenate([np.atleast_2d(x), np.atleast_2d(u)], axis=1)
-
-    def fun(zz):
-        return _rk4_flat(zz[:, :12], zz[:, 12:], dt, ext.p_b_cb, ext.q_bc)
-
-    jac = fd_jacobian_batch(fun, z)
-    return jac[:, :, :12], jac[:, :, 12:]
+    x, u = np.atleast_2d(x), np.atleast_2d(u)
+    kk = len(x)
+    k = np.reshape(stages, (kk, 4, 12))
+    h = 0.5 * dt
+    points = np.stack([x, x + h * k[:, 0], x + h * k[:, 1], x + dt * k[:, 2]], axis=1)
+    jac = _f_jacobian(points.reshape(4 * kk, 12), np.repeat(u, 4, axis=0), ext.p_b_cb, quat_to_rotmat(ext.q_bc))
+    jac = jac.reshape(kk, 4, 12, 16)
+    # stage s is f at x + c k_{s-1}, so dk_s = J_s + c A_s dk_{s-1}
+    dk = total = jac[:, 0]
+    for s, c, weight in ((1, h, 2.0), (2, h, 2.0), (3, dt, 1.0)):
+        dk = jac[:, s] + c * (jac[:, s, :, :12] @ dk)
+        total = total + weight * dk
+    step = (dt / 6.0) * total
+    step[:, :, :12] += np.eye(12)
+    out = x + (dt / 6.0) * (k[:, 0] + 2.0 * k[:, 1] + 2.0 * k[:, 2] + k[:, 3])
+    quats = _normalize_jacobian(out[:, 3:11].reshape(kk, 2, 4))
+    step[:, 3:11] = (quats @ step[:, 3:11].reshape(kk, 2, 4, 16)).reshape(kk, 8, 16)
+    step[out[:, 11] < D_FLOOR, 11] = 0.0
+    return step[:, :, :12], step[:, :, 12:]
 
 
 def homogeneous_image_dynamics(s: Array, z_depth: float, twist: CameraTwist):

@@ -180,16 +180,10 @@ def random_unit_quaternion(rng: np.random.Generator, size: int | None = None) ->
 def skew(v: Array) -> Array:
     """Cross-product matrix: skew(v) @ w == cross(v, w)."""
     v = np.asarray(v, dtype=np.float64)
-    x, y, z = (v[..., i] for i in range(3))
-    zero = np.zeros_like(x)
-    return np.stack(
-        [
-            np.stack([zero, -z, y], axis=-1),
-            np.stack([z, zero, -x], axis=-1),
-            np.stack([-y, x, zero], axis=-1),
-        ],
-        axis=-2,
-    )
+    out = np.zeros(v.shape[:-1] + (3, 3))
+    out[..., [2, 0, 1], [1, 2, 0]] = v
+    out[..., [1, 2, 0], [2, 0, 1]] = -v
+    return out
 
 
 def bearing_n(q: Array) -> Array:

@@ -5,6 +5,10 @@ state variables.  Each SQP iteration linearizes the shooting map,
 condenses the state deviations onto the input moves, builds a
 Gauss-Newton quadratic model of the stage costs, and solves a
 box-constrained QP with L1-penalized slacks on the visibility rows.
+Every derivative is exact: the RK4 Jacobians are one tangent pass over
+the stage derivatives that the rollout recorded, the stage Jacobians are
+in closed form, and the condensed Hessian and gradient are one product
+of the stacked residual Jacobians.
 The QP's box is the input box intersected with a constant step box, and
 an Armijo line search on an L1 merit function is the one globalisation.
 
@@ -38,8 +42,11 @@ from .dynamics import (
     CameraExtrinsics,
     ControlInput,
     QuadVisualState,
+    _normalize_jacobian,
+    _quat_lmat,
+    _quat_rmat,
     _rk4,
-    fd_jacobian_batch,
+    _rotmat_jacobian,
     rk4_jacobians,
 )
 from .geometry import (
@@ -155,8 +162,8 @@ def _stage_outputs(x: Array, ref: ReferencePoint, w: CostWeights, q_bc: Array, d
     """Batched stage residuals and unit bearings.
 
     This is the one definition of the three objectives.  ``x`` is
-    ``(M, 12)`` with one row per horizon node (possibly tiled for finite
-    differencing), and ``ref`` has leading shape ``(M,)`` or ``()``.
+    ``(M, 12)`` with one row per horizon node, and ``ref`` has leading
+    shape ``(M,)`` or ``()``.
     Returns the sqrt-weighted residual vector ``(M, 12)`` whose squared
     norm is the stage cost times dt, and the unit bearing ``n_c (M, 3)``
     that the visibility cone constrains.  The residual columns are, in
@@ -202,32 +209,55 @@ def _stage_outputs(x: Array, ref: ReferencePoint, w: CostWeights, q_bc: Array, d
 
 
 def _stage_jacobians(x: Array, ref: ReferencePoint, w: CostWeights, q_bc: Array, dt: float):
-    """FD Jacobians of residuals and bearings per node; ``ref`` is ``(M,)``."""
-    # one reference row per perturbed point: (+/- step, node, component),
-    # taken as it is, since normalising a unit quaternion again moves its bits
-    ref_tiled = ref._take(np.tile(np.repeat(np.arange(len(x)), NX), 2))
+    """Jacobians of the residuals and bearings of :func:`_stage_outputs` per node.
 
-    def fun(z):
-        return np.concatenate(_stage_outputs(z, ref_tiled, w, q_bc, dt), axis=1)
+    ``(M, 12, 12)`` and ``(M, 3, 12)``, in closed form: each quaternion
+    product is a left- or right-multiplication matrix, each
+    ``quat_normalize`` its projection, and a bearing ``R(q) e_z`` the third
+    column of ``dR/dq``.  The attitude sign is held constant.
+    """
+    m = len(x)
+    q_wb, q_cl = x[:, 3:7], x[:, 7:11]
+    sdt = np.sqrt(dt)
+    q_ref = quat_conj(ref.q_star)
+    rel = quat_prod(q_ref, q_wb)
+    # q_comp = normalize(S normalize(rel) (x) q_cl), S: q -> conj(q_bc) (x) q (x) q_bc
+    sandwich = _quat_lmat(quat_conj(q_bc)) @ _quat_rmat(q_bc)
+    inner = quat_prod(quat_conj(q_bc), quat_prod(quat_normalize(rel), q_bc))
+    comp = quat_prod(inner, q_cl)
+    d_comp = _normalize_jacobian(comp)
+    d_img = np.sqrt(w.q_s)[:, None] * sdt * _rotmat_jacobian(quat_normalize(comp))[:, :2, 2]
+    d_n = _rotmat_jacobian(q_cl)[:, :, 2]
+    sgn = np.where(np.sum(q_wb * ref.q_star, axis=-1) >= 0.0, 1.0, -1.0)[:, None, None]
 
-    jac = fd_jacobian_batch(fun, x)
-    return jac[:, :12], jac[:, 12:]
+    j_res = np.zeros((m, 12, 12))
+    j_res[:, 0:2, 3:7] = d_img @ d_comp @ _quat_rmat(q_cl) @ sandwich @ _normalize_jacobian(rel) @ _quat_lmat(q_ref)
+    j_res[:, 0:2, 7:11] = d_img @ d_comp @ _quat_lmat(inner)
+    j_res[:, 2, 11] = np.sqrt(w.q_d) * sdt
+    j_res[:, 3:5, 7:11] = np.sqrt(w.q_p)[:, None] * sdt * d_n[:, :2]
+    j_res[:, 5:8, 0:3] = np.diag(np.sqrt(w.q_v) * sdt)
+    j_res[:, 8:12, 3:7] = sgn * np.diag(np.sqrt(w.q_q) * sdt)
+    j_n = np.zeros((m, 3, 12))
+    j_n[:, :, 7:11] = d_n
+    return j_res, j_n
 
 
-def _rollout(x0: Array, u: Array, dt: float, ext: CameraExtrinsics) -> Array:
+def _rollout(x0: Array, u: Array, dt: float, ext: CameraExtrinsics, stages: list | None = None) -> Array:
     """States of the inputs ``u`` stepped from ``x0`` by :func:`_rk4`.
 
     The steps run on Python floats; numpy scalars would cost several times
-    more per operation.  After a float division by zero the rest is stepped
+    more per operation.  Their stage derivatives are appended to ``stages``
+    when it is given.  After a float division by zero the rest is stepped
     on arrays, whose inf/NaN equal the batched kernel's; they are the
-    result, so their warnings are silenced.
+    result, so their warnings are silenced, and no stages are recorded
+    for them.
     """
     r_bc = quat_to_rotmat(ext.q_bc)
     floats = (float(dt), ext.p_b_cb.tolist(), r_bc.tolist())
     states = [np.asarray(x0, dtype=np.float64).tolist()]
     try:
         for uk in u.tolist():
-            states.append(_rk4(states[-1], uk, *floats))
+            states.append(_rk4(states[-1], uk, *floats, stages))
     except ZeroDivisionError:
         with np.errstate(all="ignore"):
             for uk in u[len(states) - 1 :]:
@@ -342,14 +372,19 @@ _HOVER_U = np.array([9.81, 0.0, 0.0, 0.0])
 
 
 class _Workspace:
-    """Evaluation of one feasible iterate: rolled-out states and their stage outputs."""
+    """Evaluation of one feasible iterate: rolled-out states, their RK4 stages and stage outputs.
 
-    __slots__ = ("x", "outputs", "cost", "viol_sum", "viol_max", "merit", "finite")
+    A rollout that divided by zero holds inf or NaN, so the stages of a
+    finite one are complete.
+    """
+
+    __slots__ = ("x", "stages", "outputs", "cost", "viol_sum", "viol_max", "merit", "finite")
 
     def __init__(self, u, problem):
         p = problem.params
         ext = problem.extrinsics
-        self.x = _rollout(problem.x0.as_vector(), u, p.dt, ext)
+        self.stages = []
+        self.x = _rollout(problem.x0.as_vector(), u, p.dt, ext, self.stages)
         self.outputs = None
         self.cost = self.viol_sum = self.viol_max = self.merit = float("nan")
         self.finite = bool(np.all(np.isfinite(self.x)))
@@ -375,12 +410,14 @@ class _Model:
     vis_base: Array
 
 
-def _reduced_model(x, u, problem, outputs):
+def _reduced_model(x, u, problem, outputs, stages):
     """Condensed Gauss-Newton model at the rolled-out iterate (X, U).
 
-    ``outputs`` are the ``_stage_outputs`` of ``x``.  The shooting defects
-    are exactly zero on a rollout, so the state deviations are the input
-    moves mapped through the linearised RK4 map alone.  The visibility
+    ``outputs`` are the ``_stage_outputs`` of ``x`` and ``stages`` the RK4
+    stage derivatives of its rollout, as ``_rollout`` records them.  The
+    shooting defects are exactly zero on a rollout, so the state
+    deviations are the input moves mapped through the linearised RK4 map
+    alone.  The visibility
     cone of node k >= 1 becomes four one-sided rows
     ``vis_base + vis_rows @ dU <= 0``, for every node: ``4N`` rows in all.
     """
@@ -388,7 +425,7 @@ def _reduced_model(x, u, problem, outputs):
     n = p.horizon
     ext = problem.extrinsics
 
-    a_k, b_k = rk4_jacobians(x[:-1], u, p.dt, ext)
+    a_k, b_k = rk4_jacobians(x[:-1], u, stages, p.dt, ext)
     j_res, j_n = _stage_jacobians(x, problem.ref, problem.weights, ext.q_bc, p.dt)
     res, n_c = outputs
 
@@ -398,15 +435,13 @@ def _reduced_model(x, u, problem, outputs):
         big_m[k] = a_k[k] @ big_m[k - 1]
         big_m[k][:, k * NU : (k + 1) * NU] += b_k[k]
 
-    h_mat = p.reg * np.eye(n * NU)
-    g_vec = np.zeros(n * NU)
-    for k in range(1, n + 1):
-        jm = j_res[k] @ big_m[k - 1]
-        h_mat += 2.0 * jm.T @ jm
-        g_vec += 2.0 * jm.T @ res[k]
+    # residuals of nodes 1..N in the input moves, stacked
+    jm = (j_res[1:] @ big_m).reshape(-1, n * NU)
+    h_mat = 2.0 * (jm.T @ jm)
+    g_vec = 2.0 * (jm.T @ res[1:].ravel())
     # input regularization around hover (diagonal in the inputs)
     qu = np.tile(problem.weights.q_u, n)
-    h_mat[np.diag_indices_from(h_mat)] += 2.0 * p.dt * qu
+    h_mat[np.diag_indices_from(h_mat)] += p.reg + 2.0 * p.dt * qu
     g_vec += 2.0 * p.dt * qu * (u.ravel() - np.tile(_HOVER_U, n))
 
     cone = _cone(problem)
@@ -482,7 +517,7 @@ def solve(problem: OcpProblem, warm: OcpSolution | None = None) -> OcpSolution:
 
     for _ in range(p.max_sqp_iters):
         iters_done += 1
-        model = _reduced_model(ws.x, u, problem, ws.outputs)
+        model = _reduced_model(ws.x, u, problem, ws.outputs, ws.stages)
         lb_step = np.maximum(lb - u.ravel(), -step_box)
         ub_step = np.minimum(ub - u.ravel(), step_box)
         # the last QP's multipliers start this one

@@ -11,9 +11,15 @@ rates through the broadcasting quaternion helpers, and
 solver's hand-expanded kernel ``dynamics._f``.  ``image_dynamics`` calls
 the package's ``dynamics._bearing_rates``, which the prediction study
 runs, so its tests check that code.  ``full_dynamics`` and
-``f_jacobians`` evaluate the solver's kernel and its
-``fd_jacobian_batch`` on typed states, and ``rk4_flat_step`` is one row
-of the solver's RK4 step ``dynamics._rk4_flat``.
+``f_jacobians`` evaluate the solver's kernel and its exact Jacobian
+``dynamics._f_jacobian`` on typed states, ``rk4_flat_step`` is one row
+of the solver's RK4 step ``dynamics._rk4_flat``, and ``rk4_stages``
+records the stage derivatives of the float-path steps as the solver's
+rollout does.
+
+The package computes no finite difference: ``fd_jacobian_batch``, with
+its relative step ``FD_STEP``, is the batched central-difference oracle
+that the exact derivatives are checked against.
 
 ``stage_block`` is not an oracle: it exposes one objective of the
 solver's own stage residuals so the cost tests check the code that runs.
@@ -32,8 +38,9 @@ from quadvpc.dynamics import (
     ControlInput,
     _bearing_rates,
     _f,
+    _f_jacobian,
+    _rk4,
     _rk4_flat,
-    fd_jacobian_batch,
 )
 from quadvpc.ocp import _stage_jacobians, _stage_outputs
 
@@ -84,6 +91,29 @@ def fd_gradient(fun, x, h=1e-5) -> np.ndarray:
         xm[i] -= step
         g[i] = (fun(xp) - fun(xm)) / (2 * step)
     return g
+
+
+# Relative step of the batched central differences: the step of component i
+# is FD_STEP * max(1, |z_i|).
+FD_STEP = 1e-6
+
+
+def fd_jacobian_batch(fun, z) -> np.ndarray:
+    """Central-difference Jacobians of a batched map.
+
+    ``fun`` maps ``(M, n) -> (M, m)`` row by row; returns ``(B, m, n)``.
+    Step sizes scale per component as ``FD_STEP * max(1, |z_i|)``.
+    ``fun`` is called once, on all ``2 B n`` perturbed points: the ``+``
+    steps then the ``-`` steps, each ordered by batch row, then by
+    component.
+    """
+    z = np.atleast_2d(np.asarray(z, dtype=np.float64))
+    b, n = z.shape
+    steps = FD_STEP * np.maximum(1.0, np.abs(z))
+    pert = np.eye(n)[None, :, :] * steps[:, :, None]  # (B, n, n), row j = e_j * step_j
+    zz = z[:, None, :] + np.stack([pert, -pert])  # (2, B, n, n)
+    f = fun(zz.reshape(2 * b * n, n)).reshape(2, b, n, -1)
+    return (f[0] - f[1]).swapaxes(1, 2) / (2.0 * steps[:, None, :])
 
 
 def fd_jacobian(fun, x, h=1e-7) -> np.ndarray:
@@ -147,24 +177,33 @@ def full_dynamics(x, u, ext) -> np.ndarray:
 
 
 def f_jacobians(x, u, ext):
-    """Jacobians (A, B) of ``_f`` by the solver's ``fd_jacobian_batch``.
+    """Jacobians (A, B) of ``_f`` by the solver's exact ``_f_jacobian``.
 
-    Central finite differences on the flat coordinates; quaternions are
-    treated as raw 4-vectors.
+    Quaternions are treated as raw 4-vectors.
     """
-    z0 = np.concatenate([x.as_vector(), u.as_vector()])[None, :]
-    r_bc = g.quat_to_rotmat(ext.q_bc)
-
-    def fun(z):
-        return np.array(_f(z[:, :12].T, z[:, 12:].T, ext.p_b_cb, r_bc)).T
-
-    jac = fd_jacobian_batch(fun, z0)[0]
+    z = np.concatenate([x.as_vector(), u.as_vector()])[None, :]
+    jac = _f_jacobian(z[:, :12], z[:, 12:], ext.p_b_cb, g.quat_to_rotmat(ext.q_bc))[0]
     return jac[:, :12], jac[:, 12:]
 
 
 def rk4_flat_step(x, u, dt, ext) -> np.ndarray:
     """One ``dynamics._rk4_flat`` step of one flat state under one flat input."""
     return _rk4_flat(np.atleast_2d(x), np.atleast_2d(u), dt, ext.p_b_cb, ext.q_bc)[0]
+
+
+def rk4_stages(x, u, dt, ext) -> np.ndarray:
+    """The stage derivatives ``(K, 4, 12)`` of one ``_rk4`` step from each row of ``x (K, 12)`` under ``u (K, 4)``.
+
+    The steps run on Python floats and record their stages, as the
+    solver's rollout does; on the states of a rollout the result equals
+    the stages it recorded.
+    """
+    x, u = np.atleast_2d(x), np.atleast_2d(u)
+    p_b_cb, r_bc = ext.p_b_cb.tolist(), g.quat_to_rotmat(ext.q_bc).tolist()
+    stages = []
+    for xk, uk in zip(x.tolist(), u.tolist()):
+        _rk4(xk, uk, float(dt), p_b_cb, r_bc, stages)
+    return np.array(stages).reshape(len(x), 4, 12)
 
 
 def composed_dynamics(z, ext) -> np.ndarray:

@@ -20,6 +20,7 @@ from conftest import (
     fd_gradient,
     quat_oracle_from_axis_angle,
     random_quat,
+    rk4_stages,
     rotmat_oracle,
     stage_block,
     stage_block_gradient,
@@ -297,7 +298,7 @@ class TestVisibilityResidual:
         x[2, 7:11] = behind
         u = np.tile(ControlInput.hover().as_vector(), (2, 1))
         outputs = _stage_outputs(x, problem.ref, problem.weights, DEFAULT_EXTRINSICS.q_bc, params.dt)
-        model = _reduced_model(x, u, problem, outputs)
+        model = _reduced_model(x, u, problem, outputs, rk4_stages(x[:-1], u, params.dt, DEFAULT_EXTRINSICS))
         assert model.vis_rows.shape == (8, 8)  # four rows for each of nodes 1 and 2
         m = params.constraint_margin
         assert np.allclose(model.vis_base[:4], -(1.0 - m), atol=1e-12)  # node 1 on the axis

@@ -9,7 +9,6 @@ from quadvpc.dynamics import (
     ControlInput,
     QuadVisualState,
     _rk4_flat,
-    fd_jacobian_batch,
     homogeneous_image_dynamics,
     propagate_camera_pose,
     rk4_jacobians,
@@ -17,18 +16,21 @@ from quadvpc.dynamics import (
 from quadvpc.scenarios import bearing_prediction_step, homogeneous_prediction_step
 from quadvpc.simulator import DEFAULT_EXTRINSICS
 
+import conftest
 from conftest import (
     bearing_N,
     camera_twist,
     composed_dynamics,
     f_jacobians,
     fd_jacobian,
+    fd_jacobian_batch,
     full_dynamics,
     image_dynamics,
     quad_dynamics,
     quat_oracle_from_axis_angle,
     random_quat,
     rk4_flat_step,
+    rk4_stages,
 )
 
 IDENTITY_EXT = CameraExtrinsics()
@@ -367,7 +369,7 @@ class TestOneKernel:
 
 
 class TestDynamicsJacobians:
-    # fd_jacobian_batch over the solver's kernel _f
+    # the solver's exact Jacobian of its kernel _f
     def test_thrust_column_at_identity(self):
         x = QuadVisualState(np.zeros(3), g.quat_identity(), g.quat_identity(), 2.0)
         _, b = f_jacobians(x, ControlInput(9.81, np.zeros(3)), IDENTITY_EXT)
@@ -398,7 +400,7 @@ class TestFdJacobianBatch:
         # the + and - halves and the (row, component) order of the one
         # batched call: a linear map's Jacobian is its matrix in every row.
         # Central differences are exact on it; a step of 1e-4 keeps roundoff ~1e-12.
-        monkeypatch.setattr(dynamics, "FD_STEP", 1e-4)
+        monkeypatch.setattr(conftest, "FD_STEP", 1e-4)
         m = rng.normal(size=(5, 7))
         z = rng.uniform(-3.0, 3.0, (4, 7))
         jac = fd_jacobian_batch(lambda zz: zz @ m.T, z)
@@ -414,12 +416,45 @@ class TestFdJacobianBatch:
         for _ in range(3):
             x = np.array([random_state(rng, d_lo=1.0).as_vector() for _ in range(20)])
             u = np.array([random_input(rng).as_vector() for _ in range(20)])
-            a, b = rk4_jacobians(x, u, 0.05, ext)
+            a, b = rk4_jacobians(x, u, rk4_stages(x, u, 0.05, ext), 0.05, ext)
             for k in range(20):
                 z0 = np.concatenate([x[k], u[k]])
                 jac = fd_jacobian(lambda z: _rk4(z[:12], z[12:], 0.05, ext.p_b_cb, r_bc), z0, h=1e-7)
                 scale = np.maximum(np.abs(jac), 1.0)
                 assert np.max(np.abs(np.hstack([a[k], b[k]]) - jac) / scale) < 1e-5
+
+
+class TestRk4Jacobians:
+    @staticmethod
+    def complex_step(x, u, ext, h=1e-30):
+        # Im f(z + i h e_j) / h: the derivative of _rk4_flat's arithmetic,
+        # with no cancellation, so exact to roundoff away from the floor
+        z = np.concatenate([x, u], axis=1).astype(complex)
+        jac = np.empty((len(z), 12, 16))
+        for j in range(16):
+            zj = z.copy()
+            zj[:, j] += 1j * h
+            jac[:, :, j] = _rk4_flat(zj[:, :12], zj[:, 12:], 0.05, ext.p_b_cb, ext.q_bc).imag / h
+        return jac
+
+    def test_match_complex_step(self, rng):
+        ext = DEFAULT_EXTRINSICS
+        x = np.array([random_state(rng, d_lo=1.0).as_vector() for _ in range(20)])
+        u = np.array([random_input(rng).as_vector() for _ in range(20)])
+        a, b = rk4_jacobians(x, u, rk4_stages(x, u, 0.05, ext), 0.05, ext)
+        want = self.complex_step(x, u, ext)
+        assert np.all(_rk4_flat(x, u, 0.05, ext.p_b_cb, ext.q_bc)[:, 11] > dynamics.D_FLOOR)
+        assert np.max(np.abs(np.concatenate([a, b], axis=2) - want) / np.maximum(np.abs(want), 1.0)) < 1e-12
+
+    def test_distance_floor_rows_zero(self):
+        # TestRk4::test_distance_floor's step, which the floor clamps: the
+        # distance after it does not move with the state or the input
+        x = QuadVisualState(v_w=[0, 0, 1.0], q_wb=g.quat_identity(), q_cl=g.quat_identity(), d=0.051).as_vector()[None]
+        u = ControlInput(9.81, np.zeros(3)).as_vector()[None]
+        assert rk4_flat_step(x[0], u[0], 0.05, IDENTITY_EXT)[11] == dynamics.D_FLOOR
+        a, b = rk4_jacobians(x, u, rk4_stages(x, u, 0.05, IDENTITY_EXT), 0.05, IDENTITY_EXT)
+        assert np.all(a[0, 11] == 0.0) and np.all(b[0, 11] == 0.0)
+        assert np.any(a[0, :11] != 0.0)
 
 
 class TestHomogeneousBaseline:

@@ -28,7 +28,7 @@ from quadvpc.ocp import (
 )
 from quadvpc.simulator import DEFAULT_EXTRINSICS, Landmark, NoiseModel, PlantState, observe, run_closed_loop
 
-from conftest import random_quat, rk4_flat_step
+from conftest import fd_jacobian_batch, random_quat, rk4_flat_step, rk4_stages
 
 
 def constant_ref(d, nodes=21):
@@ -129,6 +129,19 @@ class TestStageJacobians:
             want[:, 7:11] = self.bearing_closed_form(x[k, 7:11])[1]
             assert np.max(np.abs(j_n[k] - want)) <= 1e-8 * np.max(np.abs(want))
 
+    def test_matches_finite_differences(self, rng):
+        # every residual and bearing row, against central differences of
+        # _stage_outputs on the raw flat state, each node about its own reference
+        n = 21
+        x = np.column_stack([rng.uniform(-3, 3, (n, 3)), random_quat(rng, n), random_quat(rng, n), rng.uniform(1.0, 8.0, n)])
+        ref = ReferencePoint(rng.uniform(-0.5, 0.5, (n, 2)), rng.uniform(1, 8, n), rng.uniform(-2, 2, (n, 3)), random_quat(rng, n))
+        w, q_bc, dt = CostWeights(q_s=[30.0, 20.0]), DEFAULT_EXTRINSICS.q_bc, 0.05
+        j_res, j_n = _stage_jacobians(x, ref, w, q_bc, dt)
+        ref_tiled = ref._take(np.tile(np.repeat(np.arange(n), 12), 2))
+        fd = fd_jacobian_batch(lambda z: np.concatenate(_stage_outputs(z, ref_tiled, w, q_bc, dt), axis=1), x)
+        exact = np.concatenate([j_res, j_n], axis=1)
+        assert np.max(np.abs(exact - fd) / np.maximum(np.abs(fd), 1.0)) < 1e-7
+
     def test_cone_rows_match_closed_form(self, rng):
         # with one shooting interval the model's rows are cone @ dn/dq @ B_0
         # exactly, B_0 being the input Jacobian of the RK4 step
@@ -139,8 +152,8 @@ class TestStageJacobians:
             problem = build_problem(x0, ref, CostWeights(), Bounds(), DEFAULT_EXTRINSICS, params)
             u = rng.uniform(problem.bounds.input_lower(), problem.bounds.input_upper(), (1, 4))
             ws = _Workspace(u, problem)
-            model = _reduced_model(ws.x, u, problem, ws.outputs)
-            _, b_0 = rk4_jacobians(ws.x[:1], u, params.dt, DEFAULT_EXTRINSICS)
+            model = _reduced_model(ws.x, u, problem, ws.outputs, ws.stages)
+            _, b_0 = rk4_jacobians(ws.x[:1], u, ws.stages, params.dt, DEFAULT_EXTRINSICS)
             n_1, dn_1 = self.bearing_closed_form(ws.x[1, 7:11])
             cone = _cone(problem)
             want = cone @ dn_1 @ b_0[0, 7:11]
@@ -205,9 +218,9 @@ class TestSolveProperties:
         iterates, boxes = [], []
         build, step_qp = ocp._reduced_model, ocp._solve_step_qp
 
-        def model_spy(x, u, problem, outputs):
+        def model_spy(x, u, problem, outputs, stages):
             iterates.append(u.ravel().copy())
-            return build(x, u, problem, outputs)
+            return build(x, u, problem, outputs, stages)
 
         def qp_spy(h_mat, g_vec, lb, ub, *args):
             boxes.append((lb.copy(), ub.copy()))
@@ -315,10 +328,11 @@ class TestKktReport:
 
 
 class TestSkippedDefects:
-    # solve builds its models without recomputing the stage outputs: they
-    # are those its workspace evaluated, so the models equal the ones built
-    # with fresh outputs (that the defects the models leave out are exactly
-    # zero is test_feasible_rollout_zero_dynamics_component)
+    # solve builds its models without recomputing the stage outputs or the
+    # RK4 stages: they are those its workspace evaluated, so the models equal
+    # the ones built with fresh outputs and stages (that the defects the
+    # models leave out are exactly zero is
+    # test_feasible_rollout_zero_dynamics_component)
     @staticmethod
     def solver_models(monkeypatch, run):
         import quadvpc.ocp as ocp
@@ -326,8 +340,8 @@ class TestSkippedDefects:
         seen = []
         build = ocp._reduced_model
 
-        def spy(x, u, problem, outputs):
-            model = build(x, u, problem, outputs)
+        def spy(x, u, problem, outputs, stages):
+            model = build(x, u, problem, outputs, stages)
             seen.append((x.copy(), u.copy(), problem, model))
             return model
 
@@ -341,7 +355,8 @@ class TestSkippedDefects:
     def check(models):
         for x, u, problem, built in models:
             outputs = _stage_outputs(x, problem.ref, problem.weights, problem.extrinsics.q_bc, problem.params.dt)
-            fresh = _reduced_model(x, u, problem, outputs)
+            stages = rk4_stages(x[:-1], u, problem.params.dt, problem.extrinsics)
+            fresh = _reduced_model(x, u, problem, outputs, stages)
             assert len(built.vis_rows) > 0
             for name in ("h", "g", "vis_rows", "vis_base"):
                 assert np.array_equal(getattr(built, name), getattr(fresh, name))
@@ -769,7 +784,7 @@ class TestFlyingIntoLandmark:
         params = OcpParams()
         problem = build_problem(meas, constant_ref(2.0), CostWeights(), Bounds(), DEFAULT_EXTRINSICS, params)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # the FD Jacobians overflow beyond the floor
+            warnings.simplefilter("error")
             sol = solve(problem)
         assert sol.status is not SolveStatus.CONVERGED
         assert sol.kkt > params.sqp_tol
