@@ -137,7 +137,11 @@ class ControlInput:
 
 @dataclass(frozen=True)
 class CameraExtrinsics:
-    """Camera mounting: position in body frame and camera-to-body rotation."""
+    """Camera mounting: position in body frame and camera-to-body rotation.
+
+    ``r_bc``, the rotation matrix of ``q_bc``, is computed once here; it is
+    an attribute, not a field, so configs neither hold nor set it.
+    """
 
     p_b_cb: Array = field(default_factory=lambda: np.zeros(3))
     q_bc: Array = field(default_factory=quat_identity)
@@ -145,6 +149,7 @@ class CameraExtrinsics:
     def __post_init__(self):
         object.__setattr__(self, "p_b_cb", _vec3(self.p_b_cb))
         object.__setattr__(self, "q_bc", _unit_quat(self.q_bc))
+        object.__setattr__(self, "r_bc", quat_to_rotmat(self.q_bc))
 
 
 @dataclass(frozen=True)
@@ -412,7 +417,7 @@ def rk4_jacobians(x: Array, u: Array, stages, dt: float, ext: CameraExtrinsics):
     k = np.reshape(stages, (kk, 4, 12))
     h = 0.5 * dt
     points = np.stack([x, x + h * k[:, 0], x + h * k[:, 1], x + dt * k[:, 2]], axis=1)
-    jac = _f_jacobian(points.reshape(4 * kk, 12), np.repeat(u, 4, axis=0), ext.p_b_cb, quat_to_rotmat(ext.q_bc))
+    jac = _f_jacobian(points.reshape(4 * kk, 12), np.repeat(u, 4, axis=0), ext.p_b_cb, ext.r_bc)
     jac = jac.reshape(kk, 4, 12, 16)
     # stage s is f at x + c k_{s-1}, so dk_s = J_s + c A_s dk_{s-1}
     dk = total = jac[:, 0]

@@ -12,6 +12,12 @@ of the stacked residual Jacobians.
 The QP's box is the input box intersected with a constant step box, and
 an Armijo line search on an L1 merit function is the one globalisation.
 
+The default budget is one SQP iteration, a real-time iteration (Diehl,
+Bock & Schloeder, 2005): each control tick warm-starts from the shifted
+plan, builds one Gauss-Newton model at its rollout from the measured
+initial state, solves one step QP and takes one Armijo-checked step.
+Larger budgets iterate the same step towards a KKT point.
+
 The objectives and the visibility constraint read the feature's unit
 bearing ``n``, never the image coordinate ``n_xy / n_z``, so nothing
 divides by depth.  Visibility is the linear cone ``cone @ n <= 0``,
@@ -56,7 +62,6 @@ from .geometry import (
     quat_normalize,
     quat_prod,
     quat_rotate,
-    quat_to_rotmat,
 )
 
 NX = 12
@@ -83,7 +88,7 @@ class OcpParams:
 
     horizon: int = 20
     dt: float = 0.05
-    max_sqp_iters: int = 5
+    max_sqp_iters: int = 1
     qp_tol: float = 1e-8
     slack_weight: float = 200.0
     sqp_tol: float = 1e-6
@@ -122,9 +127,14 @@ class OcpSolution:
     kkt: float  # of the last linearised iterate; ``kkt_at_inputs`` says whether that is ``inputs``
     sqp_iters: int
     status: SolveStatus
+    # why ``solve`` stopped: ``kkt`` (converged), ``no_descent``,
+    # ``line_search_failed``, ``tiny_steps``, ``budget`` or ``infeasible``;
+    # empty on a shifted warm start
+    reason: str = ""
     slack_max: float = 0.0
     iter_merits: list = field(default_factory=list)
     qp_iters: int = 0  # projected-Newton steps of the step QPs, summed over the solve
+    backtracks: int = 0  # rejected line-search trials, summed over the solve
     kkt_at_inputs: bool = False
     solve_ms: float = 0.0
     params: OcpParams | None = None
@@ -252,8 +262,7 @@ def _rollout(x0: Array, u: Array, dt: float, ext: CameraExtrinsics, stages: list
     result, so their warnings are silenced, and no stages are recorded
     for them.
     """
-    r_bc = quat_to_rotmat(ext.q_bc)
-    floats = (float(dt), ext.p_b_cb.tolist(), r_bc.tolist())
+    floats = (float(dt), ext.p_b_cb.tolist(), ext.r_bc.tolist())
     states = [np.asarray(x0, dtype=np.float64).tolist()]
     try:
         for uk in u.tolist():
@@ -261,7 +270,7 @@ def _rollout(x0: Array, u: Array, dt: float, ext: CameraExtrinsics, stages: list
     except ZeroDivisionError:
         with np.errstate(all="ignore"):
             for uk in u[len(states) - 1 :]:
-                states.append(_rk4(np.array(states[-1]), uk, dt, ext.p_b_cb, r_bc))
+                states.append(_rk4(np.array(states[-1]), uk, dt, ext.p_b_cb, ext.r_bc))
     return np.array(states)
 
 
@@ -484,7 +493,11 @@ def solve(problem: OcpProblem, warm: OcpSolution | None = None) -> OcpSolution:
     inputs when no step was accepted after that linearisation.  The solve
     is ``converged`` only when that KKT residual is below ``sqp_tol``; it
     stops early, as ``max_iters``, on a step that does not descend, a line
-    search that fails, or two tiny decreases in a row.
+    search that fails, or two tiny decreases in a row.  ``reason`` names
+    the exit, one per stop: ``kkt``, ``no_descent``,
+    ``line_search_failed``, ``tiny_steps``, ``budget`` (the loop ran out)
+    or ``infeasible``.  The default budget of one iteration makes each
+    solve one Gauss-Newton step from the warm start.
     """
     p = problem.params
     n = p.horizon
@@ -506,9 +519,10 @@ def solve(problem: OcpProblem, warm: OcpSolution | None = None) -> OcpSolution:
     if not ws.finite:
         return _infeasible_solution(u, ws, merits, 0, problem)
 
-    status = SolveStatus.MAX_ITERS
     qp_steps = 0
     iters_done = 0
+    backtracks = 0
+    reason = "budget"
     lam = np.zeros(4 * n)  # multipliers of the visibility rows, the same rows in every model
     kkt_out, kkt_at_inputs = float("inf"), False
     # the constant step box in the infinity norm; thrust moves 3x faster
@@ -527,16 +541,17 @@ def solve(problem: OcpProblem, warm: OcpSolution | None = None) -> OcpSolution:
         )
         qp_steps += steps
         if not np.all(np.isfinite(du)):
-            status = SolveStatus.INFEASIBLE
+            reason = "infeasible"
             break
 
         kkt_out = _kkt_from_model(u.ravel(), model, problem, lam, ws.viol_max)
         kkt_at_inputs = True
         if kkt_out < p.sqp_tol:
-            status = SolveStatus.CONVERGED
+            reason = "kkt"
             break
         descent = float(model.g @ du) - p.slack_weight * (ws.viol_sum - lin_viol)
         if descent > -1e-12:
+            reason = "no_descent"
             break
 
         alpha = 1.0
@@ -546,7 +561,9 @@ def solve(problem: OcpProblem, warm: OcpSolution | None = None) -> OcpSolution:
             if ws_t.finite and ws_t.merit <= ws.merit + 1e-4 * alpha * descent:
                 break
             alpha *= 0.5
+            backtracks += 1
         else:
+            reason = "line_search_failed"
             break
         actual = ws.merit - ws_t.merit
         u, ws, kkt_at_inputs = u_t, ws_t, False
@@ -554,12 +571,13 @@ def solve(problem: OcpProblem, warm: OcpSolution | None = None) -> OcpSolution:
         if actual < 1e-8 * (1.0 + abs(ws.merit)):
             tiny_steps += 1
             if tiny_steps >= 2:
+                reason = "tiny_steps"
                 break
         else:
             tiny_steps = 0
 
-    if status is SolveStatus.INFEASIBLE:
-        return _infeasible_solution(u, ws, merits, iters_done, problem)
+    if reason == "infeasible":
+        return _infeasible_solution(u, ws, merits, iters_done, problem, backtracks)
 
     return OcpSolution(
         inputs=u,
@@ -567,17 +585,19 @@ def solve(problem: OcpProblem, warm: OcpSolution | None = None) -> OcpSolution:
         cost=ws.cost,
         kkt=kkt_out,
         sqp_iters=iters_done,
-        status=status,
+        status=SolveStatus.CONVERGED if reason == "kkt" else SolveStatus.MAX_ITERS,
+        reason=reason,
         slack_max=ws.viol_max,
         iter_merits=merits,
         qp_iters=qp_steps,
+        backtracks=backtracks,
         kkt_at_inputs=kkt_at_inputs,
         params=p,
         extrinsics=ext,
     )
 
 
-def _infeasible_solution(u, ws, merits, iters_done, problem) -> OcpSolution:
+def _infeasible_solution(u, ws, merits, iters_done, problem, backtracks=0) -> OcpSolution:
     return OcpSolution(
         inputs=u,
         states=ws.x,
@@ -585,7 +605,9 @@ def _infeasible_solution(u, ws, merits, iters_done, problem) -> OcpSolution:
         kkt=float("inf"),
         sqp_iters=iters_done,
         status=SolveStatus.INFEASIBLE,
+        reason="infeasible",
         iter_merits=merits,
+        backtracks=backtracks,
         params=problem.params,
         extrinsics=problem.extrinsics,
     )

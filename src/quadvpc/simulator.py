@@ -251,6 +251,7 @@ class RunLog:
     qp_iters: Array
     slack_max: Array
     status: list
+    reason: list  # of each tick's solve: why it stopped (``OcpSolution.reason``)
     outcome: str
     fail_time: float | None = None
     fail_reason: str | None = None
@@ -280,6 +281,7 @@ class RunLog:
             qp_iters=np.zeros(0),
             slack_max=np.zeros(0),
             status=[],
+            reason=[],
             outcome=outcome,
             fail_time=0.0,
             fail_reason=fail_reason,
@@ -310,6 +312,7 @@ def run_closed_loop(
 
     rows = {key: [] for key in ("t", "p_w", "v_w", "q_wb", "s_c", "d", "u", "ref_s", "ref_d", "solve_ms", "kkt", "sqp_iters", "qp_iters", "slack_max")}
     status: list = []
+    reason: list = []
     outcome = "success"
     fail_time = None
     fail_reason = None
@@ -341,6 +344,7 @@ def run_closed_loop(
         rows["qp_iters"].append(sol.qp_iters)
         rows["slack_max"].append(sol.slack_max)
         status.append(sol.status.value)
+        reason.append(sol.reason)
 
         ps = plant_step(ps, u, dt)
         if np.linalg.norm(ps.v_w) > DIVERGENCE_SPEED:
@@ -366,6 +370,7 @@ def run_closed_loop(
         qp_iters=np.array(rows["qp_iters"]),
         slack_max=np.array(rows["slack_max"]),
         status=status,
+        reason=reason,
         outcome=outcome,
         fail_time=fail_time,
         fail_reason=fail_reason,

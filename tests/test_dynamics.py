@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,15 @@ class TestQuadDynamics:
             u = random_input(rng)
             _, dq = quad_dynamics(rng.normal(size=3), q, u)
             assert abs(dq @ q) < 1e-12
+
+
+class TestCameraExtrinsics:
+    def test_rotation_follows_q_bc(self):
+        # r_bc is computed at construction, so a replaced q_bc carries its own
+        ext = replace(DEFAULT_EXTRINSICS, q_bc=g.quat_yaw(0.3))
+        for e in (DEFAULT_EXTRINSICS, ext):
+            assert np.array_equal(e.r_bc, g.quat_to_rotmat(e.q_bc))
+        assert not np.array_equal(ext.r_bc, DEFAULT_EXTRINSICS.r_bc)
 
 
 class TestCameraTwist:

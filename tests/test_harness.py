@@ -355,16 +355,17 @@ class TestOutputs:
         logs = {f"run_{i:02d}": r["log"] for i, r in enumerate(scenario_gate_reaching(cfg, GATE_POSES[:2]))}
         path = write_solver_trace_csv(logs, tmp_path / "solver_trace.csv")
         header, *rows = path.read_text().splitlines()
-        assert header == SOLVER_TRACE_HEADER == "run,t,sqp_iters,qp_iters,slack_max,status"
+        assert header == SOLVER_TRACE_HEADER == "run,t,sqp_iters,qp_iters,slack_max,status,reason"
         expected = [(name, k, log) for name, log in logs.items() for k in range(log.n_ticks)]
         assert len(rows) == len(expected) == 20
         for row, (name, k, log) in zip(rows, expected):
-            run, t, sqp_iters, qp_iters, slack_max, status = row.split(",")
-            assert (run, int(sqp_iters), int(qp_iters), status) == (
-                name, log.sqp_iters[k], log.qp_iters[k], log.status[k]
+            run, t, sqp_iters, qp_iters, slack_max, status, reason = row.split(",")
+            assert (run, int(sqp_iters), int(qp_iters), status, reason) == (
+                name, log.sqp_iters[k], log.qp_iters[k], log.status[k], log.reason[k]
             )
             assert float(t) == float(f"{log.t[k]:.12g}")
             assert float(slack_max) == float(f"{log.slack_max[k]:.12g}")
+            assert reason in ("kkt", "no_descent", "line_search_failed", "tiny_steps", "budget", "infeasible")
         # with all visibility rows in the model the step QPs take Newton steps
         assert sum(int(log.qp_iters.sum()) for log in logs.values()) > 0
 

@@ -788,6 +788,81 @@ class TestFlyingIntoLandmark:
             sol = solve(problem)
         assert sol.status is not SolveStatus.CONVERGED
         assert sol.kkt > params.sqp_tol
+        assert sol.reason == "no_descent" and sol.sqp_iters == 1
+
+
+class TestStopReason:
+    # each exit of solve has its own reason; status is converged for kkt,
+    # infeasible for infeasible and max_iters for the other four
+    STATUS = {"kkt": SolveStatus.CONVERGED, "infeasible": SolveStatus.INFEASIBLE}
+
+    def check(self, sol, reason):
+        assert sol.reason == reason
+        assert sol.status is self.STATUS.get(reason, SolveStatus.MAX_ITERS)
+
+    def test_hover_equilibrium_kkt(self):
+        _, _, problem = hover_setup()
+        self.check(solve(problem), "kkt")
+
+    def test_one_step_budget(self):
+        _, _, problem = gate_setup(max_sqp_iters=1)
+        sol = solve(problem)
+        self.check(sol, "budget")
+        assert sol.sqp_iters == 1 and len(sol.iter_merits) == 2
+
+    def test_tiny_steps(self):
+        _, _, problem = gate_setup(max_sqp_iters=25)
+        sol = solve(problem)
+        self.check(sol, "tiny_steps")
+        assert sol.sqp_iters < 25
+
+    def test_infeasible_start(self):
+        # 0.5 m from the landmark, flying at it at 2 m/s: the hover rollout
+        # reaches the distance floor and then turns non-finite
+        x0 = QuadVisualState([2.0, 0.0, 0.0], g.quat_identity(), g.quat_identity(), 0.5)
+        problem = build_problem(x0, constant_ref(2.0), CostWeights(), Bounds(), DEFAULT_EXTRINSICS, OcpParams())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve(problem)
+        self.check(sol, "infeasible")
+        assert sol.sqp_iters == 0
+
+    def test_infeasible_step(self, monkeypatch):
+        # a step QP that returns a non-finite step ends the solve as infeasible
+        import quadvpc.ocp as ocp
+
+        step_qp = ocp._solve_step_qp
+
+        def nan_step(*args):
+            z, *rest = step_qp(*args)
+            return (np.full_like(z, np.nan), *rest)
+
+        monkeypatch.setattr(ocp, "_solve_step_qp", nan_step)
+        _, _, problem = gate_setup()
+        self.check(solve(problem), "infeasible")
+
+    @pytest.mark.parametrize("budget", [1, 5, 25])
+    def test_backtracks_count_rejected_trials(self, monkeypatch, budget):
+        # every rollout after the start is a line-search trial, accepted or
+        # rejected; from this sinking, tilted start some are rejected
+        import quadvpc.ocp as ocp
+
+        rollouts = []
+        workspace = ocp._Workspace
+
+        def spy(u, problem):
+            rollouts.append(u)
+            return workspace(u, problem)
+
+        monkeypatch.setattr(ocp, "_Workspace", spy)
+        x0 = QuadVisualState([-1.6, -0.62, -3.77], g.quat_exp([-0.3, 0.14, 0.12]), g.bearing_from_image([0.18, -0.19]), 7.98)
+        problem = build_problem(
+            x0, constant_ref(2.0), CostWeights(), Bounds(), DEFAULT_EXTRINSICS, OcpParams(max_sqp_iters=budget)
+        )
+        sol = solve(problem)
+        accepted = len(sol.iter_merits) - 1
+        assert sol.backtracks > 0
+        assert len(rollouts) == 1 + accepted + sol.backtracks
 
 
 class TestSmallInstanceOptimality:
