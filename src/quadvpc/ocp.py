@@ -140,12 +140,6 @@ class OcpSolution:
     params: OcpParams | None = None
     extrinsics: CameraExtrinsics | None = None
 
-    def input_at(self, k: int) -> ControlInput:
-        return ControlInput.from_vector(self.inputs[k])
-
-    def state_at(self, k: int) -> QuadVisualState:
-        return QuadVisualState.from_vector(self.states[k])
-
 
 def build_problem(
     x0: QuadVisualState,
@@ -307,9 +301,11 @@ def _solve_step_qp(h_mat, g_vec, lb, ub, vis_rows, vis_base, lam, rho, tol, max_
     so a caller can pass those of a QP with the same rows.  ``mu`` starts
     at ``10 rho`` and grows tenfold, up to ``1e6 rho``, after a pass that
     cuts the change of the multipliers less than tenfold.  Each inner
-    problem is solved by projected Newton; its backtracking search scores
-    all 30 trial steps in one batch.  With no rows the first outer pass
-    solves the whole problem.
+    problem is solved by projected Newton (Bertsekas, 1982).  Its search
+    scores all 30 trials ``alpha = 2^-i`` along the projected Newton step
+    in one batch and takes the one that lowers the objective most; the
+    taken trial's products (rows, penalty, gradient) carry to the next
+    step.  With no rows the first outer pass solves the whole problem.
 
     Returns (step, row multipliers, slack values, violation sum,
     projected-Newton steps).
@@ -319,12 +315,14 @@ def _solve_step_qp(h_mat, g_vec, lb, ub, vis_rows, vis_base, lam, rho, tol, max_
     steps = 0
     last = np.inf
     z = np.clip(np.zeros_like(g_vec), lb, ub)
+    grad_q = h_mat @ z + g_vec
+    t = vis_rows @ z + vis_base
     for _outer in range(12):
         z_pass = z
+        f = lam + mu * t
+        fc = np.clip(f, 0.0, rho)
+        pen = np.sum(fc * (2.0 * f - fc))
         for _inner in range(max_iter):
-            f = lam + mu * (vis_rows @ z + vis_base)
-            fc = np.clip(f, 0.0, rho)
-            grad_q = h_mat @ z + g_vec
             grad = grad_q + fc @ vis_rows
             pg = np.max(np.abs(z - np.clip(z - grad, lb, ub)))
             if pg < tol:
@@ -341,25 +339,34 @@ def _solve_step_qp(h_mat, g_vec, lb, ub, vis_rows, vis_base, lam, rho, tol, max_
             dz = np.where(at_lb, lb - z, np.where(at_ub, ub - z, 0.0))
             if np.any(free):
                 try:
-                    dz[free] = -np.linalg.solve(h_eff[np.ix_(free, free)], grad[free])
+                    dz[free] = -np.linalg.solve(h_eff[free][:, free], grad[free])
                 except np.linalg.LinAlgError:
                     dz[free] = -grad[free]
             steps += 1
             # backtracking: all 30 trials in one batch, each scored by its
             # change of the objective from z, which keeps small decreases
-            # above roundoff; the longest step that decreases it is taken
+            # above roundoff.  The Newton step overshoots the box and the
+            # row kinks, so a shorter trial often decreases the objective
+            # more than the longest decreasing one: the trial of lowest
+            # score is taken, if that score is negative.  A NaN score (an
+            # overflow, inf - inf) is never taken; a -inf one, a decrease
+            # beyond the float range, can be
             z_t = np.clip(z + alphas[:, None] * dz, lb, ub)
             moves = z_t - z
+            h_moves = moves @ h_mat
             f_t = f + mu * (moves @ vis_rows.T)
             fc_t = np.clip(f_t, 0.0, rho)
             pen_t = np.sum(fc_t * (2.0 * f_t - fc_t), axis=1)
-            pen = np.sum(fc * (2.0 * f - fc))
-            delta = moves @ grad_q + 0.5 * np.sum(moves * (moves @ h_mat), axis=1) + (pen_t - pen) / (2.0 * mu)
-            better = np.flatnonzero(delta < 0.0)
-            if not len(better):
+            delta = moves @ grad_q + 0.5 * np.sum(moves * h_moves, axis=1) + (pen_t - pen) / (2.0 * mu)
+            delta = np.where(delta < 0.0, delta, np.inf)
+            best = int(np.argmin(delta))
+            if delta[best] == np.inf:
                 break
-            z = z_t[better[0]]
-        new = np.clip(lam + mu * (vis_rows @ z + vis_base), 0.0, rho)
+            # the taken trial's products carry to the next step
+            z, f, fc, pen = z_t[best], f_t[best], fc_t[best], pen_t[best]
+            grad_q = grad_q + h_moves[best]
+        t = vis_rows @ z + vis_base
+        new = np.clip(lam + mu * t, 0.0, rho)
         change = np.max(np.abs(new - lam), initial=0.0)
         lam = new
         residual = change / mu  # how far the moved bounds are from holding
@@ -373,7 +380,7 @@ def _solve_step_qp(h_mat, g_vec, lb, ub, vis_rows, vis_base, lam, rho, tol, max_
         if residual > 0.1 * last:
             mu = min(10.0 * mu, 1e6 * rho)
         last = residual
-    slack = np.maximum(0.0, vis_rows @ z + vis_base)
+    slack = np.maximum(0.0, t)
     return z, lam, slack, float(np.sum(slack)), steps
 
 
@@ -651,10 +658,6 @@ class VisualPredictiveController:
         self.params = params
         self._prev: OcpSolution | None = None
         self._queue: list[Array] = []
-
-    def reset(self) -> None:
-        self._prev = None
-        self._queue = []
 
     def step(self, measurement: QuadVisualState, ref: ReferencePoint) -> tuple[ControlInput, OcpSolution]:
         """Build, solve, and return the first (clamped) input."""

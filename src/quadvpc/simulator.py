@@ -111,10 +111,6 @@ class NoiseModel:
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be nonnegative")
 
-    @property
-    def is_zero(self) -> bool:
-        return self.sigma_v == self.sigma_att == self.sigma_d_rel == self.sigma_px == 0.0
-
 
 def plant_step(ps: PlantState, u: ControlInput, dt: float) -> PlantState:
     """Exact step of position, velocity and attitude under ``u`` held for ``dt``.

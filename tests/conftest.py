@@ -266,12 +266,13 @@ def rng():
 
 @pytest.fixture(scope="session")
 def gate_tail_qp():
-    """The step QP of the first SQP iteration at the first gate pose.
+    """The step QP of tick 4 at the first gate pose.
 
-    A real instance from the tail of the gate-reaching solves, with every
-    visibility row in the model.  Captured from the solver's own call, it
-    is a dict of ``_solve_step_qp`` arguments without the starting
-    multipliers ``lam``.
+    A real instance from the tail of the gate-reaching solves: ticks 2-10
+    of a gate flight take the most projected-Newton steps.  It has every
+    visibility row in the model.  Captured from the solver's own
+    call, it is a dict of ``_solve_step_qp`` arguments without the
+    starting multipliers ``lam``.
     """
     import inspect
 
@@ -280,7 +281,7 @@ def gate_tail_qp():
     from quadvpc.scenarios import GATE_POSES, scenario_gate_reaching
 
     cfg = default_config("gate_reaching")
-    cfg.duration = cfg.ocp.dt
+    cfg.duration = 5 * cfg.ocp.dt
     solve_qp = ocp._solve_step_qp
     calls = []
 
@@ -293,6 +294,6 @@ def gate_tail_qp():
         scenario_gate_reaching(cfg, poses=GATE_POSES[:1])
     finally:
         ocp._solve_step_qp = solve_qp
-    qp = calls[0]
+    qp = calls[4]
     del qp["lam"]
     return qp

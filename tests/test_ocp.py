@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from quadvpc import geometry as g
+from quadvpc.config import default_config
 from quadvpc.costs import Bounds, CostWeights, ReferencePoint
 from quadvpc.dynamics import ControlInput, QuadVisualState, _rk4_flat, rk4_jacobians
 from quadvpc.ocp import (
@@ -26,6 +27,7 @@ from quadvpc.ocp import (
     shift_warm_start,
     solve,
 )
+from quadvpc.scenarios import GATE_POSES, scenario_gate_reaching
 from quadvpc.simulator import DEFAULT_EXTRINSICS, Landmark, NoiseModel, PlantState, observe, run_closed_loop
 
 from conftest import fd_jacobian_batch, random_quat, rk4_flat_step, rk4_stages
@@ -421,6 +423,18 @@ class TestStepQpWithoutRows:
             n_active += int(np.any((want == lb) | (want == ub)))
         assert n_active > 50
 
+    def test_overflowing_trials_are_skipped(self):
+        # the Newton step is 1e160 long, so the longer trials score NaN
+        # (inf - inf) and the shorter ones -inf: a choice that can take a
+        # NaN score stops at z = 0
+        none = np.zeros(0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = _solve_step_qp(
+                np.array([[1.0]]), np.array([-1e160]), np.array([-1e300]), np.array([1e300]),
+                np.zeros((0, 1)), none, none, 200.0, 1e-8, 60,
+            )[0]
+        assert np.isfinite(z[0]) and z[0] > 0.0
+
 
 def one_sided(h_mat, g_vec, lb, ub, vis_rows, vis_base, vis_lo, vis_hi, rho):
     """The step QP's arguments for a two-sided instance.
@@ -571,7 +585,7 @@ class TestStepQpWithRows:
         assert abs(l1_objective(z, **rows) - f_want) <= 1e-8 * max(1.0, abs(f_want))
 
     def test_gate_tail_instance(self, gate_tail_qp):
-        # the first model of the first gate pose, with its 4 N = 80 rows
+        # the model of tick 4 of the first gate pose, with its 4 N = 80 rows
         qp = gate_tail_qp
         assert qp["vis_rows"].shape == (80, 80)
         runs = [_solve_step_qp(**qp, lam=np.zeros(80)) for _ in range(2)]
@@ -581,6 +595,28 @@ class TestStepQpWithRows:
         assert l1_objective(z, **qp) <= l1_objective(np.clip(np.zeros(80), qp["lb"], qp["ub"]), **qp)
         for a, b in zip(*runs):
             assert np.array_equal(a, b)
+
+    def test_gate_tail_kkt(self, gate_tail_qp):
+        # the exact L1-penalty optimality conditions: stationarity of the
+        # box problem with the row multipliers, which lie in [0, rho] and
+        # sit at 0 on satisfied rows and at rho on violated ones
+        qp = gate_tail_qp
+        z, lam, _, _, _ = _solve_step_qp(**qp, lam=np.zeros(80))
+        grad = qp["h_mat"] @ z + qp["g_vec"] + lam @ qp["vis_rows"]
+        assert np.max(np.abs(z - np.clip(z - grad, qp["lb"], qp["ub"]))) < 1e-10
+        assert np.all(lam >= 0.0) and np.all(lam <= qp["rho"])
+        t = qp["vis_rows"] @ z + qp["vis_base"]
+        assert np.all(lam[t < -1e-9] == 0.0)
+        assert np.all(lam[t > 1e-9] == qp["rho"])
+
+    def test_gate_flight_qp_steps(self):
+        # ticks 2-10 of a gate flight set the solve tail; a search that
+        # takes the longest decreasing trial spends 329 steps on these 12
+        cfg = default_config("gate_reaching")
+        cfg.duration = 0.6
+        log = scenario_gate_reaching(cfg, poses=GATE_POSES[:1])[0]["log"]
+        assert log.n_ticks == 12
+        assert int(np.sum(log.qp_iters)) <= 280
 
 
 class TestShiftWarmStart:
