@@ -5,6 +5,9 @@ state variables.  Each SQP iteration linearizes the shooting map,
 condenses the state deviations onto the input moves, builds a
 Gauss-Newton quadratic model of the stage costs, and solves a
 box-constrained QP with L1-penalized slacks on the visibility rows.
+That QP finds its active sets by projected Newton inside an augmented
+Lagrangian and ends on one exact solve on those sets, returned only
+when it passes the exact L1-penalty KKT test.
 Every derivative is exact: the RK4 Jacobians are one tangent pass over
 the stage derivatives that the rollout recorded, the stage Jacobians are
 in closed form, and the condensed Hessian and gradient are one product
@@ -287,6 +290,38 @@ def _hinge(n: Array, cone: Array) -> Array:
     return np.sum(np.maximum(0.0, n @ cone.T), axis=-1)
 
 
+def _active_set_solve(h_mat, g_vec, lb, ub, vis_rows, vis_base, z, grad, f, rho):
+    """One exact solve of the step QP on the sets that an augmented-Lagrangian pass found.
+
+    ``z`` is the pass's point, ``grad`` its gradient and ``f = lam + mu t``
+    its rows' shifted values.  Rows with ``0 < f < rho`` (curved) are
+    held at ``t = 0``, rows with ``f >= rho`` (saturated) carry the
+    multiplier ``rho`` and the others none, and each input that the
+    projection ``clip(z - grad, lb, ub)`` puts on a bound is fixed there.
+    The free inputs F and the curved rows' multipliers solve the
+    equality-constrained KKT system ``[[H_FF, V_KFᵀ], [V_KF, 0]]``
+    (solution polishing, Stellato et al., OSQP, 2020).  Returns the
+    candidate ``(z, lam)``, or None when that system is singular; the
+    caller tests it.
+    """
+    lam = np.where(f >= rho, rho, 0.0)
+    z = np.clip(z - grad, lb, ub)
+    free = (z > lb) & (z < ub)
+    z[free] = 0.0
+    curved = (f > 0.0) & (f < rho)
+    rows = vis_rows[curved][:, free]
+    n_k = len(rows)
+    kkt = np.block([[h_mat[free][:, free], rows.T], [rows, np.zeros((n_k, n_k))]])
+    rhs = -np.concatenate([(h_mat @ z + g_vec + lam @ vis_rows)[free], (vis_rows @ z + vis_base)[curved]])
+    try:
+        sol = np.linalg.solve(kkt, rhs)
+    except np.linalg.LinAlgError:
+        return None
+    z[free] = sol[: len(sol) - n_k]
+    lam[curved] = sol[len(sol) - n_k :]
+    return z, lam
+
+
 def _solve_step_qp(h_mat, g_vec, lb, ub, vis_rows, vis_base, lam, rho, tol, max_iter):
     """Box QP with L1-penalized slacks on one-sided linear rows.
 
@@ -294,23 +329,38 @@ def _solve_step_qp(h_mat, g_vec, lb, ub, vis_rows, vis_base, lam, rho, tol, max_
     ``rho``.  An augmented Lagrangian over the rows, with the slacks
     eliminated in closed form, leaves a smooth box problem per outer
     pass: its penalty ``fc (2 f - fc) / (2 mu)``, with ``f = lam + mu t``
-    and ``fc = clip(f, 0, rho)``, is quadratic while ``0 < f < rho`` and
-    linear of slope ``rho`` beyond, where the slack takes up the
-    violation.  The multipliers ``clip(f, 0, rho)`` then converge to
-    those of the exact L1 penalty from any start ``lam`` in ``[0, rho]``,
-    so a caller can pass those of a QP with the same rows.  ``mu`` starts
-    at ``10 rho`` and grows tenfold, up to ``1e6 rho``, after a pass that
-    cuts the change of the multipliers less than tenfold.  Each inner
-    problem is solved by projected Newton (Bertsekas, 1982).  Its search
-    scores all 30 trials ``alpha = 2^-i`` along the projected Newton step
-    in one batch and takes the one that lowers the objective most; the
-    taken trial's products (rows, penalty, gradient) carry to the next
-    step.  With no rows the first outer pass solves the whole problem.
+    and ``fc = clip(f, 0, rho)``, is quadratic while ``0 < f < rho`` (the
+    row is curved) and linear of slope ``rho`` beyond, where the slack
+    takes up the violation.  The multipliers ``clip(f, 0, rho)`` then
+    converge to those of the exact L1 penalty from any start ``lam`` in
+    ``[0, rho]``, so a caller can pass those of a QP with the same rows.
+    Each inner problem is solved by projected Newton (Bertsekas, 1982).
+    Its search scores all 30 trials ``alpha = 2^-i`` along the projected
+    Newton step in one batch and takes the one that lowers the objective
+    most; the taken trial's products (rows, penalty, gradient) carry to
+    the next step.  With no rows the first outer pass solves the whole
+    problem.
+
+    The passes only have to find the sets.  After each pass that moved
+    ``z`` while some rows are curved, :func:`_active_set_solve` solves
+    the QP exactly on the sets the pass ended on.  Its candidate
+    ``(z, lam)`` is returned if it meets the exact L1-penalty KKT
+    conditions: ``z`` inside the box, ``lam`` in ``[0, rho]``, ``t <= 0``
+    on the rows with ``lam = 0``, ``t >= 0`` on those with ``lam = rho``,
+    ``|t| < tol`` on the others and the projected gradient of
+    ``h z + g + lamᵀ vis_rows`` below ``tol``.  The Hessian is positive
+    definite, so these certify the optimum however the candidate was
+    found.  A candidate that fails them is dropped and the passes go
+    on.  So ``mu`` starts at ``rho``, where the sets settle in fewer
+    Newton steps than at a larger weight, and grows tenfold, up to
+    ``1e6 rho``, after a pass that cuts the change of the multipliers
+    less than tenfold.
 
     Returns (step, row multipliers, slack values, violation sum,
-    projected-Newton steps).
+    projected-Newton steps).  The finishing solves are not counted as
+    steps.
     """
-    mu = 10.0 * rho
+    mu = rho
     alphas = 0.5 ** np.arange(30)
     steps = 0
     last = np.inf
@@ -366,7 +416,23 @@ def _solve_step_qp(h_mat, g_vec, lb, ub, vis_rows, vis_base, lam, rho, tol, max_
             z, f, fc, pen = z_t[best], f_t[best], fc_t[best], pen_t[best]
             grad_q = grad_q + h_moves[best]
         t = vis_rows @ z + vis_base
-        new = np.clip(lam + mu * t, 0.0, rho)
+        f = lam + mu * t
+        new = np.clip(f, 0.0, rho)
+        if z is not z_pass and np.any((f > 0.0) & (f < rho)):
+            cand = _active_set_solve(h_mat, g_vec, lb, ub, vis_rows, vis_base, z, grad_q + new @ vis_rows, f, rho)
+            if cand is not None:
+                z_c, lam_c = cand
+                t_c = vis_rows @ z_c + vis_base
+                grad_c = h_mat @ z_c + g_vec + lam_c @ vis_rows
+                # the slack's optimality: t <= 0 at multiplier 0, t >= 0 at rho, t = 0 between
+                slack_ok = np.where(lam_c == 0.0, t_c <= 0.0, np.where(lam_c == rho, t_c >= 0.0, np.abs(t_c) < tol))
+                if (
+                    np.all((z_c >= lb) & (z_c <= ub))
+                    and np.all((lam_c >= 0.0) & (lam_c <= rho) & slack_ok)
+                    and np.max(np.abs(z_c - np.clip(z_c - grad_c, lb, ub))) < tol
+                ):
+                    z, lam, t = z_c, lam_c, t_c
+                    break
         change = np.max(np.abs(new - lam), initial=0.0)
         lam = new
         residual = change / mu  # how far the moved bounds are from holding

@@ -265,35 +265,46 @@ def rng():
 
 
 @pytest.fixture(scope="session")
-def gate_tail_qp():
-    """The step QP of tick 4 at the first gate pose.
+def gate_flight_qps():
+    """Every step QP of the first 12 ticks of the five default gate flights.
 
-    A real instance from the tail of the gate-reaching solves: ticks 2-10
-    of a gate flight take the most projected-Newton steps.  It has every
-    visibility row in the model.  Captured from the solver's own
-    call, it is a dict of ``_solve_step_qp`` arguments without the
-    starting multipliers ``lam``.
+    Ticks 2-10 of a gate flight take the most projected-Newton steps.
+    Captured from the solver's own calls, pose by pose and tick by tick,
+    each entry is ``(args, result)``: the dict of ``_solve_step_qp``
+    arguments and the tuple it returned.
     """
     import inspect
 
     from quadvpc import ocp
     from quadvpc.config import default_config
-    from quadvpc.scenarios import GATE_POSES, scenario_gate_reaching
+    from quadvpc.scenarios import scenario_gate_reaching
 
     cfg = default_config("gate_reaching")
-    cfg.duration = 5 * cfg.ocp.dt
+    cfg.duration = 12 * cfg.ocp.dt
     solve_qp = ocp._solve_step_qp
     calls = []
 
     def spy(*args):
-        calls.append(dict(inspect.signature(solve_qp).bind(*args).arguments))
-        return solve_qp(*args)
+        result = solve_qp(*args)
+        calls.append((dict(inspect.signature(solve_qp).bind(*args).arguments), result))
+        return result
 
     ocp._solve_step_qp = spy
     try:
-        scenario_gate_reaching(cfg, poses=GATE_POSES[:1])
+        scenario_gate_reaching(cfg)
     finally:
         ocp._solve_step_qp = solve_qp
-    qp = calls[4]
+    return calls
+
+
+@pytest.fixture(scope="session")
+def gate_tail_qp(gate_flight_qps):
+    """The step QP of tick 4 at the first gate pose.
+
+    A real instance from the tail of the gate-reaching solves, with every
+    visibility row in the model: a dict of ``_solve_step_qp`` arguments
+    without the starting multipliers ``lam``.
+    """
+    qp = dict(gate_flight_qps[4][0])
     del qp["lam"]
     return qp

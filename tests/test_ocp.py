@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from quadvpc import geometry as g
+from quadvpc import ocp
 from quadvpc.config import default_config
 from quadvpc.costs import Bounds, CostWeights, ReferencePoint
 from quadvpc.dynamics import ControlInput, QuadVisualState, _rk4_flat, rk4_jacobians
@@ -455,6 +456,22 @@ def l1_objective(z, h_mat, g_vec, vis_rows, vis_base, rho, **_):
     return 0.5 * z @ h_mat @ z + g_vec @ z + rho * np.sum(np.maximum(0.0, vis_rows @ z + vis_base))
 
 
+def l1_kkt_residual(qp, z, lam):
+    """Distance of ``(z, lam)`` from the exact L1-penalty KKT conditions of the step QP ``qp``.
+
+    The largest of: the box violation of ``z``, the projected gradient of
+    ``h z + g + lamᵀV``, the distance of ``lam`` from ``[0, rho]``, and per
+    row ``t = V z + base`` the complementarity of the slack: ``t <= 0``
+    where ``lam = 0``, ``t >= 0`` where ``lam = rho`` and ``t = 0`` between.
+    """
+    lb, ub, rho = qp["lb"], qp["ub"], qp["rho"]
+    grad = qp["h_mat"] @ z + qp["g_vec"] + lam @ qp["vis_rows"]
+    t = qp["vis_rows"] @ z + qp["vis_base"]
+    comp = np.where(lam == 0.0, t, np.where(lam == rho, -t, np.abs(t)))
+    parts = [lb - z, z - ub, np.abs(z - np.clip(z - grad, lb, ub)), -lam, lam - rho, comp]
+    return max(0.0, *(float(np.max(p, initial=0.0)) for p in parts))
+
+
 def l1_qp_oracle(h_mat, g_vec, lb, ub, vis_rows, vis_base, vis_lo, vis_hi, rho):
     """Brute force over every piece of the L1-penalty objective.
 
@@ -611,12 +628,81 @@ class TestStepQpWithRows:
 
     def test_gate_flight_qp_steps(self):
         # ticks 2-10 of a gate flight set the solve tail; a search that
-        # takes the longest decreasing trial spends 329 steps on these 12
+        # takes the longest decreasing trial spends 329 steps on these 12,
+        # and the augmented Lagrangian without a finishing solve 229
         cfg = default_config("gate_reaching")
         cfg.duration = 0.6
         log = scenario_gate_reaching(cfg, poses=GATE_POSES[:1])[0]["log"]
         assert log.n_ticks == 12
-        assert int(np.sum(log.qp_iters)) <= 280
+        assert int(np.sum(log.qp_iters)) <= 150
+
+    def test_gate_flight_kkt(self, gate_flight_qps):
+        # every step QP of the gate flights' first ticks ends on the exact
+        # L1-penalty KKT point, not only within tol of it
+        assert len(gate_flight_qps) == 60
+        for qp, (z, lam, _, _, _) in gate_flight_qps:
+            assert l1_kkt_residual(qp, z, lam) <= 1e-12
+
+    def test_rejected_candidate_is_not_returned(self, gate_tail_qp, monkeypatch):
+        # on this instance the first finishing solve misses the KKT point;
+        # the passes go on and a later finishing solve reaches it
+        qp = dict(gate_tail_qp, lam=np.zeros(80))
+        candidates = []
+        active_set_solve = ocp._active_set_solve
+
+        def spy(*args):
+            candidates.append(active_set_solve(*args))
+            return candidates[-1]
+
+        monkeypatch.setattr(ocp, "_active_set_solve", spy)
+        z, lam, _, _, _ = _solve_step_qp(**qp)
+        rejected = [zc for zc, lc in candidates if l1_kkt_residual(qp, zc, lc) >= qp["tol"]]
+        assert rejected and len(rejected) < len(candidates)
+        assert not any(np.array_equal(z, zc) for zc in rejected)
+        assert l1_kkt_residual(qp, z, lam) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "z_c, lam_c",
+        [
+            ([-0.5, -1.0], [0.4]),  # projected gradient 0.1
+            ([-0.5, -1.0 - 1e-12], [0.5]),  # 1e-12 below the box
+            ([0.0, -1.0], [0.0]),  # t = 0.5 > 0 at multiplier 0
+            ([-1.0, -1.0], [1.0]),  # t = -0.5 < 0 at multiplier rho
+            ([-0.3, -1.0], [0.3]),  # t = 0.2 at a multiplier between
+        ],
+    )
+    def test_spoiled_candidate_is_rejected(self, monkeypatch, z_c, lam_c):
+        # the optimum has z0 on the row's kink, multiplier 0.5, and z1 on its
+        # lower bound.  Each candidate breaks one KKT condition and meets the
+        # others; it is never returned, and the passes alone reach the optimum
+        # to their own stop, a multiplier change below 1e-8
+        qp = dict(
+            h_mat=np.eye(2), g_vec=np.array([0.0, 2.0]), lb=np.full(2, -1.0), ub=np.full(2, 1.0),
+            vis_rows=np.array([[1.0, 0.0]]), vis_base=np.array([0.5]), rho=1.0,
+            lam=np.zeros(1), tol=1e-10, max_iter=60,
+        )
+        candidate = np.array(z_c), np.array(lam_c)
+        calls = []
+        monkeypatch.setattr(ocp, "_active_set_solve", lambda *args: calls.append(args) or candidate)
+        z, lam, _, _, _ = _solve_step_qp(**qp)
+        assert calls
+        assert not np.array_equal(z, candidate[0])
+        assert z == pytest.approx([-0.5, -1.0], abs=1e-8)
+        assert l1_kkt_residual(qp, z, lam) < 1e-8
+
+    def test_singular_finishing_system(self):
+        # two equal rows held at t = 0 make the KKT matrix singular: no
+        # candidate, and the passes reach the kink z = 1 with the
+        # multipliers' sum 1 split evenly
+        qp = dict(
+            h_mat=np.array([[1.0]]), g_vec=np.array([-2.0]), lb=np.array([-1.0]), ub=np.array([2.0]),
+            vis_rows=np.array([[1.0], [1.0]]), vis_base=np.array([-1.0, -1.0]), rho=200.0,
+        )
+        sets = dict(z=np.array([1.0]), grad=np.array([0.0]), f=np.array([1.0, 1.0]))
+        assert ocp._active_set_solve(**qp, **sets) is None
+        z, lam, _, _, _ = _solve_step_qp(**qp, lam=np.zeros(2), tol=1e-10, max_iter=60)
+        assert z == pytest.approx([1.0], abs=1e-9)
+        assert lam == pytest.approx([0.5, 0.5], abs=1e-6)
 
 
 class TestShiftWarmStart:
