@@ -117,14 +117,6 @@ class ReferencePoint:
         if not np.all(np.isfinite(self.v_star)):
             raise ValueError("v_star must be finite")
 
-    def _take(self, index) -> "ReferencePoint":
-        # For the solver only: skips __post_init__, as this reference was checked and normalised
-        # when built, and normalising a unit q_star again would change its bits.
-        out = object.__new__(ReferencePoint)
-        for name in ("s_star", "d_star", "v_star", "q_star"):
-            object.__setattr__(out, name, np.take(getattr(self, name), index, axis=0))
-        return out
-
 
 def dynamic_visual_weight(d_measured: float, base: Array) -> Array:
     """Scale the image-error weight by the squared measured distance.

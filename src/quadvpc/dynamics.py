@@ -318,11 +318,6 @@ def _rk4(x, u, dt: float, p_b_cb, r_bc, stages: list | None = None) -> tuple:
     return v0, v1, v2, qw / nq, qx / nq, qy / nq, qz / nq, bw / nb, bx / nb, by / nb, bz / nb, floor(d, D_FLOOR)
 
 
-def _rk4_flat(x: Array, u: Array, dt: float, p_b_cb: Array, q_bc: Array) -> Array:
-    """Row-major adapter of :func:`_rk4`: ``x`` is ``(M, 12)``, ``u`` is ``(M, 4)``."""
-    return np.array(_rk4(x.T, u.T, dt, p_b_cb, quat_to_rotmat(q_bc))).T
-
-
 def _quat_lmat(p: Array) -> Array:
     """Left-multiplication matrices, ``p (x) q == _quat_lmat(p) @ q``, over leading axes."""
     return (p @ _QL).reshape(np.shape(p)[:-1] + (4, 4))

@@ -122,26 +122,29 @@ class OcpProblem:
 
 @dataclass
 class OcpSolution:
-    """Decision-variable trajectory plus convergence diagnostics."""
+    """One solve: its inputs, their rolled-out states and why it stopped."""
 
     inputs: Array  # (N, 4)
     states: Array  # (N+1, 12)
     cost: float
     kkt: float  # of the last linearised iterate; ``kkt_at_inputs`` says whether that is ``inputs``
     sqp_iters: int
-    status: SolveStatus
     # why ``solve`` stopped: ``kkt`` (converged), ``no_descent``,
-    # ``line_search_failed``, ``tiny_steps``, ``budget`` or ``infeasible``;
-    # empty on a shifted warm start
-    reason: str = ""
+    # ``line_search_failed``, ``tiny_steps``, ``budget`` or ``infeasible``
+    reason: str
     slack_max: float = 0.0
     iter_merits: list = field(default_factory=list)
     qp_iters: int = 0  # projected-Newton steps of the step QPs, summed over the solve
     backtracks: int = 0  # rejected line-search trials, summed over the solve
     kkt_at_inputs: bool = False
     solve_ms: float = 0.0
-    params: OcpParams | None = None
-    extrinsics: CameraExtrinsics | None = None
+
+    @property
+    def status(self) -> SolveStatus:
+        """``converged`` for the reason ``kkt``, ``infeasible`` for ``infeasible``, else ``max_iters``."""
+        if self.reason == "kkt":
+            return SolveStatus.CONVERGED
+        return SolveStatus.INFEASIBLE if self.reason == "infeasible" else SolveStatus.MAX_ITERS
 
 
 def build_problem(
@@ -551,14 +554,15 @@ def _kkt_from_model(u_flat, model, problem, lam, viol_max):
     return max(stat, viol_max)
 
 
-def solve(problem: OcpProblem, warm: OcpSolution | None = None) -> OcpSolution:
-    """SQP solve of the transcribed NLP, warm-startable.
+def solve(problem: OcpProblem, warm: Array | None = None) -> OcpSolution:
+    """SQP solve of the transcribed NLP, warm-startable from ``(N, 4)`` inputs.
 
     Iterates stay on the shooting manifold: every input trajectory is
     rolled out from x0, so the shooting equalities hold exactly at each
     iterate and the merit function is the true discretized cost plus the
     L1 visibility penalty.  Cold starts use hover inputs, and so does a
-    warm start whose rollout is not finite.  Each step QP is boxed by the
+    warm start whose rollout is not finite; a warm start of another shape
+    is ignored.  Each step QP is boxed by the
     input box intersected with one constant step box, and the Armijo line
     search on the merit is the one globalisation.  An accepted step never
     raises the merit, so the last accepted iterate is returned, with the
@@ -569,40 +573,39 @@ def solve(problem: OcpProblem, warm: OcpSolution | None = None) -> OcpSolution:
     search that fails, or two tiny decreases in a row.  ``reason`` names
     the exit, one per stop: ``kkt``, ``no_descent``,
     ``line_search_failed``, ``tiny_steps``, ``budget`` (the loop ran out)
-    or ``infeasible``.  The default budget of one iteration makes each
-    solve one Gauss-Newton step from the warm start.
+    or ``infeasible``: no start with a finite rollout, or a step QP that
+    returned a non-finite step.  An infeasible solve reports ``kkt = inf``
+    and the last finite iterate, if any.  The default budget of one
+    iteration makes each solve one Gauss-Newton step from the warm start.
     """
     p = problem.params
     n = p.horizon
     b = problem.bounds
-    ext = problem.extrinsics
 
     lb = np.tile(b.input_lower(), n)
     ub = np.tile(b.input_upper(), n)
 
     starts = [np.tile(ControlInput.hover().as_vector(), (n, 1))]
-    if warm is not None and warm.inputs.shape == (n, NU):
+    if warm is not None and warm.shape == (n, NU):
         # a warm start whose rollout is not finite restarts once from hover
-        starts.insert(0, np.clip(warm.inputs, lb.reshape(n, NU), ub.reshape(n, NU)))
+        starts.insert(0, np.clip(warm, lb.reshape(n, NU), ub.reshape(n, NU)))
     for u in starts:
         ws = _Workspace(u, problem)
         if ws.finite:
             break
     merits = [ws.merit]
-    if not ws.finite:
-        return _infeasible_solution(u, ws, merits, 0, problem)
 
     qp_steps = 0
     iters_done = 0
     backtracks = 0
-    reason = "budget"
+    reason = "budget" if ws.finite else "infeasible"
     lam = np.zeros(4 * n)  # multipliers of the visibility rows, the same rows in every model
     kkt_out, kkt_at_inputs = float("inf"), False
     # the constant step box in the infinity norm; thrust moves 3x faster
     step_box = np.tile([3.0, 1.0, 1.0, 1.0], n)
     tiny_steps = 0
 
-    for _ in range(p.max_sqp_iters):
+    while reason == "budget" and iters_done < p.max_sqp_iters:
         iters_done += 1
         model = _reduced_model(ws.x, u, problem, ws.outputs, ws.stages)
         lb_step = np.maximum(lb - u.ravel(), -step_box)
@@ -614,7 +617,7 @@ def solve(problem: OcpProblem, warm: OcpSolution | None = None) -> OcpSolution:
         )
         qp_steps += steps
         if not np.all(np.isfinite(du)):
-            reason = "infeasible"
+            reason, kkt_out = "infeasible", float("inf")
             break
 
         kkt_out = _kkt_from_model(u.ravel(), model, problem, lam, ws.viol_max)
@@ -649,72 +652,36 @@ def solve(problem: OcpProblem, warm: OcpSolution | None = None) -> OcpSolution:
         else:
             tiny_steps = 0
 
-    if reason == "infeasible":
-        return _infeasible_solution(u, ws, merits, iters_done, problem, backtracks)
-
     return OcpSolution(
         inputs=u,
         states=ws.x,
         cost=ws.cost,
         kkt=kkt_out,
         sqp_iters=iters_done,
-        status=SolveStatus.CONVERGED if reason == "kkt" else SolveStatus.MAX_ITERS,
         reason=reason,
         slack_max=ws.viol_max,
         iter_merits=merits,
         qp_iters=qp_steps,
         backtracks=backtracks,
         kkt_at_inputs=kkt_at_inputs,
-        params=p,
-        extrinsics=ext,
     )
 
 
-def _infeasible_solution(u, ws, merits, iters_done, problem, backtracks=0) -> OcpSolution:
-    return OcpSolution(
-        inputs=u,
-        states=ws.x,
-        cost=ws.cost,
-        kkt=float("inf"),
-        sqp_iters=iters_done,
-        status=SolveStatus.INFEASIBLE,
-        reason="infeasible",
-        iter_merits=merits,
-        backtracks=backtracks,
-        params=problem.params,
-        extrinsics=problem.extrinsics,
-    )
-
-
-def shift_warm_start(prev: OcpSolution) -> OcpSolution:
-    """Receding-horizon shift: drop the executed input, duplicate the last.
-
-    States are the previous ones from the second node on, plus one step
-    with the duplicated input, so the shooting equalities still hold.
-    """
-    if prev.inputs.shape[0] < 2:
-        raise ValueError("shift needs at least 2 inputs")
-    inputs = np.vstack([prev.inputs[1:], prev.inputs[-1:]])
-    last = _rollout(prev.states[-1], prev.inputs[-1:], prev.params.dt, prev.extrinsics)[1:]
-    states = np.vstack([prev.states[1:], last])
-    return OcpSolution(
-        inputs=inputs,
-        states=states,
-        cost=float("nan"),
-        kkt=float("nan"),
-        sqp_iters=0,
-        status=prev.status,
-        params=prev.params,
-        extrinsics=prev.extrinsics,
-    )
+def shift_warm_start(plan: Array, n: int) -> Array:
+    """Receding-horizon shift: the plan's unexecuted inputs, padded to ``n`` rows by repeating the last."""
+    return np.vstack([plan, np.tile(plan[-1], (n - len(plan), 1))])
 
 
 class VisualPredictiveController:
-    """Receding-horizon wrapper owning the warm start and failsafe queue.
+    """Receding-horizon wrapper owning the plan.
 
-    One instance drives one control loop; distinct instances may run
-    concurrently.  On an infeasible solve the controller falls back to
-    the previous cycle's queued inputs, then to hover.
+    The plan is one ``(k, 4)`` array: the inputs of the last feasible
+    solve that have not been applied.  Each tick warm-starts from the
+    plan padded to the horizon by :func:`shift_warm_start`, or cold-starts
+    once it is empty.  A feasible solve applies its first input and its
+    others become the plan.  An infeasible one applies the plan's first
+    input and drops it, or hover once the plan is empty.  One instance
+    drives one control loop; distinct instances may run concurrently.
     """
 
     def __init__(self, weights: CostWeights, bounds: Bounds, extrinsics: CameraExtrinsics, params: OcpParams):
@@ -722,22 +689,18 @@ class VisualPredictiveController:
         self.bounds = bounds
         self.extrinsics = extrinsics
         self.params = params
-        self._prev: OcpSolution | None = None
-        self._queue: list[Array] = []
+        self._plan = np.zeros((0, NU))
 
     def step(self, measurement: QuadVisualState, ref: ReferencePoint) -> tuple[ControlInput, OcpSolution]:
-        """Build, solve, and return the first (clamped) input."""
+        """Build and solve one tick's problem; return the input to apply, clamped, and the solve."""
         problem = build_problem(measurement, ref, self.weights, self.bounds, self.extrinsics, self.params)
-        warm = shift_warm_start(self._prev) if self._prev is not None else None
+        warm = shift_warm_start(self._plan, self.params.horizon) if len(self._plan) else None
         t0 = time.perf_counter()
         sol = solve(problem, warm)
         sol.solve_ms = (time.perf_counter() - t0) * 1e3
         if sol.status is SolveStatus.INFEASIBLE:
-            if self._queue:
-                u = ControlInput.from_vector(self._queue.pop(0))
-            else:
-                u = ControlInput.hover()
-            return clamp_input(u, self.bounds), sol
-        self._prev = sol
-        self._queue = [sol.inputs[k].copy() for k in range(1, sol.inputs.shape[0])]
-        return clamp_input(ControlInput.from_vector(sol.inputs[0]), self.bounds), sol
+            u = self._plan[0] if len(self._plan) else _HOVER_U
+            self._plan = self._plan[1:]
+        else:
+            u, self._plan = sol.inputs[0], sol.inputs[1:]
+        return clamp_input(ControlInput.from_vector(u), self.bounds), sol

@@ -12,10 +12,11 @@ solver's hand-expanded kernel ``dynamics._f``.  ``image_dynamics`` calls
 the package's ``dynamics._bearing_rates``, which the prediction study
 runs, so its tests check that code.  ``full_dynamics`` and
 ``f_jacobians`` evaluate the solver's kernel and its exact Jacobian
-``dynamics._f_jacobian`` on typed states, ``rk4_flat_step`` is one row
-of the solver's RK4 step ``dynamics._rk4_flat``, and ``rk4_stages``
-records the stage derivatives of the float-path steps as the solver's
-rollout does.
+``dynamics._f_jacobian`` on typed states.  ``rk4_flat`` steps the rows
+of a batch by the array path of the solver's RK4 step ``dynamics._rk4``
+(the path its rollout falls back to after a division by zero),
+``rk4_flat_step`` is one such row, and ``rk4_stages`` records the stage
+derivatives of the float-path steps as the solver's rollout does.
 
 The package computes no finite difference: ``fd_jacobian_batch``, with
 its relative step ``FD_STEP``, is the batched central-difference oracle
@@ -23,6 +24,11 @@ that the exact derivatives are checked against.
 
 ``stage_block`` is not an oracle: it exposes one objective of the
 solver's own stage residuals so the cost tests check the code that runs.
+``take_reference`` picks nodes of a horizon reference without
+renormalising it, so a batch of nodes can be compared with each node
+alone bit for bit.  ``uncompensated_stage_outputs`` and
+``uncompensated_stage_jacobians`` are the solver's stage residuals
+without rotation compensation, for the check that compensation matters.
 """
 
 from __future__ import annotations
@@ -40,7 +46,6 @@ from quadvpc.dynamics import (
     _f,
     _f_jacobian,
     _rk4,
-    _rk4_flat,
 )
 from quadvpc.ocp import _stage_jacobians, _stage_outputs
 
@@ -186,9 +191,14 @@ def f_jacobians(x, u, ext):
     return jac[:, :12], jac[:, 12:]
 
 
+def rk4_flat(x, u, dt, p_b_cb, q_bc) -> np.ndarray:
+    """RK4 steps of the rows of ``x (M, 12)`` under ``u (M, 4)`` by the array path of ``dynamics._rk4``."""
+    return np.array(_rk4(x.T, u.T, dt, p_b_cb, g.quat_to_rotmat(q_bc))).T
+
+
 def rk4_flat_step(x, u, dt, ext) -> np.ndarray:
-    """One ``dynamics._rk4_flat`` step of one flat state under one flat input."""
-    return _rk4_flat(np.atleast_2d(x), np.atleast_2d(u), dt, ext.p_b_cb, ext.q_bc)[0]
+    """One :func:`rk4_flat` step of one flat state under one flat input."""
+    return rk4_flat(np.atleast_2d(x), np.atleast_2d(u), dt, ext.p_b_cb, ext.q_bc)[0]
 
 
 def rk4_stages(x, u, dt, ext) -> np.ndarray:
@@ -226,6 +236,19 @@ def composed_dynamics(z, ext) -> np.ndarray:
 STAGE_BLOCKS = {"visual_servo": slice(0, 3), "perception": slice(3, 5), "action": slice(5, 12)}
 
 
+def take_reference(ref, index) -> ReferencePoint:
+    """The nodes ``index`` of a horizon reference, bit for bit.
+
+    Skips ``ReferencePoint.__post_init__``: the reference was checked and
+    normalised when it was built, and normalising a unit ``q_star`` again
+    would change its bits.
+    """
+    out = object.__new__(ReferencePoint)
+    for name in ("s_star", "d_star", "v_star", "q_star"):
+        object.__setattr__(out, name, np.take(getattr(ref, name), index, axis=0))
+    return out
+
+
 def _stage_node(x, ref, q_bc):
     x = np.asarray(x.as_vector() if hasattr(x, "as_vector") else x, dtype=float)
     if ref is None:  # the perception block does not read the reference
@@ -257,6 +280,32 @@ def stage_block_gradient(x, ref, w, block, q_bc=None):
     j_res, _ = _stage_jacobians(x, ref, w, q_bc, 1.0)
     cols = STAGE_BLOCKS[block]
     return 2.0 * j_res[0, cols].T @ res[0, cols]
+
+
+def uncompensated_stage_outputs(x, ref, w, q_bc, dt):
+    """``ocp._stage_outputs`` with the image error read on the plain bearing.
+
+    Columns ``0:2`` compare the bearing ``n_c`` itself with the target
+    bearing ``n*``, not the bearing compensated by the attitude's
+    deviation from the reference; the other columns are the package's.
+    """
+    res, n_c = _stage_outputs(x, ref, w, q_bc, dt)
+    n_star = ref.s_star / np.sqrt(1.0 + np.sum(ref.s_star * ref.s_star, axis=-1, keepdims=True))
+    res[:, 0:2] = np.sqrt(w.q_s) * (n_c[:, :2] - n_star) * np.sqrt(dt)
+    return res, n_c
+
+
+def uncompensated_stage_jacobians(x, ref, w, q_bc, dt):
+    """The Jacobians of :func:`uncompensated_stage_outputs`.
+
+    Columns ``0:2`` no longer read ``q_wb``; in the ``q_cl`` block they are
+    ``sqrt(q_s dt) dR(q_cl)[:2, 2]``, the first two rows of the bearing's
+    Jacobian.
+    """
+    j_res, j_n = _stage_jacobians(x, ref, w, q_bc, dt)
+    j_res[:, 0:2, 3:7] = 0.0
+    j_res[:, 0:2, 7:11] = np.sqrt(w.q_s)[:, None] * np.sqrt(dt) * j_n[:, :2, 7:11]
+    return j_res, j_n
 
 
 @pytest.fixture

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from quadvpc import geometry as g
+from quadvpc import ocp
 from quadvpc.config import default_config
 from quadvpc.costs import Bounds, CostWeights, ReferencePoint
 from quadvpc.dynamics import CameraTwist, ControlInput, QuadVisualState, propagate_camera_pose
@@ -34,10 +35,13 @@ from conftest import (
     f_jacobians,
     fd_gradient,
     fd_jacobian,
+    fd_jacobian_batch,
     image_dynamics,
     random_quat,
     stage_block,
     stage_block_gradient,
+    uncompensated_stage_jacobians,
+    uncompensated_stage_outputs,
 )
 
 
@@ -356,3 +360,28 @@ def test_criterion_10_small_instance_optimality():
         best = min(best, _Workspace(u, problem).cost)
     assert sol.cost <= best + 1e-3
     report("10", f"solver {sol.cost:.6f} <= multistart bound {best:.6f} + 1e-3")
+
+
+def test_criterion_11_rotation_compensation(quarter_results, monkeypatch, rng):
+    """Rotation compensation (claim ii) cuts the altitude deviation of the 9 m/s quarter circle severalfold."""
+    cfg, by_speed = quarter_results
+    # the uncompensated residual's Jacobians are its own, so the flight
+    # without compensation runs an exact Gauss-Newton model too
+    n = 8
+    x = np.column_stack([rng.uniform(-3, 3, (n, 3)), random_quat(rng, n), random_quat(rng, n), rng.uniform(1, 8, n)])
+    ref = ReferencePoint(rng.uniform(-0.5, 0.5, 2), 2.0, np.zeros(3), random_quat(rng))
+    w, q_bc, dt = CostWeights(q_s=[30.0, 20.0]), DEFAULT_EXTRINSICS.q_bc, 0.05
+    fd = fd_jacobian_batch(lambda z: uncompensated_stage_outputs(z, ref, w, q_bc, dt)[0], x)
+    assert np.max(np.abs(uncompensated_stage_jacobians(x, ref, w, q_bc, dt)[0] - fd)) < 1e-7
+
+    comp = by_speed[9.0]["metrics"]
+    monkeypatch.setattr(ocp, "_stage_outputs", uncompensated_stage_outputs)
+    monkeypatch.setattr(ocp, "_stage_jacobians", uncompensated_stage_jacobians)
+    plain = scenario_quarter_circle(cfg, speed=9.0)["metrics"]
+    assert plain.max_altitude_dev > 4.0 * comp.max_altitude_dev
+    assert plain.rms_distance_err > comp.rms_distance_err
+    report(
+        "11",
+        f"9 m/s max altitude dev {comp.max_altitude_dev:.3f} m compensated vs {plain.max_altitude_dev:.3f} m not, "
+        f"rms_d {comp.rms_distance_err:.3f} vs {plain.rms_distance_err:.3f} m",
+    )

@@ -10,7 +10,6 @@ from quadvpc.dynamics import (
     CameraTwist,
     ControlInput,
     QuadVisualState,
-    _rk4_flat,
     homogeneous_image_dynamics,
     propagate_camera_pose,
     rk4_jacobians,
@@ -31,6 +30,7 @@ from conftest import (
     quad_dynamics,
     quat_oracle_from_axis_angle,
     random_quat,
+    rk4_flat,
     rk4_flat_step,
     rk4_stages,
 )
@@ -186,7 +186,7 @@ class TestFullDynamics:
 
 
 class TestRk4:
-    # the solver's RK4 step, _rk4_flat, on one flat state
+    # the solver's RK4 step, dynamics._rk4, on one flat state
     def test_equilibrium_fixed_point(self):
         x = QuadVisualState(np.zeros(3), g.quat_identity(), g.quat_identity(), 2.0).as_vector()
         x1 = rk4_flat_step(x, ControlInput(9.81, np.zeros(3)).as_vector(), 0.05, IDENTITY_EXT)
@@ -271,7 +271,7 @@ class TestOneKernel:
         r_bc = g.quat_to_rotmat(ext.q_bc)
         x, u = self.batch(rng, 50, ext)
         cols = np.array(_rk4(x.T.copy(), u.T, 0.05, ext.p_b_cb, r_bc))
-        rows = _rk4_flat(x, u, 0.05, ext.p_b_cb, ext.q_bc)
+        rows = rk4_flat(x, u, 0.05, ext.p_b_cb, ext.q_bc)
         assert np.any(rows[:, 11] == D_FLOOR)
         for k in range(len(x)):
             single = np.array(_rk4(x[k], u[k], 0.05, ext.p_b_cb, r_bc))
@@ -285,7 +285,7 @@ class TestOneKernel:
         p_b_cb, r_bc = self.floats(ext)
         x, u = self.batch(rng, 200, ext)
         f_cols = np.array(_f(x.T, u.T, ext.p_b_cb, g.quat_to_rotmat(ext.q_bc)))
-        rows = _rk4_flat(x, u, 0.05, ext.p_b_cb, ext.q_bc)
+        rows = rk4_flat(x, u, 0.05, ext.p_b_cb, ext.q_bc)
         assert np.any(rows[:, 11] == D_FLOOR)
         for k in range(len(x)):
             xk, uk = x[k].tolist(), u[k].tolist()
@@ -319,12 +319,12 @@ class TestOneKernel:
 
     @staticmethod
     def sequential_oracle(x0, u, ext):
-        # one _rk4_flat row at a time: the batch kernel's own arithmetic
+        # one rk4_flat row at a time: the batch kernel's own arithmetic
         x = np.empty((len(u) + 1, 12))
         x[0] = x0
         with np.errstate(all="ignore"):
             for k in range(len(u)):
-                x[k + 1] = _rk4_flat(x[k : k + 1], u[k : k + 1], 0.05, ext.p_b_cb, ext.q_bc)[0]
+                x[k + 1] = rk4_flat(x[k : k + 1], u[k : k + 1], 0.05, ext.p_b_cb, ext.q_bc)[0]
         return x
 
     def test_rollout_matches_sequential_flat_oracle(self, rng):
@@ -356,7 +356,7 @@ class TestOneKernel:
             u[12 + k, k] = np.nan
         with np.errstate(invalid="ignore"):
             f_cols = np.array(_f(x.T, u.T, ext.p_b_cb, g.quat_to_rotmat(ext.q_bc)))
-            rows = _rk4_flat(x, u, 0.05, ext.p_b_cb, ext.q_bc)
+            rows = rk4_flat(x, u, 0.05, ext.p_b_cb, ext.q_bc)
         for k in range(16):
             xk, uk = x[k].tolist(), u[k].tolist()
             f_k = np.array(_f(xk, uk, p_b_cb, r_bc))
@@ -438,14 +438,14 @@ class TestFdJacobianBatch:
 class TestRk4Jacobians:
     @staticmethod
     def complex_step(x, u, ext, h=1e-30):
-        # Im f(z + i h e_j) / h: the derivative of _rk4_flat's arithmetic,
+        # Im f(z + i h e_j) / h: the derivative of rk4_flat's arithmetic,
         # with no cancellation, so exact to roundoff away from the floor
         z = np.concatenate([x, u], axis=1).astype(complex)
         jac = np.empty((len(z), 12, 16))
         for j in range(16):
             zj = z.copy()
             zj[:, j] += 1j * h
-            jac[:, :, j] = _rk4_flat(zj[:, :12], zj[:, 12:], 0.05, ext.p_b_cb, ext.q_bc).imag / h
+            jac[:, :, j] = rk4_flat(zj[:, :12], zj[:, 12:], 0.05, ext.p_b_cb, ext.q_bc).imag / h
         return jac
 
     def test_match_complex_step(self, rng):
@@ -454,7 +454,7 @@ class TestRk4Jacobians:
         u = np.array([random_input(rng).as_vector() for _ in range(20)])
         a, b = rk4_jacobians(x, u, rk4_stages(x, u, 0.05, ext), 0.05, ext)
         want = self.complex_step(x, u, ext)
-        assert np.all(_rk4_flat(x, u, 0.05, ext.p_b_cb, ext.q_bc)[:, 11] > dynamics.D_FLOOR)
+        assert np.all(rk4_flat(x, u, 0.05, ext.p_b_cb, ext.q_bc)[:, 11] > dynamics.D_FLOOR)
         assert np.max(np.abs(np.concatenate([a, b], axis=2) - want) / np.maximum(np.abs(want), 1.0)) < 1e-12
 
     def test_distance_floor_rows_zero(self):

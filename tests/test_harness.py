@@ -573,12 +573,10 @@ class TestReadme:
 
 
 class TestPublicApi:
-    def test_every_export_has_a_program_reader(self):
-        # each exported name is read by the program itself, not only by tests
+    # the names that the program's own code, not only tests, reads
+    @staticmethod
+    def program_loads():
         import ast
-        import types
-
-        import quadvpc
 
         files = [p for p in (ROOT / "src" / "quadvpc").glob("*.py") if p.name != "__init__.py"]
         files += [p for p in (ROOT / "bench").glob("*.py") if not p.name.startswith("test_")]
@@ -589,8 +587,38 @@ class TestPublicApi:
                     loaded.add(node.id)
                 elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                     loaded.add(node.attr)
+        return loaded
+
+    def test_every_export_has_a_program_reader(self):
+        import types
+
+        import quadvpc
+
         exports = {name for name in quadvpc.__all__ if not isinstance(getattr(quadvpc, name), types.ModuleType)}
-        assert sorted(exports - loaded) == []
+        assert sorted(exports - self.program_loads()) == []
+
+    def test_every_definition_has_a_program_reader(self):
+        # each module-level function and class of the package, and each of
+        # their methods but the dunders, is read by the package or the
+        # benchmark: code that only tests run belongs with the tests
+        import ast
+
+        defs = (ast.FunctionDef, ast.ClassDef)
+        loaded = self.program_loads()
+        unread = []
+        for path in sorted((ROOT / "src" / "quadvpc").glob("*.py")):
+            for node in ast.parse(path.read_text()).body:
+                if not isinstance(node, defs):
+                    continue
+                names = {node.name: node.name}
+                if isinstance(node, ast.ClassDef):
+                    names.update(
+                        (m.name, f"{node.name}.{m.name}")
+                        for m in node.body
+                        if isinstance(m, defs) and not m.name.startswith("__")
+                    )
+                unread += [f"{path.stem}.{label}" for name, label in names.items() if name not in loaded]
+        assert unread == []
 
 
 class TestBenchSurface:

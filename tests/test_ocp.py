@@ -1,6 +1,5 @@
 import itertools
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ from quadvpc import geometry as g
 from quadvpc import ocp
 from quadvpc.config import default_config
 from quadvpc.costs import Bounds, CostWeights, ReferencePoint
-from quadvpc.dynamics import ControlInput, QuadVisualState, _rk4_flat, rk4_jacobians
+from quadvpc.dynamics import ControlInput, QuadVisualState, rk4_jacobians
 from quadvpc.ocp import (
     BadReferenceLength,
     InvalidInitialState,
@@ -31,7 +30,7 @@ from quadvpc.ocp import (
 from quadvpc.scenarios import GATE_POSES, scenario_gate_reaching
 from quadvpc.simulator import DEFAULT_EXTRINSICS, Landmark, NoiseModel, PlantState, observe, run_closed_loop
 
-from conftest import fd_jacobian_batch, random_quat, rk4_flat_step, rk4_stages
+from conftest import fd_jacobian_batch, random_quat, rk4_flat, rk4_flat_step, rk4_stages, take_reference
 
 
 def constant_ref(d, nodes=21):
@@ -103,7 +102,7 @@ class TestStageJacobians:
         w, q_bc, dt = CostWeights(), DEFAULT_EXTRINSICS.q_bc, 0.05
         j_res, j_s = _stage_jacobians(x, ref, w, q_bc, dt)
         for k in range(n):
-            j_res_k, j_s_k = _stage_jacobians(x[k : k + 1], ref._take([k]), w, q_bc, dt)
+            j_res_k, j_s_k = _stage_jacobians(x[k : k + 1], take_reference(ref, [k]), w, q_bc, dt)
             assert np.array_equal(j_res[k], j_res_k[0])
             assert np.array_equal(j_s[k], j_s_k[0])
 
@@ -140,7 +139,7 @@ class TestStageJacobians:
         ref = ReferencePoint(rng.uniform(-0.5, 0.5, (n, 2)), rng.uniform(1, 8, n), rng.uniform(-2, 2, (n, 3)), random_quat(rng, n))
         w, q_bc, dt = CostWeights(q_s=[30.0, 20.0]), DEFAULT_EXTRINSICS.q_bc, 0.05
         j_res, j_n = _stage_jacobians(x, ref, w, q_bc, dt)
-        ref_tiled = ref._take(np.tile(np.repeat(np.arange(n), 12), 2))
+        ref_tiled = take_reference(ref, np.tile(np.repeat(np.arange(n), 12), 2))
         fd = fd_jacobian_batch(lambda z: np.concatenate(_stage_outputs(z, ref_tiled, w, q_bc, dt), axis=1), x)
         exact = np.concatenate([j_res, j_n], axis=1)
         assert np.max(np.abs(exact - fd) / np.maximum(np.abs(fd), 1.0)) < 1e-7
@@ -267,7 +266,7 @@ class TestKktResidual:
         _, _, problem = hover_setup()
         sol = solve(problem)
         assert sol.status is SolveStatus.CONVERGED
-        perturbed = replace(sol, inputs=sol.inputs + rng.normal(0, 0.2, sol.inputs.shape))
+        perturbed = sol.inputs + rng.normal(0, 0.2, sol.inputs.shape)
         _, _, one_iter = hover_setup(max_sqp_iters=1)
         one = solve(one_iter, perturbed)
         assert one.sqp_iters == 1
@@ -283,7 +282,7 @@ class TestKktResidual:
         inputs += [hover + rng.normal(0.0, [2.0, 0.5, 0.5, 0.5], (20, 4)) for _ in range(3)]
         for u in inputs:
             x = _Workspace(u, problem).x
-            defects = _rk4_flat(x[:-1], u, problem.params.dt, ext.p_b_cb, ext.q_bc) - x[1:]
+            defects = rk4_flat(x[:-1], u, problem.params.dt, ext.p_b_cb, ext.q_bc) - x[1:]
             assert np.array_equal(defects, np.zeros_like(defects))
 
 
@@ -709,25 +708,14 @@ class TestShiftWarmStart:
     def test_constant_inputs_unchanged(self):
         _, _, problem = hover_setup()
         sol = solve(problem)
-        shifted = shift_warm_start(sol)
-        assert np.allclose(shifted.inputs, sol.inputs)
+        assert np.allclose(shift_warm_start(sol.inputs[1:], problem.params.horizon), sol.inputs)
 
     def test_shift_indexing(self):
         _, _, problem = gate_setup(max_sqp_iters=8)
         sol = solve(problem)
-        shifted = shift_warm_start(sol)
-        assert np.array_equal(shifted.inputs[:-1], sol.inputs[1:])
-        assert np.array_equal(shifted.inputs[-1], sol.inputs[-1])
-
-    def test_rerolled_states_consistent(self):
-        _, _, problem = gate_setup(max_sqp_iters=8)
-        sol = solve(problem)
-        shifted = shift_warm_start(sol)
-        assert np.array_equal(shifted.states[0], sol.states[1])
-        assert np.array_equal(shifted.states[:-1], sol.states[1:])
-        for k in range(problem.params.horizon):
-            step = rk4_flat_step(shifted.states[k], shifted.inputs[k], problem.params.dt, problem.extrinsics)
-            assert np.max(np.abs(step - shifted.states[k + 1])) < 1e-12
+        shifted = shift_warm_start(sol.inputs[1:], problem.params.horizon)
+        assert np.array_equal(shifted[:-1], sol.inputs[1:])
+        assert np.array_equal(shifted[-1], sol.inputs[-1])
 
 
 class TestController:
@@ -761,29 +749,44 @@ class TestController:
             assert np.array_equal(u1.as_vector(), u2.as_vector())
             assert np.array_equal(s1.inputs, s2.inputs)
 
-    def test_failsafe_uses_queue_then_hover(self, monkeypatch):
+    def test_horizon_one_cold_starts(self):
+        # a one-node solve leaves no unapplied input, so every tick cold-starts
+        ctrl = VisualPredictiveController(CostWeights(), Bounds(), DEFAULT_EXTRINSICS, OcpParams(horizon=1))
+        x0, ref, _ = hover_setup(horizon=1)
+        for _ in range(2):
+            _, sol = ctrl.step(x0, ref)
+            assert sol.status is not SolveStatus.INFEASIBLE
+            assert ctrl._plan.shape == (0, 4)
+
+    def test_failsafe_follows_the_plan_then_hover(self, monkeypatch):
+        # after k infeasible ticks in a row the controller applies row k of
+        # the last feasible plan and warm-starts from its rows k..., the last
+        # one repeated; once the plan runs out it applies hover and
+        # cold-starts
         ctrl = self.controller()
-        meas, ref = self.hover_measurement(), self.hover_ref()
-        u_good, sol_good = ctrl.step(meas, ref)
-        assert sol_good.status is not SolveStatus.INFEASIBLE
-        queued = [q.copy() for q in ctrl._queue]
+        n = ctrl.params.horizon
+        x0, ref, _ = gate_setup()
+        _, sol = ctrl.step(x0, ref)
+        plan = sol.inputs
+        assert sol.status is not SolveStatus.INFEASIBLE
+        assert len(np.unique(plan, axis=0)) == n  # every row differs
 
-        import quadvpc.ocp as ocp_mod
+        warms = []
 
-        def fake_solve(problem, warm=None):
-            from quadvpc.ocp import _Workspace, _infeasible_solution
+        def infeasible_solve(problem, warm=None):
+            warms.append(warm)
+            return OcpSolution(np.zeros((n, 4)), np.zeros((n + 1, 12)), np.nan, np.inf, 0, "infeasible")
 
-            u = np.tile(ControlInput.hover().as_vector(), (problem.params.horizon, 1))
-            return _infeasible_solution(u, _Workspace(u, problem), [], 1, problem)
-
-        monkeypatch.setattr(ocp_mod, "solve", fake_solve)
-        u_fb, sol_fb = ctrl.step(meas, ref)
-        assert sol_fb.status is SolveStatus.INFEASIBLE
-        assert np.allclose(u_fb.as_vector(), queued[0])
-        ctrl._queue = []
-        u_hover, _ = ctrl.step(meas, ref)
-        assert u_hover.c == pytest.approx(9.81)
-        assert np.allclose(u_hover.omega_b, 0)
+        monkeypatch.setattr(ocp, "solve", infeasible_solve)
+        for k in range(1, n):
+            u, sol = ctrl.step(x0, ref)
+            assert sol.status is SolveStatus.INFEASIBLE
+            assert np.array_equal(u.as_vector(), plan[k])
+            assert np.array_equal(warms[-1], np.vstack([plan[k:], np.tile(plan[-1], (k, 1))]))
+        for _ in range(2):
+            u, _ = ctrl.step(x0, ref)
+            assert np.array_equal(u.as_vector(), ControlInput.hover().as_vector())
+            assert warms[-1] is None
 
 
 # Case 37 of test_dynamics.py::TestOneKernel::test_rollout_matches_sequential_flat_oracle,
@@ -829,10 +832,9 @@ class TestDivergedWarmStart:
         x0 = QuadVisualState.from_vector(np.array(DIVERGING_X0))
         problem = build_problem(x0, constant_ref(2.0), CostWeights(), Bounds(), DEFAULT_EXTRINSICS, OcpParams())
         assert not self.rollout_finite(problem, DIVERGING_U)
-        warm = OcpSolution(DIVERGING_U, np.tile(x0.as_vector(), (21, 1)), np.nan, np.nan, 0, SolveStatus.MAX_ITERS)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            sol = solve(problem, warm)
+            sol = solve(problem, DIVERGING_U)
         assert sol.status is not SolveStatus.INFEASIBLE
         assert np.all(np.isfinite(sol.inputs)) and np.all(np.isfinite(sol.states))
         assert np.all(sol.inputs >= problem.bounds.input_lower()) and np.all(sol.inputs <= problem.bounds.input_upper())
@@ -842,13 +844,10 @@ class TestDivergedWarmStart:
     def test_controller_step(self):
         ctrl = VisualPredictiveController(CostWeights(), Bounds(), DEFAULT_EXTRINSICS, OcpParams())
         x0 = QuadVisualState.from_vector(np.array(DIVERGING_X0))
-        # the previous cycle planned these inputs one tick ahead
-        ctrl._prev = OcpSolution(
-            np.vstack([DIVERGING_U[:1], DIVERGING_U[:-1]]), np.tile(x0.as_vector(), (21, 1)), np.nan, np.nan, 0,
-            SolveStatus.MAX_ITERS, params=ctrl.params, extrinsics=ctrl.extrinsics,
-        )
+        # the last feasible solve left these inputs unapplied
+        ctrl._plan = DIVERGING_U[:-1]
         problem = build_problem(x0, constant_ref(2.0), CostWeights(), Bounds(), DEFAULT_EXTRINSICS, ctrl.params)
-        assert not self.rollout_finite(problem, shift_warm_start(ctrl._prev).inputs)
+        assert not self.rollout_finite(problem, shift_warm_start(ctrl._plan, ctrl.params.horizon))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             u, sol = ctrl.step(x0, constant_ref(2.0))
@@ -961,7 +960,10 @@ class TestStopReason:
 
         monkeypatch.setattr(ocp, "_solve_step_qp", nan_step)
         _, _, problem = gate_setup()
-        self.check(solve(problem), "infeasible")
+        sol = solve(problem)
+        self.check(sol, "infeasible")
+        # the exit reports the step-QP work it spent
+        assert sol.kkt == np.inf and sol.sqp_iters == 1 and sol.qp_iters > 0
 
     @pytest.mark.parametrize("budget", [1, 5, 25])
     def test_backtracks_count_rejected_trials(self, monkeypatch, budget):
