@@ -218,6 +218,24 @@ def _product_tensors():
 _QL, _QR, _DR = _product_tensors()
 
 
+def _input_terms(u, p_b_cb, r_bc) -> tuple:
+    """The terms of :func:`_f` that depend only on the input and the camera mounting.
+
+    The input ``c, w``, the lever-arm rate ``w x p_b_cb``, the camera's
+    angular rate ``R_bc^T w`` and the nine entries of ``R_bc``, row by
+    row, in the form of :func:`_f`'s arguments.  They hold over an RK4
+    interval, so :func:`_rk4` computes them once for its four stages.
+    """
+    c, wx, wy, wz = u
+    px, py, pz = p_b_cb
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = r_bc
+    wpx, wpy, wpz = wy * pz - wz * py, wz * px - wx * pz, wx * py - wy * px
+    wcx = r00 * wx + r10 * wy + r20 * wz
+    wcy = r01 * wx + r11 * wy + r21 * wz
+    wcz = r02 * wx + r12 * wy + r22 * wz
+    return c, wx, wy, wz, wpx, wpy, wpz, wcx, wcy, wcz, r00, r01, r02, r10, r11, r12, r20, r21, r22
+
+
 def _f(x, u, p_b_cb, r_bc) -> tuple:
     """Flat-state derivative ``dx/dt``, the one kernel of the coupled dynamics.
 
@@ -229,13 +247,16 @@ def _f(x, u, p_b_cb, r_bc) -> tuple:
     costs plain float arithmetic and a batch the same few hundred numpy
     calls whatever its size; each batch column is bit-identical to the
     state taken alone.  ``r_bc`` is the 3x3 camera-to-body rotation.
+    The input's terms come from :func:`_input_terms`, the state's from
+    :func:`_f_terms`.
     """
-    vx, vy, vz = x[0], x[1], x[2]
-    qw, qx, qy, qz = x[3], x[4], x[5], x[6]
-    bw, bx, by, bz = x[7], x[8], x[9], x[10]
-    d = x[11]
-    c, wx_, wy_, wz_ = u[0], u[1], u[2], u[3]
-    px, py, pz = p_b_cb[0], p_b_cb[1], p_b_cb[2]
+    return _f_terms(x, _input_terms(u, p_b_cb, r_bc))
+
+
+def _f_terms(x, terms) -> tuple:
+    """:func:`_f` at the state components ``x``, given the :func:`_input_terms` of its input."""
+    vx, vy, vz, qw, qx, qy, qz, bw, bx, by, bz, d = x
+    c, wx_, wy_, wz_, wpx, wpy, wpz, wcx, wcy, wcz, r00, r01, r02, r10, r11, r12, r20, r21, r22 = terms
 
     wb0, wb1, wb2 = _rotmat_cols(qw, qx, qy, qz)
     # dv = R_wb @ (0,0,c) + g
@@ -249,16 +270,13 @@ def _f(x, u, p_b_cb, r_bc) -> tuple:
     dqz = 0.5 * (qw * wz_ + qx * wy_ - qy * wx_)
 
     # body-frame velocity of the camera point: R_wb^T v + w x p
-    vbx = wb0[0] * vx + wb0[1] * vy + wb0[2] * vz + (wy_ * pz - wz_ * py)
-    vby = wb1[0] * vx + wb1[1] * vy + wb1[2] * vz + (wz_ * px - wx_ * pz)
-    vbz = wb2[0] * vx + wb2[1] * vy + wb2[2] * vz + (wx_ * py - wy_ * px)
-    # camera frame: R_bc^T @ (.)
-    vcx = r_bc[0][0] * vbx + r_bc[1][0] * vby + r_bc[2][0] * vbz
-    vcy = r_bc[0][1] * vbx + r_bc[1][1] * vby + r_bc[2][1] * vbz
-    vcz = r_bc[0][2] * vbx + r_bc[1][2] * vby + r_bc[2][2] * vbz
-    wcx = r_bc[0][0] * wx_ + r_bc[1][0] * wy_ + r_bc[2][0] * wz_
-    wcy = r_bc[0][1] * wx_ + r_bc[1][1] * wy_ + r_bc[2][1] * wz_
-    wcz = r_bc[0][2] * wx_ + r_bc[1][2] * wy_ + r_bc[2][2] * wz_
+    vbx = wb0[0] * vx + wb0[1] * vy + wb0[2] * vz + wpx
+    vby = wb1[0] * vx + wb1[1] * vy + wb1[2] * vz + wpy
+    vbz = wb2[0] * vx + wb2[1] * vy + wb2[2] * vz + wpz
+    # camera frame: R_bc^T @ (.); the angular rate w_c = R_bc^T w is a term of the input
+    vcx = r00 * vbx + r10 * vby + r20 * vbz
+    vcy = r01 * vbx + r11 * vby + r21 * vbz
+    vcz = r02 * vbx + r12 * vby + r22 * vbz
 
     t1, t2, n = _rotmat_cols(bw, bx, by, bz)
     # w_eff = -w_c - (n x v_c) / d
@@ -284,8 +302,9 @@ def rk4(f, x, dt: float, stages: list | None = None) -> list:
     """Classical 4th-order Runge-Kutta step of ``dx/dt = f(x)``.
 
     ``x`` and ``f(x)`` are sequences of components, floats or arrays; each
-    component is combined elementwise with its own derivatives.  The four
-    stage derivatives are appended to ``stages`` when it is given.
+    component is combined elementwise with its own derivatives.  When
+    ``stages`` is given, the components of the four stage derivatives are
+    appended to it flat, ``k1`` to ``k4``, each in the order of ``x``.
     """
     h = 0.5 * dt
     k1 = f(x)
@@ -293,7 +312,10 @@ def rk4(f, x, dt: float, stages: list | None = None) -> list:
     k3 = f([a + h * k for a, k in zip(x, k2)])
     k4 = f([a + dt * k for a, k in zip(x, k3)])
     if stages is not None:
-        stages += (k1, k2, k3, k4)
+        stages += k1
+        stages += k2
+        stages += k3
+        stages += k4
     s = dt / 6.0
     return [a + s * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
 
@@ -301,16 +323,18 @@ def rk4(f, x, dt: float, stages: list | None = None) -> list:
 def _rk4(x, u, dt: float, p_b_cb, r_bc, stages: list | None = None) -> tuple:
     """RK4 step of :func:`_f`; quaternions renormalized, d floored.
 
-    12 floats in and out, the four stage derivatives appended to
-    ``stages`` as tuples of 12 floats when it is given; or a ``(12, ...)``
-    array in, stepped as one stacked component (not 12: fewer numpy
-    calls), and 12 arrays out.
+    12 floats in and out, the 48 floats of the four stage derivatives
+    appended to ``stages`` when it is given (the record of :func:`rk4`);
+    or a ``(12, ...)`` array in, stepped as one stacked component (not 12:
+    fewer numpy calls), and 12 arrays out.  The float path computes the
+    input's terms once for its four stages.
     """
     if isinstance(x, np.ndarray):
         (out,) = rk4(lambda z: (np.array(_f(z[0], u, p_b_cb, r_bc)),), (x,), dt)
         sqrt, floor = np.sqrt, np.maximum
     else:
-        out = rk4(lambda z: _f(z, u, p_b_cb, r_bc), x, dt, stages)
+        terms = _input_terms(u, p_b_cb, r_bc)
+        out = rk4(lambda z: _f_terms(z, terms), x, dt, stages)
         sqrt, floor = math.sqrt, max
     v0, v1, v2, qw, qx, qy, qz, bw, bx, by, bz, d = out
     nq = sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
@@ -401,15 +425,16 @@ def rk4_jacobians(x: Array, u: Array, stages, dt: float, ext: CameraExtrinsics):
     """Exact Jacobians of the discrete RK4 map :func:`_rk4` for shooting intervals.
 
     ``x`` is ``(K, 12)``, ``u`` is ``(K, 4)`` and ``stages`` the four stage
-    derivatives of each step as :func:`rk4` records them, ``(K, 4, 12)``
-    or ``4K`` sequences of 12; returns ``(K, 12, 12)`` and ``(K, 12, 4)``.
+    derivatives of each step as :func:`rk4` records them: a flat sequence
+    of ``48 K`` floats, step by step; returns ``(K, 12, 12)`` and
+    ``(K, 12, 4)``.
     One tangent pass: :func:`_f_jacobian` at all ``4K`` stage points, the
     chain through the stages, then the renormalisation's projections.  The
     distance row is zero where the floor clamps the step.
     """
     x, u = np.atleast_2d(x), np.atleast_2d(u)
     kk = len(x)
-    k = np.reshape(stages, (kk, 4, 12))
+    k = np.fromiter(stages, np.float64, 48 * kk).reshape(kk, 4, 12)
     h = 0.5 * dt
     points = np.stack([x, x + h * k[:, 0], x + h * k[:, 1], x + dt * k[:, 2]], axis=1)
     jac = _f_jacobian(points.reshape(4 * kk, 12), np.repeat(u, 4, axis=0), ext.p_b_cb, ext.r_bc)

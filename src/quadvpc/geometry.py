@@ -44,23 +44,25 @@ def quat_conj(q: Array) -> Array:
     return out
 
 
+# Hamilton product as index and sign tables: component ``a`` of
+# ``q1 (x) q2`` is the left-to-right sum over ``t`` of
+# ``q1[t] * q2[_PROD_IDX[a, t]] * _PROD_SIGN[a, t]``
+_PROD_IDX = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
+_PROD_SIGN = np.array([[1.0, -1.0, -1.0, -1.0], [1.0, 1.0, 1.0, -1.0], [1.0, -1.0, 1.0, 1.0], [1.0, 1.0, -1.0, 1.0]])
+
+
 def quat_prod(q1: Array, q2: Array) -> Array:
     """Raw Hamilton product, no normalization.
 
     Accepts arbitrary 4-vectors, e.g. pure quaternions ``[0, w]`` used in
-    kinematic rates.
+    kinematic rates.  Each component is the sum of four signed products
+    in a fixed order, ``w = w1 w2 - x1 x2 - y1 y2 - z1 z2`` and so on,
+    gathered in one batch of products.
     """
     q1 = np.asarray(q1, dtype=np.float64)
     q2 = np.asarray(q2, dtype=np.float64)
-    w1, x1, y1, z1 = (q1[..., i] for i in range(4))
-    w2, x2, y2, z2 = (q2[..., i] for i in range(4))
-    w = w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2
-    out = np.empty(np.shape(w) + (4,))
-    out[..., 0] = w
-    out[..., 1] = w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2
-    out[..., 2] = w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2
-    out[..., 3] = w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2
-    return out
+    terms = q1[..., None, :] * q2[..., _PROD_IDX] * _PROD_SIGN
+    return terms[..., 0] + terms[..., 1] + terms[..., 2] + terms[..., 3]
 
 
 def quat_mul(q1: Array, q2: Array) -> Array:

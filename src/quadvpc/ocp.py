@@ -42,6 +42,7 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -106,11 +107,35 @@ class OcpParams:
             raise ValueError("horizon >= 1, dt > 0 and max_sqp_iters >= 1 required")
         if self.qp_tol <= 0.0 or self.qp_max_iter < 1:
             raise ValueError("qp_tol > 0 and qp_max_iter >= 1 required")
+        # the step QP divides by its penalty weight, which starts at slack_weight
+        if not (self.slack_weight > 0.0 and self.sqp_tol > 0.0):
+            raise ValueError("slack_weight > 0 and sqp_tol > 0 required")
+        if not (self.reg >= 0.0 and self.constraint_margin >= 0.0):
+            raise ValueError("reg >= 0 and constraint_margin >= 0 required")
+
+
+def _cone(problem) -> Array:
+    """The ``(4, 3)`` visibility cone: ``cone @ n <= 0`` on a unit bearing.
+
+    Its rows are ``(s_min + m) n_z - n_xy <= 0`` then
+    ``n_xy - (s_max - m) n_z <= 0``, ``u`` before ``v``, with the margin
+    ``m``.  For ``n_z > 0`` they hold iff ``n_xy / n_z`` lies in the shrunk
+    image box; no bearing with ``n_z <= 0`` satisfies all four.
+    ``problem`` needs only ``params`` and ``bounds``.
+    """
+    m = problem.params.constraint_margin
+    lo = problem.bounds.s_min + m
+    hi = problem.bounds.s_max - m
+    return np.array([[-1.0, 0.0, lo[0]], [0.0, -1.0, lo[1]], [1.0, 0.0, -hi[0]], [0.0, 1.0, -hi[1]]])
 
 
 @dataclass(frozen=True)
 class OcpProblem:
-    """One receding-horizon NLP instance."""
+    """One receding-horizon NLP instance.
+
+    ``cone`` is :func:`_cone` of the instance, built on first use, so
+    once per solve.
+    """
 
     x0: QuadVisualState
     ref: ReferencePoint  # leading shape (N+1,)
@@ -118,6 +143,8 @@ class OcpProblem:
     bounds: Bounds
     extrinsics: CameraExtrinsics
     params: OcpParams
+
+    cone = cached_property(_cone)
 
 
 @dataclass
@@ -158,8 +185,13 @@ def build_problem(
     """Validate and assemble a problem instance.
 
     The dynamic visual weight is applied here, once per solve, from the
-    measured distance of the initial state.
+    measured distance of the initial state.  A constraint margin that
+    leaves no image box, ``s_min + m >= s_max - m`` on an axis, is
+    rejected: no bearing would satisfy the cone.
     """
+    m = params.constraint_margin
+    if np.any(bounds.s_min + m >= bounds.s_max - m):
+        raise ValueError(f"constraint_margin {m} leaves an empty visibility cone: s_min + m >= s_max - m")
     if ref.d_star.shape != (params.horizon + 1,):
         raise BadReferenceLength(f"expected a reference of leading shape ({params.horizon + 1},), got {ref.d_star.shape}")
     if not np.isfinite(x0.d) or x0.d <= 0.0 or not np.all(np.isfinite(x0.as_vector())):
@@ -232,8 +264,9 @@ def _stage_jacobians(x: Array, ref: ReferencePoint, w: CostWeights, q_bc: Array,
     q_ref = quat_conj(ref.q_star)
     rel = quat_prod(q_ref, q_wb)
     # q_comp = normalize(S normalize(rel) (x) q_cl), S: q -> conj(q_bc) (x) q (x) q_bc
-    sandwich = _quat_lmat(quat_conj(q_bc)) @ _quat_rmat(q_bc)
-    inner = quat_prod(quat_conj(q_bc), quat_prod(quat_normalize(rel), q_bc))
+    q_cb = quat_conj(q_bc)
+    sandwich = _quat_lmat(q_cb) @ _quat_rmat(q_bc)
+    inner = quat_prod(q_cb, quat_prod(quat_normalize(rel), q_bc))
     comp = quat_prod(inner, q_cl)
     d_comp = _normalize_jacobian(comp)
     d_img = np.sqrt(w.q_s)[:, None] * sdt * _rotmat_jacobian(quat_normalize(comp))[:, :2, 2]
@@ -257,10 +290,11 @@ def _rollout(x0: Array, u: Array, dt: float, ext: CameraExtrinsics, stages: list
 
     The steps run on Python floats; numpy scalars would cost several times
     more per operation.  Their stage derivatives are appended to ``stages``
-    when it is given.  After a float division by zero the rest is stepped
-    on arrays, whose inf/NaN equal the batched kernel's; they are the
-    result, so their warnings are silenced, and no stages are recorded
-    for them.
+    when it is given, flat: 48 floats a step, ``k1`` to ``k4`` in state
+    order, as :func:`rk4_jacobians` reads them.  After a float division
+    by zero the rest is stepped on arrays, whose inf/NaN equal the
+    batched kernel's; they are the result, so their warnings are
+    silenced, and no stages are recorded for them.
     """
     floats = (float(dt), ext.p_b_cb.tolist(), ext.r_bc.tolist())
     states = [np.asarray(x0, dtype=np.float64).tolist()]
@@ -272,20 +306,6 @@ def _rollout(x0: Array, u: Array, dt: float, ext: CameraExtrinsics, stages: list
             for uk in u[len(states) - 1 :]:
                 states.append(_rk4(np.array(states[-1]), uk, dt, ext.p_b_cb, ext.r_bc))
     return np.array(states)
-
-
-def _cone(problem: OcpProblem) -> Array:
-    """The ``(4, 3)`` visibility cone: ``cone @ n <= 0`` on a unit bearing.
-
-    Its rows are ``(s_min + m) n_z - n_xy <= 0`` then
-    ``n_xy - (s_max - m) n_z <= 0``, ``u`` before ``v``, with the margin
-    ``m``.  For ``n_z > 0`` they hold iff ``n_xy / n_z`` lies in the shrunk
-    image box; no bearing with ``n_z <= 0`` satisfies all four.
-    """
-    m = problem.params.constraint_margin
-    lo = problem.bounds.s_min + m
-    hi = problem.bounds.s_max - m
-    return np.array([[-1.0, 0.0, lo[0]], [0.0, -1.0, lo[1]], [1.0, 0.0, -hi[0]], [0.0, 1.0, -hi[1]]])
 
 
 def _hinge(n: Array, cone: Array) -> Array:
@@ -453,7 +473,9 @@ def _solve_step_qp(h_mat, g_vec, lb, ub, vis_rows, vis_base, lam, rho, tol, max_
     return z, lam, slack, float(np.sum(slack)), steps
 
 
-_HOVER_U = np.array([9.81, 0.0, 0.0, 0.0])
+_HOVER_U = ControlInput.hover().as_vector()
+# the constant step box of one node in the infinity norm; thrust moves 3x faster
+_STEP_BOX = np.array([3.0, 1.0, 1.0, 1.0])
 
 
 class _Workspace:
@@ -478,7 +500,7 @@ class _Workspace:
         self.outputs = res, n_c = _stage_outputs(self.x, problem.ref, problem.weights, ext.q_bc, p.dt)
         du = u - _HOVER_U
         self.cost = float(np.sum(res**2)) + p.dt * float(np.sum(du * du * problem.weights.q_u))
-        viol = _hinge(n_c[1:], _cone(problem))
+        viol = _hinge(n_c[1:], problem.cone)
         self.viol_sum = float(np.sum(viol))
         self.viol_max = float(np.max(viol, initial=0.0))
         self.merit = self.cost + p.slack_weight * self.viol_sum
@@ -514,22 +536,26 @@ def _reduced_model(x, u, problem, outputs, stages):
     j_res, j_n = _stage_jacobians(x, problem.ref, problem.weights, ext.q_bc, p.dt)
     res, n_c = outputs
 
+    # big_m[k] maps the input moves to the deviation of node k+1; its
+    # columns of inputs k+1.. are zero, so each product skips them
     big_m = np.zeros((n, NX, n * NU))
-    big_m[0][:, :NU] = b_k[0]
+    big_m[0, :, :NU] = b_k[0]
     for k in range(1, n):
-        big_m[k] = a_k[k] @ big_m[k - 1]
-        big_m[k][:, k * NU : (k + 1) * NU] += b_k[k]
+        np.matmul(a_k[k], big_m[k - 1, :, : k * NU], out=big_m[k, :, : k * NU])
+        big_m[k, :, k * NU : (k + 1) * NU] += b_k[k]
 
     # residuals of nodes 1..N in the input moves, stacked
     jm = (j_res[1:] @ big_m).reshape(-1, n * NU)
     h_mat = 2.0 * (jm.T @ jm)
     g_vec = 2.0 * (jm.T @ res[1:].ravel())
-    # input regularization around hover (diagonal in the inputs)
-    qu = np.tile(problem.weights.q_u, n)
-    h_mat[np.diag_indices_from(h_mat)] += p.reg + 2.0 * p.dt * qu
-    g_vec += 2.0 * p.dt * qu * (u.ravel() - np.tile(_HOVER_U, n))
+    # input regularization around hover, diagonal in the inputs; splitting
+    # the strided diagonal into (N, 4) keeps it a view of h_mat
+    qu = problem.weights.q_u
+    diag = h_mat.reshape(-1)[:: n * NU + 1].reshape(n, NU)
+    diag += p.reg + 2.0 * p.dt * qu
+    g_vec += (2.0 * p.dt * qu * (u - _HOVER_U)).ravel()
 
-    cone = _cone(problem)
+    cone = problem.cone
     return _Model(
         h=h_mat,
         g=g_vec,
@@ -538,19 +564,15 @@ def _reduced_model(x, u, problem, outputs, stages):
     )
 
 
-def _kkt_from_model(u_flat, model, problem, lam, viol_max):
-    """Max-norm KKT residual of the condensed problem at the iterate.
+def _kkt_from_model(u, model, lam, viol_max, lo, hi):
+    """Max-norm KKT residual of the condensed problem at the iterate ``u (N, 4)``.
 
-    Stationarity uses the visibility-row multipliers from the step QP;
-    feasibility is the iterate's largest visibility violation of a node,
-    ``viol_max``.
+    Stationarity uses the visibility-row multipliers from the step QP and
+    the input box ``[lo, hi]`` of one node; feasibility is the iterate's
+    largest visibility violation of a node, ``viol_max``.
     """
-    b = problem.bounds
-    n = problem.params.horizon
     g_total = model.g + model.vis_rows.T @ lam
-    lb = np.tile(b.input_lower(), n)
-    ub = np.tile(b.input_upper(), n)
-    stat = float(np.max(np.abs(u_flat - np.clip(u_flat - g_total, lb, ub))))
+    stat = float(np.max(np.abs(u - np.clip(u - g_total.reshape(u.shape), lo, hi))))
     return max(stat, viol_max)
 
 
@@ -582,17 +604,17 @@ def solve(problem: OcpProblem, warm: Array | None = None) -> OcpSolution:
     n = p.horizon
     b = problem.bounds
 
-    lb = np.tile(b.input_lower(), n)
-    ub = np.tile(b.input_upper(), n)
+    # the input box of one node, broadcast over the (N, 4) plan
+    lo, hi = b.input_lower(), b.input_upper()
 
-    starts = [np.tile(ControlInput.hover().as_vector(), (n, 1))]
+    ws = None
     if warm is not None and warm.shape == (n, NU):
-        # a warm start whose rollout is not finite restarts once from hover
-        starts.insert(0, np.clip(warm, lb.reshape(n, NU), ub.reshape(n, NU)))
-    for u in starts:
+        u = np.clip(warm, lo, hi)
         ws = _Workspace(u, problem)
-        if ws.finite:
-            break
+    if ws is None or not ws.finite:
+        # a cold start, or a warm start whose rollout is not finite, starts once from hover
+        u = np.tile(_HOVER_U, (n, 1))
+        ws = _Workspace(u, problem)
     merits = [ws.merit]
 
     qp_steps = 0
@@ -601,15 +623,13 @@ def solve(problem: OcpProblem, warm: Array | None = None) -> OcpSolution:
     reason = "budget" if ws.finite else "infeasible"
     lam = np.zeros(4 * n)  # multipliers of the visibility rows, the same rows in every model
     kkt_out, kkt_at_inputs = float("inf"), False
-    # the constant step box in the infinity norm; thrust moves 3x faster
-    step_box = np.tile([3.0, 1.0, 1.0, 1.0], n)
     tiny_steps = 0
 
     while reason == "budget" and iters_done < p.max_sqp_iters:
         iters_done += 1
         model = _reduced_model(ws.x, u, problem, ws.outputs, ws.stages)
-        lb_step = np.maximum(lb - u.ravel(), -step_box)
-        ub_step = np.minimum(ub - u.ravel(), step_box)
+        lb_step = np.maximum(lo - u, -_STEP_BOX).ravel()
+        ub_step = np.minimum(hi - u, _STEP_BOX).ravel()
         # the last QP's multipliers start this one
         du, lam, _, lin_viol, steps = _solve_step_qp(
             model.h, model.g, lb_step, ub_step, model.vis_rows, model.vis_base, lam,
@@ -620,7 +640,7 @@ def solve(problem: OcpProblem, warm: Array | None = None) -> OcpSolution:
             reason, kkt_out = "infeasible", float("inf")
             break
 
-        kkt_out = _kkt_from_model(u.ravel(), model, problem, lam, ws.viol_max)
+        kkt_out = _kkt_from_model(u, model, lam, ws.viol_max, lo, hi)
         kkt_at_inputs = True
         if kkt_out < p.sqp_tol:
             reason = "kkt"
@@ -632,7 +652,7 @@ def solve(problem: OcpProblem, warm: Array | None = None) -> OcpSolution:
 
         alpha = 1.0
         for _ls in range(12):
-            u_t = np.clip(u + alpha * du.reshape(n, NU), lb.reshape(n, NU), ub.reshape(n, NU))
+            u_t = np.clip(u + alpha * du.reshape(n, NU), lo, hi)
             ws_t = _Workspace(u_t, problem)
             if ws_t.finite and ws_t.merit <= ws.merit + 1e-4 * alpha * descent:
                 break

@@ -68,8 +68,7 @@ class Metrics:
     rms_distance_err: float
     max_altitude_dev: float
     min_border_margin: float
-    mean_solve_ms: float
-    max_solve_ms: float
+    solve_ms: Array  # wall clock of each tick's solve
     final_distance_err: float
     final_image_err: float
     mean_speed: float
@@ -96,8 +95,7 @@ def evaluate_run(log: RunLog, cfg: ScenarioConfig, goal_p: Array | None = None) 
         rms_distance_err=float(np.sqrt(np.mean(d_err**2))) if log.n_ticks else float("nan"),
         max_altitude_dev=float(np.max(np.abs(log.p_w[:, 2] - alt0))) if log.n_ticks else float("nan"),
         min_border_margin=float(np.min(margin)) if log.n_ticks else float("nan"),
-        mean_solve_ms=float(np.mean(log.solve_ms)) if log.n_ticks else 0.0,
-        max_solve_ms=float(np.max(log.solve_ms)) if log.n_ticks else 0.0,
+        solve_ms=log.solve_ms,
         final_distance_err=float(abs(d_err[-1])) if log.n_ticks else float("nan"),
         final_image_err=float(np.linalg.norm(s_err[-1])) if log.n_ticks else float("nan"),
         mean_speed=float(np.mean(np.linalg.norm(log.v_w, axis=1))) if log.n_ticks else 0.0,

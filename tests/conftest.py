@@ -201,19 +201,19 @@ def rk4_flat_step(x, u, dt, ext) -> np.ndarray:
     return rk4_flat(np.atleast_2d(x), np.atleast_2d(u), dt, ext.p_b_cb, ext.q_bc)[0]
 
 
-def rk4_stages(x, u, dt, ext) -> np.ndarray:
-    """The stage derivatives ``(K, 4, 12)`` of one ``_rk4`` step from each row of ``x (K, 12)`` under ``u (K, 4)``.
+def rk4_stages(x, u, dt, ext) -> list:
+    """The stage derivatives of one ``_rk4`` step from each row of ``x (K, 12)`` under ``u (K, 4)``.
 
     The steps run on Python floats and record their stages, as the
-    solver's rollout does; on the states of a rollout the result equals
-    the stages it recorded.
+    solver's rollout does: a flat list of ``48 K`` floats.  On the states
+    of a rollout the result equals the stages it recorded.
     """
     x, u = np.atleast_2d(x), np.atleast_2d(u)
     p_b_cb, r_bc = ext.p_b_cb.tolist(), g.quat_to_rotmat(ext.q_bc).tolist()
     stages = []
     for xk, uk in zip(x.tolist(), u.tolist()):
         _rk4(xk, uk, float(dt), p_b_cb, r_bc, stages)
-    return np.array(stages).reshape(len(x), 4, 12)
+    return stages
 
 
 def composed_dynamics(z, ext) -> np.ndarray:

@@ -314,8 +314,23 @@ class TestOneKernel:
 
         monkeypatch.setattr(ocp, "_rk4", spy)
         # numpy inputs and a numpy dt, as callers may pass them
-        ocp._rollout(x[0], u, np.float64(0.05), ext)
+        stages = []
+        states = ocp._rollout(x[0], u, np.float64(0.05), ext, stages)
         assert len(seen) == 12 * len(u) and set(seen) == {float}
+        # the stage record is flat: 48 floats a step, k1 to k4 in state order
+        assert len(stages) == 48 * len(u) and all(type(v) is float for v in stages)
+        # the batch kernel's stages at the same states, in that order
+        h, xs, us = 0.025, states[:-1].T, u.T
+        k1 = np.array(_f(xs, us, ext.p_b_cb, ext.r_bc))
+        k2 = np.array(_f(xs + h * k1, us, ext.p_b_cb, ext.r_bc))
+        k3 = np.array(_f(xs + h * k2, us, ext.p_b_cb, ext.r_bc))
+        k4 = np.array(_f(xs + 0.05 * k3, us, ext.p_b_cb, ext.r_bc))
+        batch = np.stack([k1, k2, k3, k4]).transpose(2, 0, 1).ravel()
+        assert np.array(stages).tobytes() == batch.tobytes()
+        recorded = rk4_jacobians(states[:-1], u, stages, 0.05, ext)
+        recomputed = rk4_jacobians(states[:-1], u, batch, 0.05, ext)
+        for a, b in zip(recorded, recomputed):
+            assert a.tobytes() == b.tobytes()
 
     @staticmethod
     def sequential_oracle(x0, u, ext):

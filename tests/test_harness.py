@@ -129,6 +129,18 @@ class TestConfig:
         with pytest.raises(ConfigError, match="^sweep trials must be >= 1$"):
             config_from_dict(data)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("slack_weight", 0.0), ("slack_weight", -1.0), ("reg", -1e-6), ("sqp_tol", 0.0), ("constraint_margin", -0.05)],
+    )
+    def test_config_file_with_breaking_solver_value_refused(self, tmp_path, key, value):
+        data = config_to_dict(default_config("gate_reaching"))
+        data["ocp"][key] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigError, match="required"):
+            load_config(path)
+
     def test_load_config_file(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(dump_config(default_config("hover")))
@@ -411,6 +423,25 @@ class TestCli:
         assert len(list(out.glob("*.json"))) == 1
         assert len(list(out.glob("*.svg"))) == 3
 
+    def test_summary_timing_pools_the_ticks(self, tmp_path):
+        # p50 and p95 are over the solve times of every tick of every run,
+        # as the runs' CSVs record them; mean and max keep their meaning
+        cfg = default_config("gate_reaching")
+        cfg.duration = 1.0
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(dump_config(cfg))
+        out = tmp_path / "out"
+        assert cli_main(["run", str(cfg_path), "--out", str(out), "--quiet"]) == 0
+        timing = json.loads((out / "summary.json").read_text())["timing"]
+        per_run = [np.loadtxt(path, delimiter=",", skiprows=1)[:, -2] for path in sorted(out.glob("run_*.csv"))]
+        ticks = np.concatenate(per_run)
+        assert len(per_run) == 5 and len(ticks) == 100
+        assert set(timing) == {"mean_solve_ms", "max_solve_ms", "p50_solve_ms", "p95_solve_ms"}
+        assert np.isclose(timing["p50_solve_ms"], np.percentile(ticks, 50), rtol=1e-9)
+        assert np.isclose(timing["p95_solve_ms"], np.percentile(ticks, 95), rtol=1e-9)
+        assert np.isclose(timing["mean_solve_ms"], np.mean([np.mean(t) for t in per_run]), rtol=1e-9)
+        assert timing["p50_solve_ms"] <= timing["p95_solve_ms"] <= timing["max_solve_ms"]
+
     def test_exit_zero_on_failure_outcome(self, tmp_path):
         # landmark behind the camera: the run records feature_lost but the
         # process still exits 0
@@ -507,8 +538,9 @@ class TestCli:
             assert isinstance(rec["sqp_iters"], int) and rec["sqp_iters"] >= rec["ticks"]
             assert not any("solve_ms" in key for key in rec)
         timing = runs[0]["timing"]
-        assert set(timing) == {"mean_solve_ms", "max_solve_ms"}
+        assert set(timing) == {"mean_solve_ms", "max_solve_ms", "p50_solve_ms", "p95_solve_ms"}
         assert 0.0 < timing["mean_solve_ms"] <= timing["max_solve_ms"]
+        assert 0.0 < timing["p50_solve_ms"] <= timing["p95_solve_ms"] <= timing["max_solve_ms"]
 
     def test_predict_subcommand(self, tmp_path):
         cfg_path = self.write_cfg(tmp_path, kind="predict_compare")

@@ -17,6 +17,7 @@ from quadvpc.ocp import (
     SolveStatus,
     VisualPredictiveController,
     _cone,
+    _hinge,
     _reduced_model,
     _rollout,
     _solve_step_qp,
@@ -86,6 +87,41 @@ class TestOcpParams:
     def test_rejects_invalid_qp_settings(self, kw):
         with pytest.raises(ValueError):
             OcpParams(**kw)
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {"slack_weight": 0.0},
+            {"slack_weight": -1.0},
+            {"slack_weight": float("nan")},
+            {"reg": -1e-9},
+            {"sqp_tol": 0.0},
+            {"sqp_tol": -1e-6},
+            {"constraint_margin": -0.01},
+        ],
+    )
+    def test_rejects_values_that_break_the_solver(self, kw):
+        # slack_weight 0 divided by zero in the step QP (RuntimeWarnings all
+        # flight long); slack_weight -1 rewarded violating the cone
+        with pytest.raises(ValueError):
+            OcpParams(**kw)
+
+    def test_accepts_zero_margin_and_regularisation(self):
+        params = OcpParams(constraint_margin=0.0, reg=0.0)
+        assert params.constraint_margin == 0.0 and params.reg == 0.0
+
+    def test_margin_that_empties_the_cone(self):
+        # the default image box is [-1, 1] on both axes
+        x0 = QuadVisualState(np.zeros(3), g.quat_identity(), g.quat_identity(), 2.0)
+        narrow = Bounds(s_min=[-1.0, -0.5], s_max=[1.0, 0.5])
+        ref = constant_ref(2.0)
+        for bounds, margin in ((Bounds(), 1.0), (Bounds(), 1.5), (narrow, 0.5)):
+            params = OcpParams(constraint_margin=margin)
+            with pytest.raises(ValueError, match="empty visibility cone"):
+                build_problem(x0, ref, CostWeights(), bounds, DEFAULT_EXTRINSICS, params)
+        problem = build_problem(x0, ref, CostWeights(), narrow, DEFAULT_EXTRINSICS, OcpParams(constraint_margin=0.49))
+        # a box 0.02 wide still holds the centred feature
+        assert np.isfinite(solve(problem).cost)
 
 
 class TestStageJacobians:
@@ -236,6 +272,37 @@ class TestSolveProperties:
         for u, (lb, ub) in zip(iterates, boxes):
             assert np.array_equal(lb, np.maximum(lower - u, -step_box))
             assert np.array_equal(ub, np.minimum(upper - u, step_box))
+
+    def test_no_stale_constants(self):
+        # what a solve builds once from its problem (box, cone, weights,
+        # camera terms) is its own: a solve of another problem in between
+        # leaves a repeated solve bit-identical
+        from quadvpc.dynamics import CameraExtrinsics
+
+        def same(a, b):
+            assert a.reason == b.reason and a.sqp_iters == b.sqp_iters and a.qp_iters == b.qp_iters
+            for name in ("inputs", "states", "cost", "kkt", "slack_max"):
+                assert np.asarray(getattr(a, name)).tobytes() == np.asarray(getattr(b, name)).tobytes(), name
+
+        _, _, p1 = gate_setup(max_sqp_iters=3)
+        # P2 starts with the feature beyond its own shrunk image box, which
+        # P1's box holds, so its slack shows whose cone it was measured on
+        x0 = QuadVisualState([0.5, -0.2, 0.1], g.quat_exp([0.05, -0.1, 0.2]), g.bearing_from_image([0.88, -0.2]), 4.0)
+        ext = CameraExtrinsics(p_b_cb=[0.1, -0.02, 0.05], q_bc=g.quat_exp([0.1, 0.2, -0.15]))
+        bounds = Bounds([-0.8, -0.6], [0.7, 0.9], c_min=3.0, c_max=15.0, omega_min=[-2.0] * 3, omega_max=[2.5] * 3)
+        params = OcpParams(horizon=12)
+        p2 = build_problem(x0, constant_ref(2.5, 13), CostWeights(), bounds, ext, params)
+        warm = np.tile([10.5, 0.2, -0.1, 0.05], (20, 1))
+        first, first_warm = solve(p1), solve(p1, warm)
+        other = solve(p2)
+        assert other.inputs.shape == (12, 4)
+        assert np.all((other.inputs >= bounds.input_lower()) & (other.inputs <= bounds.input_upper()))
+        _, n_c = _stage_outputs(other.states, p2.ref, p2.weights, ext.q_bc, params.dt)
+        assert other.slack_max == np.max(_hinge(n_c[1:], _cone(p2))) > 0.0
+        same(solve(p1), first)
+        same(solve(p1, warm), first_warm)
+        _, _, fresh = gate_setup(max_sqp_iters=3)
+        same(solve(fresh), first)
 
     def test_shooting_consistency(self):
         _, _, problem = gate_setup(max_sqp_iters=10)
