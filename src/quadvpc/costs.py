@@ -17,11 +17,12 @@ All weights are diagonal and stored as vectors of diagonal entries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .dynamics import ControlInput, _vec3
-from .geometry import Array
+from .geometry import Array, quat_conj
 
 # Ceiling of the dynamic visual-weight scaling, in meters.
 D_CAP = 10.0
@@ -34,6 +35,9 @@ class CostWeights:
     ``q_u`` is a small regularization on the deviation of the inputs
     from hover; it keeps the step QPs well posed (the printed objectives
     are state-only) and vanishes at the hover equilibrium.
+
+    ``roots`` and ``root_diags``, the square roots that scale the
+    residuals, are built on first use, once per weights object.
     """
 
     q_s: Array = field(default_factory=lambda: np.array([4.0, 4.0]))
@@ -55,6 +59,16 @@ class CostWeights:
                 raise ValueError(f"{name} entries must be nonnegative")
         if self.q_d < 0.0:
             raise ValueError("q_d must be nonnegative")
+
+    @cached_property
+    def roots(self) -> dict:
+        """``sqrt`` of each state weight, by field name."""
+        return {name: np.sqrt(getattr(self, name)) for name in ("q_s", "q_d", "q_p", "q_v", "q_q")}
+
+    @cached_property
+    def root_diags(self) -> dict:
+        """The roots of ``q_v`` and ``q_q`` as diagonal matrices, by field name."""
+        return {name: np.diag(self.roots[name]) for name in ("q_v", "q_q")}
 
 
 @dataclass(frozen=True)
@@ -95,7 +109,9 @@ class ReferencePoint:
     leading shape, ``s_star (..., 2)``, ``d_star (...)``, ``v_star (..., 3)``
     and ``q_star (..., 4)``, and are broadcast to it.  The solver reads a
     horizon of leading shape ``(N+1,)``, one row per node.  Each reference
-    is checked and its attitude normalised once, here.
+    is checked and its attitude normalised once, here.  ``n_star_xy`` and
+    ``q_star_conj``, which the residuals compare with, are built on first
+    use, once per reference.
     """
 
     s_star: Array
@@ -116,6 +132,17 @@ class ReferencePoint:
             raise ValueError("d_star must be positive")
         if not np.all(np.isfinite(self.v_star)):
             raise ValueError("v_star must be finite")
+
+    @cached_property
+    def n_star_xy(self) -> Array:
+        """``xy`` of the target bearing ``n* = (s*, 1) / |(s*, 1)|``, ``(..., 2)``."""
+        s = self.s_star
+        return s / np.sqrt(1.0 + np.sum(s * s, axis=-1, keepdims=True))
+
+    @cached_property
+    def q_star_conj(self) -> Array:
+        """The conjugate of ``q_star``."""
+        return quat_conj(self.q_star)
 
 
 def dynamic_visual_weight(d_measured: float, base: Array) -> Array:

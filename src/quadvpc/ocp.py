@@ -19,7 +19,12 @@ The default budget is one SQP iteration, a real-time iteration (Diehl,
 Bock & Schloeder, 2005): each control tick warm-starts from the shifted
 plan, builds one Gauss-Newton model at its rollout from the measured
 initial state, solves one step QP and takes one Armijo-checked step.
-Larger budgets iterate the same step towards a KKT point.
+Larger budgets iterate the same step towards a KKT point.  Before its
+step QP each iterate is tested for a KKT point with zero row
+multipliers, which needs only the condensed gradient and the iterate's
+own violation; one that passes ends the solve, and its model never
+forms the Hessian or the rows.  So a tick whose warm start has
+converged, as every hover tick does, runs no QP.
 
 The objectives and the visibility constraint read the feature's unit
 bearing ``n``, never the image coordinate ``n_xy / n_z``, so nothing
@@ -161,7 +166,7 @@ class OcpSolution:
     reason: str
     slack_max: float = 0.0
     iter_merits: list = field(default_factory=list)
-    qp_iters: int = 0  # projected-Newton steps of the step QPs, summed over the solve
+    qp_iters: int = 0  # projected-Newton steps of the step QPs, summed over the solve; 0 when none ran
     backtracks: int = 0  # rejected line-search trials, summed over the solve
     kkt_at_inputs: bool = False
     solve_ms: float = 0.0
@@ -227,24 +232,24 @@ def _stage_outputs(x: Array, ref: ReferencePoint, w: CostWeights, q_bc: Array, d
     d = x[:, 11]
 
     sdt = np.sqrt(dt)
+    root = w.roots
 
     # visual servoing: compensate by the attitude deviation from the reference
-    q_rel = quat_normalize(quat_prod(quat_conj(ref.q_star), q_wb))
+    q_rel = quat_normalize(quat_prod(ref.q_star_conj, q_wb))
     q_comp = quat_normalize(
         quat_prod(quat_prod(quat_conj(q_bc), quat_prod(q_rel, q_bc)), q_cl)
     )
-    n_star = ref.s_star / np.sqrt(1.0 + np.sum(ref.s_star * ref.s_star, axis=-1, keepdims=True))
-    r_img = np.sqrt(w.q_s) * (quat_rotate(q_comp, EZ)[:, :2] - n_star) * sdt
-    r_dist = (np.sqrt(w.q_d) * (d - ref.d_star) * sdt)[:, None]
+    r_img = root["q_s"] * (quat_rotate(q_comp, EZ)[:, :2] - ref.n_star_xy) * sdt
+    r_dist = (root["q_d"] * (d - ref.d_star) * sdt)[:, None]
 
     # perception
     n_c = quat_rotate(q_cl, EZ)
-    r_per = np.sqrt(w.q_p) * n_c[:, :2] * sdt
+    r_per = root["q_p"] * n_c[:, :2] * sdt
 
     # action
     sgn = np.where(np.sum(q_wb * ref.q_star, axis=-1) >= 0.0, 1.0, -1.0)[:, None]
-    r_vel = np.sqrt(w.q_v) * (v_w - ref.v_star) * sdt
-    r_att = np.sqrt(w.q_q) * (sgn * q_wb - ref.q_star) * sdt
+    r_vel = root["q_v"] * (v_w - ref.v_star) * sdt
+    r_att = root["q_q"] * (sgn * q_wb - ref.q_star) * sdt
 
     res = np.concatenate([r_img, r_dist, r_per, r_vel, r_att], axis=1)
     return res, n_c
@@ -261,7 +266,8 @@ def _stage_jacobians(x: Array, ref: ReferencePoint, w: CostWeights, q_bc: Array,
     m = len(x)
     q_wb, q_cl = x[:, 3:7], x[:, 7:11]
     sdt = np.sqrt(dt)
-    q_ref = quat_conj(ref.q_star)
+    root = w.roots
+    q_ref = ref.q_star_conj
     rel = quat_prod(q_ref, q_wb)
     # q_comp = normalize(S normalize(rel) (x) q_cl), S: q -> conj(q_bc) (x) q (x) q_bc
     q_cb = quat_conj(q_bc)
@@ -269,17 +275,17 @@ def _stage_jacobians(x: Array, ref: ReferencePoint, w: CostWeights, q_bc: Array,
     inner = quat_prod(q_cb, quat_prod(quat_normalize(rel), q_bc))
     comp = quat_prod(inner, q_cl)
     d_comp = _normalize_jacobian(comp)
-    d_img = np.sqrt(w.q_s)[:, None] * sdt * _rotmat_jacobian(quat_normalize(comp))[:, :2, 2]
+    d_img = root["q_s"][:, None] * sdt * _rotmat_jacobian(quat_normalize(comp))[:, :2, 2]
     d_n = _rotmat_jacobian(q_cl)[:, :, 2]
     sgn = np.where(np.sum(q_wb * ref.q_star, axis=-1) >= 0.0, 1.0, -1.0)[:, None, None]
 
     j_res = np.zeros((m, 12, 12))
     j_res[:, 0:2, 3:7] = d_img @ d_comp @ _quat_rmat(q_cl) @ sandwich @ _normalize_jacobian(rel) @ _quat_lmat(q_ref)
     j_res[:, 0:2, 7:11] = d_img @ d_comp @ _quat_lmat(inner)
-    j_res[:, 2, 11] = np.sqrt(w.q_d) * sdt
-    j_res[:, 3:5, 7:11] = np.sqrt(w.q_p)[:, None] * sdt * d_n[:, :2]
-    j_res[:, 5:8, 0:3] = np.diag(np.sqrt(w.q_v) * sdt)
-    j_res[:, 8:12, 3:7] = sgn * np.diag(np.sqrt(w.q_q) * sdt)
+    j_res[:, 2, 11] = root["q_d"] * sdt
+    j_res[:, 3:5, 7:11] = root["q_p"][:, None] * sdt * d_n[:, :2]
+    j_res[:, 5:8, 0:3] = w.root_diags["q_v"] * sdt
+    j_res[:, 8:12, 3:7] = sgn * (w.root_diags["q_q"] * sdt)
     j_n = np.zeros((m, 3, 12))
     j_n[:, :, 7:11] = d_n
     return j_res, j_n
@@ -509,12 +515,35 @@ class _Workspace:
 
 @dataclass
 class _Model:
-    """Condensed Gauss-Newton model of one iterate."""
+    """Condensed Gauss-Newton model of one iterate.
 
-    h: Array
+    The gradient ``g`` and the rows' values ``vis_base`` are built with
+    the model.  The Hessian ``h``, the Gram product of the stacked
+    residual Jacobians ``jm`` plus the diagonal ``h_diag`` of one node,
+    and the visibility rows ``vis_rows``, the cone of the bearing
+    Jacobians ``dn`` through ``big_m``, are built on first use: an
+    iterate that passes the KKT test before its step QP reads neither.
+    """
+
     g: Array
-    vis_rows: Array
     vis_base: Array
+    jm: Array  # (12N, 4N) residuals of nodes 1..N in the input moves
+    h_diag: Array  # (4,) added to each node's inputs on the diagonal of h
+    big_m: Array  # (N, 12, 4N) deviations of nodes 1..N in the input moves
+    dn: Array  # (N, 3, 12) bearing Jacobians of nodes 1..N
+    cone: Array
+
+    @cached_property
+    def h(self) -> Array:
+        h_mat = 2.0 * (self.jm.T @ self.jm)
+        # splitting the strided diagonal into (N, 4) keeps it a view of h_mat
+        diag = h_mat.reshape(-1)[:: len(h_mat) + 1].reshape(-1, NU)
+        diag += self.h_diag
+        return h_mat
+
+    @cached_property
+    def vis_rows(self) -> Array:
+        return ((self.cone @ self.dn) @ self.big_m).reshape(-1, self.big_m.shape[-1])
 
 
 def _reduced_model(x, u, problem, outputs, stages):
@@ -527,6 +556,7 @@ def _reduced_model(x, u, problem, outputs, stages):
     alone.  The visibility
     cone of node k >= 1 becomes four one-sided rows
     ``vis_base + vis_rows @ dU <= 0``, for every node: ``4N`` rows in all.
+    The model forms its Hessian and rows when they are first read.
     """
     p = problem.params
     n = p.horizon
@@ -546,32 +576,34 @@ def _reduced_model(x, u, problem, outputs, stages):
 
     # residuals of nodes 1..N in the input moves, stacked
     jm = (j_res[1:] @ big_m).reshape(-1, n * NU)
-    h_mat = 2.0 * (jm.T @ jm)
     g_vec = 2.0 * (jm.T @ res[1:].ravel())
-    # input regularization around hover, diagonal in the inputs; splitting
-    # the strided diagonal into (N, 4) keeps it a view of h_mat
+    # input regularization around hover, diagonal in the inputs
     qu = problem.weights.q_u
-    diag = h_mat.reshape(-1)[:: n * NU + 1].reshape(n, NU)
-    diag += p.reg + 2.0 * p.dt * qu
     g_vec += (2.0 * p.dt * qu * (u - _HOVER_U)).ravel()
 
     cone = problem.cone
     return _Model(
-        h=h_mat,
         g=g_vec,
-        vis_rows=((cone @ j_n[1:]) @ big_m).reshape(4 * n, n * NU),
         vis_base=(n_c[1:] @ cone.T).ravel(),
+        jm=jm,
+        h_diag=p.reg + 2.0 * p.dt * qu,
+        big_m=big_m,
+        dn=j_n[1:],
+        cone=cone,
     )
 
 
 def _kkt_from_model(u, model, lam, viol_max, lo, hi):
     """Max-norm KKT residual of the condensed problem at the iterate ``u (N, 4)``.
 
-    Stationarity uses the visibility-row multipliers from the step QP and
-    the input box ``[lo, hi]`` of one node; feasibility is the iterate's
-    largest visibility violation of a node, ``viol_max``.
+    Stationarity uses the visibility-row multipliers ``lam`` of the step
+    QP, or zero multipliers when ``lam`` is None, and the input box
+    ``[lo, hi]`` of one node; feasibility is the iterate's largest
+    visibility violation of a node, ``viol_max``.  With zero multipliers
+    complementarity holds trivially, so a residual below tolerance then
+    certifies a KKT point without the model's rows.
     """
-    g_total = model.g + model.vis_rows.T @ lam
+    g_total = model.g if lam is None else model.g + model.vis_rows.T @ lam
     stat = float(np.max(np.abs(u - np.clip(u - g_total.reshape(u.shape), lo, hi))))
     return max(stat, viol_max)
 
@@ -592,8 +624,11 @@ def solve(problem: OcpProblem, warm: Array | None = None) -> OcpSolution:
     inputs when no step was accepted after that linearisation.  The solve
     is ``converged`` only when that KKT residual is below ``sqp_tol``; it
     stops early, as ``max_iters``, on a step that does not descend, a line
-    search that fails, or two tiny decreases in a row.  ``reason`` names
-    the exit, one per stop: ``kkt``, ``no_descent``,
+    search that fails, or two tiny decreases in a row.  Each linearised
+    iterate is first tested with zero row multipliers, and one below
+    ``sqp_tol`` is converged without a step QP; otherwise the test is
+    repeated with the multipliers of its step QP.  ``reason`` names the
+    exit, one per stop: ``kkt``, ``no_descent``,
     ``line_search_failed``, ``tiny_steps``, ``budget`` (the loop ran out)
     or ``infeasible``: no start with a finite rollout, or a step QP that
     returned a non-finite step.  An infeasible solve reports ``kkt = inf``
@@ -628,6 +663,13 @@ def solve(problem: OcpProblem, warm: Array | None = None) -> OcpSolution:
     while reason == "budget" and iters_done < p.max_sqp_iters:
         iters_done += 1
         model = _reduced_model(ws.x, u, problem, ws.outputs, ws.stages)
+        # a warm start is often a KKT point already: the test with zero row
+        # multipliers needs neither the Hessian nor the rows, and the
+        # multipliers of an earlier model may sit on rows now inactive
+        kkt_zero = _kkt_from_model(u, model, None, ws.viol_max, lo, hi)
+        if kkt_zero < p.sqp_tol:
+            reason, kkt_out, kkt_at_inputs = "kkt", kkt_zero, True
+            break
         lb_step = np.maximum(lo - u, -_STEP_BOX).ravel()
         ub_step = np.minimum(hi - u, _STEP_BOX).ravel()
         # the last QP's multipliers start this one

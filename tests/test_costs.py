@@ -237,6 +237,30 @@ class TestDynamicVisualWeight:
     def test_clamp_ceiling(self):
         assert np.allclose(dynamic_visual_weight(100.0, np.array([1.0, 1.0])), [100.0, 100.0])
 
+    def test_roots_follow_each_problem(self):
+        # the roots are cached on the weights object, and build_problem makes
+        # a fresh one for each measured distance, so none is stale
+        w = CostWeights(q_s=[4.0, 3.0], q_v=[0.8, 0.5, 0.3])
+        assert w.roots["q_s"].tobytes() == np.sqrt(w.q_s).tobytes()
+        ref = ReferencePoint(np.zeros(2), np.full(21, 2.0), np.zeros(3), g.quat_identity())
+        for d in (0.5, 3.0, 7.0, 3.0):
+            x0 = QuadVisualState(np.zeros(3), g.quat_identity(), g.quat_identity(), d)
+            w_eff = build_problem(x0, ref, w, Bounds(), DEFAULT_EXTRINSICS, OcpParams()).weights
+            for name in ("q_s", "q_d", "q_p", "q_v", "q_q"):
+                assert np.asarray(w_eff.roots[name]).tobytes() == np.sqrt(getattr(w_eff, name)).tobytes()
+            assert w_eff.roots["q_s"].tobytes() == np.sqrt(w.q_s * min(max(d * d, 1.0), 100.0)).tobytes()
+            for name in ("q_v", "q_q"):
+                assert w_eff.root_diags[name].tobytes() == np.diag(np.sqrt(getattr(w, name))).tobytes()
+
+
+class TestReferenceConstants:
+    def test_target_bearing_and_conjugate(self, rng):
+        ref = ReferencePoint(rng.uniform(-0.8, 0.8, (21, 2)), np.full(21, 2.0), np.zeros(3), random_quat(rng, 21))
+        for k in range(21):
+            n = np.append(ref.s_star[k], 1.0) / np.linalg.norm(np.append(ref.s_star[k], 1.0))
+            assert np.allclose(ref.n_star_xy[k], n[:2], rtol=0.0, atol=1e-15)
+        assert ref.q_star_conj.tobytes() == g.quat_conj(ref.q_star).tobytes()
+
 
 def visibility(q_cl, b=Bounds()):
     """One node's visibility as the solver evaluates it, without the margin.

@@ -443,6 +443,101 @@ class TestSkippedDefects:
         self.check(self.solver_models(monkeypatch, lambda: scenario_quarter_circle(cfg, 9.0)))
 
 
+class TestConvergedTick:
+    # an iterate that is a KKT point with zero row multipliers ends the
+    # solve before its step QP, and its model never forms h or vis_rows
+    @staticmethod
+    def spied_solve(monkeypatch, problem, warm):
+        """The solve, the models it built and the results of its step QPs."""
+        models, qps = [], []
+        build, step_qp = ocp._reduced_model, ocp._solve_step_qp
+
+        def model_spy(*args):
+            models.append(build(*args))
+            return models[-1]
+
+        def qp_spy(*args):
+            qps.append(step_qp(*args))
+            return qps[-1]
+
+        monkeypatch.setattr(ocp, "_reduced_model", model_spy)
+        monkeypatch.setattr(ocp, "_solve_step_qp", qp_spy)
+        sol = solve(problem, warm)
+        monkeypatch.undo()
+        return sol, models, qps
+
+    @staticmethod
+    def eager(model, x, u, problem):
+        """``h`` and ``vis_rows`` by the formulas that built them with the model."""
+        p, ext = problem.params, problem.extrinsics
+        n = p.horizon
+        a_k, b_k = rk4_jacobians(x[:-1], u, rk4_stages(x[:-1], u, p.dt, ext), p.dt, ext)
+        j_res, j_n = _stage_jacobians(x, problem.ref, problem.weights, ext.q_bc, p.dt)
+        big_m = np.zeros((n, 12, n * 4))
+        big_m[0, :, :4] = b_k[0]
+        for k in range(1, n):
+            np.matmul(a_k[k], big_m[k - 1, :, : k * 4], out=big_m[k, :, : k * 4])
+            big_m[k, :, k * 4 : (k + 1) * 4] += b_k[k]
+        jm = (j_res[1:] @ big_m).reshape(-1, n * 4)
+        h_mat = 2.0 * (jm.T @ jm)
+        diag = h_mat.reshape(-1)[:: n * 4 + 1].reshape(n, 4)
+        diag += p.reg + 2.0 * p.dt * problem.weights.q_u
+        return h_mat, ((_cone(problem) @ j_n[1:]) @ big_m).reshape(4 * n, n * 4)
+
+    def test_converged_warm_start_skips_the_qp(self, monkeypatch):
+        # an off-equilibrium hover, converged, then warm-started from its own plan
+        x0 = QuadVisualState(np.zeros(3), g.quat_identity(), g.quat_identity(), 2.2)
+        params = OcpParams(max_sqp_iters=25)
+        problem = build_problem(x0, constant_ref(1.9), CostWeights(), Bounds(), DEFAULT_EXTRINSICS, params)
+        first = solve(problem)
+        assert first.reason == "kkt" and first.sqp_iters > 1
+        sol, models, qps = self.spied_solve(monkeypatch, problem, first.inputs)
+        assert sol.reason == "kkt" and sol.kkt_at_inputs
+        assert sol.sqp_iters == 1 and sol.qp_iters == 0 and sol.backtracks == 0
+        assert qps == [] and len(models) == 1
+        model = models[0]
+        assert "h" not in model.__dict__ and "vis_rows" not in model.__dict__
+        assert np.array_equal(sol.inputs, first.inputs)
+        # with the multipliers of this model's own step QP, which leaves
+        # every row inactive, the KKT value is the same
+        n = params.horizon
+        lo, hi = problem.bounds.input_lower(), problem.bounds.input_upper()
+        lb = np.maximum(lo - sol.inputs, -ocp._STEP_BOX).ravel()
+        ub = np.minimum(hi - sol.inputs, ocp._STEP_BOX).ravel()
+        _, lam, _, _, _ = _solve_step_qp(
+            model.h, model.g, lb, ub, model.vis_rows, model.vis_base, np.zeros(4 * n),
+            params.slack_weight, params.qp_tol, params.qp_max_iter,
+        )
+        assert np.all(lam == 0.0)
+        assert sol.kkt == ocp._kkt_from_model(sol.inputs, model, lam, sol.slack_max, lo, hi) > 0.0
+        h_mat, vis_rows = self.eager(model, sol.states, sol.inputs, problem)
+        assert model.h.tobytes() == h_mat.tobytes()
+        assert model.vis_rows.tobytes() == vis_rows.tobytes()
+
+    def test_active_rows_still_run_the_qp(self, monkeypatch):
+        # warm-started from its own plans, the gate solve converges with
+        # cone rows active: zero multipliers do not certify it, so the
+        # QP runs on its last iteration as on every other
+        _, _, problem = gate_setup(max_sqp_iters=25)
+        warm = None
+        for _ in range(6):
+            sol, models, qps = self.spied_solve(monkeypatch, problem, warm)
+            if sol.reason == "kkt":
+                break
+            warm = sol.inputs
+        assert sol.reason == "kkt" and sol.kkt_at_inputs
+        assert len(qps) == len(models) == sol.sqp_iters
+        lam = qps[-1][1]
+        assert np.any(lam > 0.0)
+        lo, hi = problem.bounds.input_lower(), problem.bounds.input_upper()
+        model = models[-1]
+        assert ocp._kkt_from_model(sol.inputs, model, None, sol.slack_max, lo, hi) >= problem.params.sqp_tol
+        assert sol.kkt == ocp._kkt_from_model(sol.inputs, model, lam, sol.slack_max, lo, hi) < problem.params.sqp_tol
+        h_mat, vis_rows = self.eager(model, sol.states, sol.inputs, problem)
+        assert model.h.tobytes() == h_mat.tobytes()
+        assert model.vis_rows.tobytes() == vis_rows.tobytes()
+
+
 def box_qp_oracle(h_mat, g_vec, lb, ub, tol=1e-9):
     """Brute force over every lower / free / upper active set.
 
