@@ -36,7 +36,6 @@ from .ocp import (
     OcpParams,
     OcpProblem,
     OcpSolution,
-    SolveStatus,
     VisualPredictiveController,
     build_problem,
     shift_warm_start,

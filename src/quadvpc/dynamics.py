@@ -42,6 +42,7 @@ from .geometry import (
     EZ,
     Array,
     _cross,
+    _rotmat_cols,
     pure_quat,
     quat_exp,
     quat_identity,
@@ -179,17 +180,6 @@ def _bearing_rates(q_cl: Array, d: Array, v_c: Array, w_c: Array):
     dq_cl = 0.5 * quat_prod(pure_quat(u1 * t1 + u2 * t2), q_cl)
     dd = -np.sum(n * v_c, axis=-1, keepdims=True)
     return np.concatenate([u1, u2], axis=-1), dq_cl, dd
-
-
-def _rotmat_cols(qw, qx, qy, qz):
-    """Rotation-matrix columns of a quaternion given by its components (floats or arrays)."""
-    xx, yy, zz = qx * qx, qy * qy, qz * qz
-    xy, xz, yz = qx * qy, qx * qz, qy * qz
-    wx, wy, wz = qw * qx, qw * qy, qw * qz
-    c0 = (1 - 2 * (yy + zz), 2 * (xy + wz), 2 * (xz - wy))
-    c1 = (2 * (xy - wz), 1 - 2 * (xx + zz), 2 * (yz + wx))
-    c2 = (2 * (xz + wy), 2 * (yz - wx), 1 - 2 * (xx + yy))
-    return c0, c1, c2
 
 
 def _product_tensors():

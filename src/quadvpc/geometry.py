@@ -107,14 +107,21 @@ def quat_rotate(q: Array, v: Array) -> Array:
     return v + q[..., :1] * t + _cross(qv, t)
 
 
+def _rotmat_cols(qw, qx, qy, qz):
+    """Rotation-matrix columns of a quaternion given by its components (floats or arrays)."""
+    xx, yy, zz = qx * qx, qy * qy, qz * qz
+    xy, xz, yz = qx * qy, qx * qz, qy * qz
+    wx, wy, wz = qw * qx, qw * qy, qw * qz
+    c0 = (1 - 2 * (yy + zz), 2 * (xy + wz), 2 * (xz - wy))
+    c1 = (2 * (xy - wz), 1 - 2 * (xx + zz), 2 * (yz + wx))
+    c2 = (2 * (xz + wy), 2 * (yz - wx), 1 - 2 * (xx + yy))
+    return c0, c1, c2
+
+
 def quat_to_rotmat(q: Array) -> Array:
     """3x3 rotation matrix of a unit quaternion (local frame -> parent)."""
     q = np.asarray(q, dtype=np.float64)
-    w, x, y, z = (q[..., i] for i in range(4))
-    row0 = np.stack([1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)], axis=-1)
-    row1 = np.stack([2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)], axis=-1)
-    row2 = np.stack([2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)], axis=-1)
-    return np.stack([row0, row1, row2], axis=-2)
+    return np.stack([np.stack(c, -1) for c in _rotmat_cols(*np.moveaxis(q, -1, 0))], -1)
 
 
 def quat_from_rotmat(r: Array) -> Array:

@@ -44,7 +44,6 @@ iteration budgets.
 
 from __future__ import annotations
 
-import enum
 import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -83,12 +82,6 @@ class BadReferenceLength(ValueError):
 
 class InvalidInitialState(ValueError):
     """Initial state violates d > 0 or finiteness."""
-
-
-class SolveStatus(enum.Enum):
-    CONVERGED = "converged"
-    MAX_ITERS = "max_iters"
-    INFEASIBLE = "infeasible"
 
 
 @dataclass(frozen=True)
@@ -170,13 +163,6 @@ class OcpSolution:
     backtracks: int = 0  # rejected line-search trials, summed over the solve
     kkt_at_inputs: bool = False
     solve_ms: float = 0.0
-
-    @property
-    def status(self) -> SolveStatus:
-        """``converged`` for the reason ``kkt``, ``infeasible`` for ``infeasible``, else ``max_iters``."""
-        if self.reason == "kkt":
-            return SolveStatus.CONVERGED
-        return SolveStatus.INFEASIBLE if self.reason == "infeasible" else SolveStatus.MAX_ITERS
 
 
 def build_problem(
@@ -760,7 +746,7 @@ class VisualPredictiveController:
         t0 = time.perf_counter()
         sol = solve(problem, warm)
         sol.solve_ms = (time.perf_counter() - t0) * 1e3
-        if sol.status is SolveStatus.INFEASIBLE:
+        if sol.reason == "infeasible":
             u = self._plan[0] if len(self._plan) else _HOVER_U
             self._plan = self._plan[1:]
         else:

@@ -17,7 +17,7 @@ import numpy as np
 from .simulator import RunLog
 
 CSV_HEADER = "t,px,py,pz,vx,vy,vz,qw,qx,qy,qz,su,sv,d,c,wx,wy,wz,solve_ms,kkt"
-SOLVER_TRACE_HEADER = "run,t,sqp_iters,qp_iters,slack_max,status,reason"
+SOLVER_TRACE_HEADER = "run,t,sqp_iters,qp_iters,backtracks,slack_max,reason"
 
 SUMMARY_SCHEMA_VERSION = 1
 
@@ -50,8 +50,8 @@ def write_solver_trace_csv(logs: dict, path: str | Path) -> Path:
     for name, log in logs.items():
         for i in range(log.n_ticks):
             lines.append(
-                f"{name},{log.t[i]:.12g},{int(log.sqp_iters[i])},{int(log.qp_iters[i])},"
-                f"{log.slack_max[i]:.12g},{log.status[i]},{log.reason[i]}"
+                f"{name},{log.t[i]:.12g},{int(log.sqp_iters[i])},{int(log.qp_iters[i])},{int(log.backtracks[i])},"
+                f"{log.slack_max[i]:.12g},{log.reason[i]}"
             )
     _write_text(path, "\n".join(lines) + "\n")
     return path

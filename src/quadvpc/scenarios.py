@@ -292,7 +292,7 @@ def scenario_hover(cfg: ScenarioConfig):
     try:
         meas = observe(plant0, cfg.landmark, cfg.extrinsics, NoiseModel(), rng, (cfg.bounds.s_min, cfg.bounds.s_max))
     except FeatureLost as exc:
-        log = RunLog.empty(cfg.ocp.dt, cfg.seed, "feature_lost", exc.reason)
+        log = RunLog.from_ticks(cfg.ocp.dt, cfg.seed, [], [], "feature_lost", 0.0, exc.reason)
         return {"log": log, "metrics": evaluate_run(log, cfg)}
     n = quat_rotate(meas.q_cl, EZ)
     d_star = np.full(cfg.ocp.horizon + 1, meas.d)

@@ -10,7 +10,7 @@ control tick and record everything needed to evaluate a scenario offline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .dynamics import (
     CameraExtrinsics,
     ControlInput,
     QuadVisualState,
-    _rotmat_cols,
+    _unit_quat,
     _vec3,
     so3_integral_coeffs,
 )
@@ -28,13 +28,12 @@ from .geometry import (
     EPS_Z,
     EZ,
     Array,
+    _rotmat_cols,
     bearing_from_image,
     quat_conj,
     quat_exp,
     quat_from_rotmat,
-    quat_identity,
     quat_mul,
-    quat_normalize,
     quat_rotate,
     quat_yaw,
 )
@@ -75,8 +74,7 @@ class PlantState:
     def __post_init__(self):
         object.__setattr__(self, "p_w", _vec3(self.p_w))
         object.__setattr__(self, "v_w", _vec3(self.v_w))
-        q = np.asarray(self.q_wb, dtype=np.float64).reshape(4)
-        object.__setattr__(self, "q_wb", q / np.linalg.norm(q))
+        object.__setattr__(self, "q_wb", _unit_quat(self.q_wb))
 
     def as_vector(self) -> Array:
         return np.concatenate([self.p_w, self.v_w, self.q_wb])
@@ -85,11 +83,9 @@ class PlantState:
 @dataclass(frozen=True)
 class Landmark:
     p_w_lw: Array = field(default_factory=lambda: np.array([6.0, 0.0, 3.0]))
-    q_wl: Array = field(default_factory=quat_identity)
 
     def __post_init__(self):
         object.__setattr__(self, "p_w_lw", _vec3(self.p_w_lw))
-        object.__setattr__(self, "q_wl", quat_normalize(np.asarray(self.q_wl, dtype=np.float64).reshape(4)))
 
 
 @dataclass(frozen=True)
@@ -226,27 +222,36 @@ def make_reference_from_waypoint(
     )
 
 
+def _column(*shape: int):
+    """A per-tick field of :class:`RunLog` whose tick entries have ``shape``."""
+    return field(metadata={"tick_shape": shape})
+
+
 @dataclass
 class RunLog:
-    """Uniform-timestep record of one closed-loop run."""
+    """Uniform-timestep record of one closed-loop run.
+
+    Each field made by :func:`_column` holds one entry per tick, stacked
+    along the first axis; :data:`TICK_COLUMNS` lists them in order.
+    """
 
     dt: float
     seed: int
-    t: Array
-    p_w: Array
-    v_w: Array
-    q_wb: Array
-    s_c: Array
-    d: Array
-    u: Array
-    ref_s: Array
-    ref_d: Array
-    solve_ms: Array
-    kkt: Array
-    sqp_iters: Array
-    qp_iters: Array
-    slack_max: Array
-    status: list
+    t: Array = _column()
+    p_w: Array = _column(3)
+    v_w: Array = _column(3)
+    q_wb: Array = _column(4)
+    s_c: Array = _column(2)
+    d: Array = _column()
+    u: Array = _column(4)
+    ref_s: Array = _column(2)
+    ref_d: Array = _column()
+    solve_ms: Array = _column()
+    kkt: Array = _column()
+    sqp_iters: Array = _column()
+    qp_iters: Array = _column()
+    backtracks: Array = _column()
+    slack_max: Array = _column()
     reason: list  # of each tick's solve: why it stopped (``OcpSolution.reason``)
     outcome: str
     fail_time: float | None = None
@@ -256,32 +261,25 @@ class RunLog:
     def n_ticks(self) -> int:
         return len(self.t)
 
-    @staticmethod
-    def empty(dt: float, seed: int, outcome: str, fail_reason: str | None = None) -> "RunLog":
-        """Log of a run that failed before its first control tick."""
-        return RunLog(
-            dt=dt,
-            seed=seed,
-            t=np.zeros(0),
-            p_w=np.zeros((0, 3)),
-            v_w=np.zeros((0, 3)),
-            q_wb=np.zeros((0, 4)),
-            s_c=np.zeros((0, 2)),
-            d=np.zeros(0),
-            u=np.zeros((0, 4)),
-            ref_s=np.zeros((0, 2)),
-            ref_d=np.zeros(0),
-            solve_ms=np.zeros(0),
-            kkt=np.zeros(0),
-            sqp_iters=np.zeros(0),
-            qp_iters=np.zeros(0),
-            slack_max=np.zeros(0),
-            status=[],
-            reason=[],
-            outcome=outcome,
-            fail_time=0.0,
-            fail_reason=fail_reason,
-        )
+    @property
+    def status(self) -> list:
+        """Each tick's ``reason`` coarsened: ``kkt`` is ``converged``, ``infeasible`` stays, any other is ``max_iters``.
+
+        Derived, not stored; kept because the benchmark harness
+        (``bench/workloads.py``) counts and hashes these values.
+        """
+        return ["converged" if r == "kkt" else "infeasible" if r == "infeasible" else "max_iters" for r in self.reason]
+
+    @classmethod
+    def from_ticks(cls, dt: float, seed: int, ticks: list, reason: list, outcome: str, fail_time=None, fail_reason=None):
+        """Log from one tuple per tick, ordered as :data:`TICK_COLUMNS`; no tick gives empty float columns."""
+        cols = list(zip(*ticks)) or [()] * len(TICK_COLUMNS)
+        arrays = {name: np.array(col).reshape((-1,) + shape) for (name, shape), col in zip(TICK_COLUMNS, cols)}
+        return cls(dt, seed, **arrays, reason=reason, outcome=outcome, fail_time=fail_time, fail_reason=fail_reason)
+
+
+# The per-tick columns of a run log and the shape of one tick's entry, in field order.
+TICK_COLUMNS = tuple((f.name, f.metadata["tick_shape"]) for f in fields(RunLog) if "tick_shape" in f.metadata)
 
 
 def run_closed_loop(
@@ -306,8 +304,7 @@ def run_closed_loop(
     ps = plant0
     n_ticks = int(round(duration / dt))
 
-    rows = {key: [] for key in ("t", "p_w", "v_w", "q_wb", "s_c", "d", "u", "ref_s", "ref_d", "solve_ms", "kkt", "sqp_iters", "qp_iters", "slack_max")}
-    status: list = []
+    ticks: list = []
     reason: list = []
     outcome = "success"
     fail_time = None
@@ -325,21 +322,11 @@ def run_closed_loop(
         ref = refs_fn(t_k)
         u, sol = controller.step(meas, ref)
 
-        rows["t"].append(t_k)
-        rows["p_w"].append(ps.p_w)
-        rows["v_w"].append(ps.v_w)
-        rows["q_wb"].append(ps.q_wb)
-        rows["s_c"].append(_project_measured(meas))
-        rows["d"].append(meas.d)
-        rows["u"].append(u.as_vector())
-        rows["ref_s"].append(ref.s_star[0])
-        rows["ref_d"].append(ref.d_star[0])
-        rows["solve_ms"].append(sol.solve_ms)
-        rows["kkt"].append(sol.kkt)
-        rows["sqp_iters"].append(sol.sqp_iters)
-        rows["qp_iters"].append(sol.qp_iters)
-        rows["slack_max"].append(sol.slack_max)
-        status.append(sol.status.value)
+        ticks.append((
+            t_k, ps.p_w, ps.v_w, ps.q_wb, _project_measured(meas), meas.d, u.as_vector(),
+            ref.s_star[0], ref.d_star[0],
+            sol.solve_ms, sol.kkt, sol.sqp_iters, sol.qp_iters, sol.backtracks, sol.slack_max,
+        ))
         reason.append(sol.reason)
 
         ps = plant_step(ps, u, dt)
@@ -348,29 +335,7 @@ def run_closed_loop(
             fail_time = t_k + dt
             break
 
-    return RunLog(
-        dt=dt,
-        seed=seed,
-        t=np.array(rows["t"]),
-        p_w=np.array(rows["p_w"]).reshape(-1, 3),
-        v_w=np.array(rows["v_w"]).reshape(-1, 3),
-        q_wb=np.array(rows["q_wb"]).reshape(-1, 4),
-        s_c=np.array(rows["s_c"]).reshape(-1, 2),
-        d=np.array(rows["d"]),
-        u=np.array(rows["u"]).reshape(-1, 4),
-        ref_s=np.array(rows["ref_s"]).reshape(-1, 2),
-        ref_d=np.array(rows["ref_d"]),
-        solve_ms=np.array(rows["solve_ms"]),
-        kkt=np.array(rows["kkt"]),
-        sqp_iters=np.array(rows["sqp_iters"]),
-        qp_iters=np.array(rows["qp_iters"]),
-        slack_max=np.array(rows["slack_max"]),
-        status=status,
-        reason=reason,
-        outcome=outcome,
-        fail_time=fail_time,
-        fail_reason=fail_reason,
-    )
+    return RunLog.from_ticks(dt, seed, ticks, reason, outcome, fail_time, fail_reason)
 
 
 def _project_measured(meas: QuadVisualState) -> Array:

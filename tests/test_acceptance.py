@@ -15,7 +15,7 @@ from quadvpc import ocp
 from quadvpc.config import default_config
 from quadvpc.costs import Bounds, CostWeights, ReferencePoint
 from quadvpc.dynamics import CameraTwist, ControlInput, QuadVisualState, propagate_camera_pose
-from quadvpc.ocp import OcpParams, SolveStatus, _Workspace, build_problem, solve
+from quadvpc.ocp import OcpParams, _Workspace, build_problem, solve
 from quadvpc.outputs import CSV_HEADER, write_run_csv
 from quadvpc.scenarios import (
     bearing_prediction_step,
@@ -275,8 +275,8 @@ def test_criterion_08_feasibility_audit(hover_result, gate_results, quarter_resu
         total_inputs += log.n_ticks
     converged_slacks = []
     for log in logs:
-        for status, slack, kkt in zip(log.status, log.slack_max, log.kkt):
-            if status == SolveStatus.CONVERGED.value:
+        for reason, slack, kkt in zip(log.reason, log.slack_max, log.kkt):
+            if reason == "kkt":
                 assert kkt < cfg.ocp.sqp_tol
                 converged_slacks.append(slack)
     converged_slacks = np.array(converged_slacks)

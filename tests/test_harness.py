@@ -367,13 +367,13 @@ class TestOutputs:
         logs = {f"run_{i:02d}": r["log"] for i, r in enumerate(scenario_gate_reaching(cfg, GATE_POSES[:2]))}
         path = write_solver_trace_csv(logs, tmp_path / "solver_trace.csv")
         header, *rows = path.read_text().splitlines()
-        assert header == SOLVER_TRACE_HEADER == "run,t,sqp_iters,qp_iters,slack_max,status,reason"
+        assert header == SOLVER_TRACE_HEADER == "run,t,sqp_iters,qp_iters,backtracks,slack_max,reason"
         expected = [(name, k, log) for name, log in logs.items() for k in range(log.n_ticks)]
         assert len(rows) == len(expected) == 20
         for row, (name, k, log) in zip(rows, expected):
-            run, t, sqp_iters, qp_iters, slack_max, status, reason = row.split(",")
-            assert (run, int(sqp_iters), int(qp_iters), status, reason) == (
-                name, log.sqp_iters[k], log.qp_iters[k], log.status[k], log.reason[k]
+            run, t, sqp_iters, qp_iters, backtracks, slack_max, reason = row.split(",")
+            assert (run, int(sqp_iters), int(qp_iters), int(backtracks), reason) == (
+                name, log.sqp_iters[k], log.qp_iters[k], log.backtracks[k], log.reason[k]
             )
             assert float(t) == float(f"{log.t[k]:.12g}")
             assert float(slack_max) == float(f"{log.slack_max[k]:.12g}")
@@ -600,7 +600,7 @@ class TestReadme:
         scope = {}
         exec(compile(code, "README quick start", "exec"), scope)
         assert scope["ref"].d_star.shape == (scope["params"].horizon + 1,)
-        assert scope["solution"].status.value != "infeasible"
+        assert scope["solution"].reason != "infeasible"
         assert 0.0 <= scope["u"].c <= 20.0
 
 

@@ -14,7 +14,6 @@ from quadvpc.ocp import (
     InvalidInitialState,
     OcpParams,
     OcpSolution,
-    SolveStatus,
     VisualPredictiveController,
     _cone,
     _hinge,
@@ -204,7 +203,7 @@ class TestHoverSolve:
     def test_equilibrium_inputs(self):
         _, _, problem = hover_setup()
         sol = solve(problem)
-        assert sol.status is SolveStatus.CONVERGED
+        assert sol.reason == "kkt"
         assert sol.sqp_iters <= 5
         assert abs(sol.inputs[0, 0] - 9.81) < 0.1
         assert np.all(np.abs(sol.inputs[:, 1:]) < 0.01)
@@ -218,7 +217,7 @@ class TestHoverSolve:
         # a converged solve returns the iterate it linearised last
         _, _, problem = hover_setup()
         sol = solve(problem)
-        assert sol.status is SolveStatus.CONVERGED
+        assert sol.reason == "kkt"
         assert sol.kkt_at_inputs
 
     def test_zero_slack(self):
@@ -332,7 +331,7 @@ class TestKktResidual:
         # inputs, and reports their KKT value
         _, _, problem = hover_setup()
         sol = solve(problem)
-        assert sol.status is SolveStatus.CONVERGED
+        assert sol.reason == "kkt"
         perturbed = sol.inputs + rng.normal(0, 0.2, sol.inputs.shape)
         _, _, one_iter = hover_setup(max_sqp_iters=1)
         one = solve(one_iter, perturbed)
@@ -392,7 +391,7 @@ class TestKktReport:
         cfg.duration = 1.0
         result, calls = self.count_calls(monkeypatch, lambda: scenario_quarter_circle(cfg, 9.0))
         log = result["log"]
-        assert log.n_ticks == 20 and "infeasible" not in log.status
+        assert log.n_ticks == 20 and "infeasible" not in log.reason
         assert calls == {"models": int(np.sum(log.sqp_iters))}
 
 
@@ -917,7 +916,7 @@ class TestController:
         x0, ref, _ = hover_setup(horizon=1)
         for _ in range(2):
             _, sol = ctrl.step(x0, ref)
-            assert sol.status is not SolveStatus.INFEASIBLE
+            assert sol.reason != "infeasible"
             assert ctrl._plan.shape == (0, 4)
 
     def test_failsafe_follows_the_plan_then_hover(self, monkeypatch):
@@ -930,7 +929,7 @@ class TestController:
         x0, ref, _ = gate_setup()
         _, sol = ctrl.step(x0, ref)
         plan = sol.inputs
-        assert sol.status is not SolveStatus.INFEASIBLE
+        assert sol.reason != "infeasible"
         assert len(np.unique(plan, axis=0)) == n  # every row differs
 
         warms = []
@@ -942,7 +941,7 @@ class TestController:
         monkeypatch.setattr(ocp, "solve", infeasible_solve)
         for k in range(1, n):
             u, sol = ctrl.step(x0, ref)
-            assert sol.status is SolveStatus.INFEASIBLE
+            assert sol.reason == "infeasible"
             assert np.array_equal(u.as_vector(), plan[k])
             assert np.array_equal(warms[-1], np.vstack([plan[k:], np.tile(plan[-1], (k, 1))]))
         for _ in range(2):
@@ -997,7 +996,7 @@ class TestDivergedWarmStart:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sol = solve(problem, DIVERGING_U)
-        assert sol.status is not SolveStatus.INFEASIBLE
+        assert sol.reason != "infeasible"
         assert np.all(np.isfinite(sol.inputs)) and np.all(np.isfinite(sol.states))
         assert np.all(sol.inputs >= problem.bounds.input_lower()) and np.all(sol.inputs <= problem.bounds.input_upper())
         # the restart is the cold start
@@ -1014,7 +1013,7 @@ class TestDivergedWarmStart:
             warnings.simplefilter("error")
             u, sol = ctrl.step(x0, constant_ref(2.0))
         assert np.all(np.isfinite(u.as_vector()))
-        assert sol.status is not SolveStatus.INFEASIBLE
+        assert sol.reason != "infeasible"
 
 
 class TestLeavingView:
@@ -1040,7 +1039,7 @@ class TestLeavingView:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sol = solve(problem)
-        assert sol.status is not SolveStatus.INFEASIBLE
+        assert sol.reason != "infeasible"
         assert sol.slack_max < 1e-3
         assert sol.cost < _Workspace(np.tile(ControlInput.hover().as_vector(), (20, 1)), problem).cost
 
@@ -1052,7 +1051,7 @@ class TestLeavingView:
             duration=1.0, dt=0.05, sensor_bounds=(self.bounds.s_min, self.bounds.s_max),
         )
         assert log.outcome == "success" and log.n_ticks == 20
-        assert "infeasible" not in log.status
+        assert "infeasible" not in log.reason
 
 
 class TestFlyingIntoLandmark:
@@ -1069,34 +1068,27 @@ class TestFlyingIntoLandmark:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sol = solve(problem)
-        assert sol.status is not SolveStatus.CONVERGED
         assert sol.kkt > params.sqp_tol
         assert sol.reason == "no_descent" and sol.sqp_iters == 1
 
 
 class TestStopReason:
-    # each exit of solve has its own reason; status is converged for kkt,
-    # infeasible for infeasible and max_iters for the other four
-    STATUS = {"kkt": SolveStatus.CONVERGED, "infeasible": SolveStatus.INFEASIBLE}
-
-    def check(self, sol, reason):
-        assert sol.reason == reason
-        assert sol.status is self.STATUS.get(reason, SolveStatus.MAX_ITERS)
+    # each exit of solve has its own reason
 
     def test_hover_equilibrium_kkt(self):
         _, _, problem = hover_setup()
-        self.check(solve(problem), "kkt")
+        assert solve(problem).reason == "kkt"
 
     def test_one_step_budget(self):
         _, _, problem = gate_setup(max_sqp_iters=1)
         sol = solve(problem)
-        self.check(sol, "budget")
+        assert sol.reason == "budget"
         assert sol.sqp_iters == 1 and len(sol.iter_merits) == 2
 
     def test_tiny_steps(self):
         _, _, problem = gate_setup(max_sqp_iters=25)
         sol = solve(problem)
-        self.check(sol, "tiny_steps")
+        assert sol.reason == "tiny_steps"
         assert sol.sqp_iters < 25
 
     def test_infeasible_start(self):
@@ -1107,7 +1099,7 @@ class TestStopReason:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sol = solve(problem)
-        self.check(sol, "infeasible")
+        assert sol.reason == "infeasible"
         assert sol.sqp_iters == 0
 
     def test_infeasible_step(self, monkeypatch):
@@ -1123,7 +1115,7 @@ class TestStopReason:
         monkeypatch.setattr(ocp, "_solve_step_qp", nan_step)
         _, _, problem = gate_setup()
         sol = solve(problem)
-        self.check(sol, "infeasible")
+        assert sol.reason == "infeasible"
         # the exit reports the step-QP work it spent
         assert sol.kkt == np.inf and sol.sqp_iters == 1 and sol.qp_iters > 0
 

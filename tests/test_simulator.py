@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from quadvpc import geometry as g
+from quadvpc.config import default_config
 from quadvpc.costs import Bounds, CostWeights, ReferencePoint
 from quadvpc.dynamics import (
     GRAVITY_W,
@@ -14,6 +15,7 @@ from quadvpc.dynamics import (
     so3_integral_coeffs,
 )
 from quadvpc.ocp import OcpParams, VisualPredictiveController
+from quadvpc.scenarios import scenario_hover
 from quadvpc.simulator import (
     DEFAULT_EXTRINSICS,
     FeatureLost,
@@ -21,6 +23,7 @@ from quadvpc.simulator import (
     NoiseModel,
     PlantState,
     ReferenceInfeasible,
+    RunLog,
     camera_pose,
     make_reference_from_waypoint,
     observe,
@@ -44,6 +47,11 @@ class TestPlantStep:
         out = plant_step(ps, hover_input(), 0.05)
         assert np.max(np.abs(out.p_w - ps.p_w)) < 1e-12
         assert np.max(np.abs(out.v_w)) < 1e-12
+
+    def test_zero_attitude_rejected(self):
+        # as QuadVisualState rejects it, rather than a NaN attitude
+        with pytest.raises(ValueError):
+            PlantState(np.zeros(3), np.zeros(3), [0.0, 0.0, 0.0, 0.0])
 
     def test_free_fall_drop(self):
         ps = PlantState(np.zeros(3), np.zeros(3), g.quat_identity())
@@ -282,6 +290,21 @@ def hover_loop(duration=2.0, seed=0, noise=ZERO_NOISE):
     )
 
 
+# the columns of a run without ticks: empty float arrays, each of its tick entry's shape
+NO_TICK_SHAPES = {
+    "t": (0,), "p_w": (0, 3), "v_w": (0, 3), "q_wb": (0, 4), "s_c": (0, 2), "d": (0,), "u": (0, 4),
+    "ref_s": (0, 2), "ref_d": (0,), "solve_ms": (0,), "kkt": (0,), "sqp_iters": (0,), "qp_iters": (0,),
+    "backtracks": (0,), "slack_max": (0,),
+}
+
+
+def assert_no_ticks(log):
+    for name, shape in NO_TICK_SHAPES.items():
+        col = getattr(log, name)
+        assert (col.shape, col.dtype) == (shape, np.float64), name
+    assert log.reason == log.status == []
+
+
 class TestClosedLoop:
     def test_hover_regulation(self):
         log = hover_loop(duration=5.0)
@@ -305,6 +328,19 @@ class TestClosedLoop:
         assert log.outcome == "feature_lost"
         assert log.fail_time == 0.0
         assert log.n_ticks == 0
+        assert_no_ticks(log)
+
+    def test_hover_scenario_lost_before_first_tick(self):
+        cfg = default_config("hover")
+        cfg.initial_position = (8.0, 0.0, 3.0)
+        log = scenario_hover(cfg)["log"]
+        assert (log.outcome, log.fail_time, log.fail_reason) == ("feature_lost", 0.0, "behind_camera")
+        assert_no_ticks(log)
+
+    def test_status_coarsens_each_reason(self):
+        reasons = ["kkt", "no_descent", "line_search_failed", "tiny_steps", "budget", "infeasible"]
+        log = RunLog.from_ticks(0.05, 0, [], reasons, "success")
+        assert log.status == ["converged", "max_iters", "max_iters", "max_iters", "max_iters", "infeasible"]
 
     def test_bit_identical_reruns(self):
         noise = NoiseModel(sigma_px=0.01, sigma_d_rel=0.01)
