@@ -98,7 +98,7 @@ def cmd_sweep(args) -> int:
         "trials": cfg.sweep.trials,
         "table": {mode: {f"{speed:g}": rate for speed, rate in cells.items()} for mode, cells in out["table"].items()},
         "records": out["records"],
-        "timing": timing_dict(out["metrics"]) if out["metrics"] else {},
+        "timing": timing_dict(out["metrics"]),
     }
     write_summary_json(summary, outdir / "sweep_summary.json")
     if not args.quiet:
@@ -143,7 +143,7 @@ def cmd_selftest(args) -> int:
 
     checks = []
     rng = np.random.default_rng(0)
-    q = geometry.random_unit_quaternion(rng)
+    q = geometry.quat_exp(rng.normal(size=3))
     v = rng.normal(size=3)
     checks.append(("rotation preserves norm", abs(np.linalg.norm(geometry.quat_rotate(q, v)) - np.linalg.norm(v)) < 1e-12))
     s = rng.uniform(-1, 1, 2)
@@ -153,9 +153,8 @@ def cmd_selftest(args) -> int:
     meas = observe(plant, Landmark(), DEFAULT_EXTRINSICS, NoiseModel(), rng)
     from .scenarios import scenario_hover  # noqa: F401  (import check)
 
-    n = geometry.bearing_n(meas.q_cl)
-    ref_s = n[:2] / n[2]
     params = OcpParams()
+    ref_s = geometry.image_from_bearing(meas.q_cl)
     ref = ReferencePoint(ref_s, np.full(params.horizon + 1, meas.d), np.zeros(3), geometry.quat_identity())
     problem = build_problem(meas, ref, CostWeights(), Bounds(), DEFAULT_EXTRINSICS, params)
     sol = solve(problem)

@@ -6,13 +6,14 @@ nested dataclass, tuples and arrays as lists of numbers, plus
 ``schema_version``.  Both directions walk ``dataclasses.fields``, so a
 new field needs no edit here.  A file only needs the values it
 overrides; the rest come from ``default_config`` of its ``kind``.
-Unknown keys, values of the wrong type and other schema versions are
-rejected with the dotted path of the offending key.
+Unknown keys, values of the wrong type, non-finite numbers and other
+schema versions are rejected with the dotted path of the offending key.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from numbers import Integral, Real
 from pathlib import Path
@@ -33,7 +34,7 @@ SCENARIO_KINDS = (
     "predict_compare",
 )
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 class ConfigError(ValueError):
@@ -51,14 +52,12 @@ class SweepSettings:
 
     speeds: tuple = (2.0, 3.0, 4.0)
     trials: int = 20
-    jobs: int = 0  # 0 = use all cores
-    position_jitter: float = 0.1
 
     def __post_init__(self):
         if self.trials < 1:
             raise ConfigError("sweep trials must be >= 1")
-        if any(s <= 0 for s in self.speeds):
-            raise ConfigError("sweep speeds must be positive")
+        if not self.speeds or any(s <= 0 for s in self.speeds):
+            raise ConfigError("sweep.speeds must be one or more positive numbers")
 
 
 @dataclass
@@ -91,8 +90,6 @@ class ScenarioConfig:
     initial_position: tuple = (4.0, 0.0, 3.0)
     initial_heading_deg: float = 0.0
     max_ref_speed: float = 3.0
-    accel_limit: float | None = None  # None -> 0.6 * c_max
-    perception_enabled: bool = True
     goal_distance: float = 2.0
     landmark_position: tuple = (6.0, 0.0, 3.0)
     weights: CostWeights = field(default_factory=CostWeights)
@@ -110,6 +107,8 @@ class ScenarioConfig:
             raise ConfigError("duration must be positive")
         if self.max_ref_speed <= 0.0:
             raise ConfigError("max_ref_speed must be positive")
+        if self.goal_distance <= 0.0:
+            raise ConfigError("goal_distance must be positive")
         for key in ("initial_position", "landmark_position"):
             _check_vector(getattr(self, key), 3, key)
 
@@ -119,12 +118,8 @@ class ScenarioConfig:
 
     @property
     def accel(self) -> float:
-        return self.accel_limit if self.accel_limit is not None else 0.6 * self.bounds.c_max
-
-    def effective_weights(self, perception: bool | None = None) -> CostWeights:
-        """Weights with the perception term switched per the config."""
-        on = self.perception_enabled if perception is None else perception
-        return self.weights if on else replace(self.weights, q_p=np.zeros(2))
+        """The tracking profiles' acceleration limit."""
+        return 0.6 * self.bounds.c_max
 
 
 def default_config(kind: str = "hover") -> ScenarioConfig:
@@ -166,22 +161,22 @@ def _is_number(value) -> bool:
 
 def _checked(default, value, where: str):
     """``value`` converted to the type of ``default``; ConfigError if it has another."""
-    if isinstance(default, (bool, str)):
-        if type(value) is type(default):
+    if isinstance(default, str):
+        if isinstance(value, str):
             return value
-        raise ConfigError(f"{where} must be {'true or false' if isinstance(default, bool) else 'a string'}")
+        raise ConfigError(f"{where} must be a string")
     if isinstance(default, int):
         if _is_number(value) and isinstance(value, Integral):
             return int(value)
         raise ConfigError(f"{where} must be an integer")
-    if isinstance(default, float) or default is None:
-        if _is_number(value) or (value is None and default is None):
-            return None if value is None else float(value)
-        raise ConfigError(f"{where} must be a number" + (" or null" if default is None else ""))
-    if isinstance(value, (list, tuple)) and all(map(_is_number, value)):
+    if isinstance(default, float):
+        if _is_number(value) and math.isfinite(value):
+            return float(value)
+        raise ConfigError(f"{where} must be a finite number")
+    if isinstance(value, (list, tuple)) and all(_is_number(v) and math.isfinite(v) for v in value):
         values = [float(v) for v in value]
         return tuple(values) if isinstance(default, tuple) else np.array(values)
-    raise ConfigError(f"{where} must be a list of numbers")
+    raise ConfigError(f"{where} must be a list of finite numbers")
 
 
 def _load(obj, data: dict, path: str):
@@ -214,7 +209,7 @@ def config_from_dict(data: dict) -> ScenarioConfig:
         return _load(default_config(data.get("kind", "hover")), data, "")
     except ConfigError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         # ValueError also covers the field checks of the dataclasses
         raise ConfigError(f"malformed config: {exc}") from exc
 

@@ -124,31 +124,6 @@ def quat_to_rotmat(q: Array) -> Array:
     return np.stack([np.stack(c, -1) for c in _rotmat_cols(*np.moveaxis(q, -1, 0))], -1)
 
 
-def quat_from_rotmat(r: Array) -> Array:
-    """Unit quaternion of a 3x3 rotation matrix (Shepperd's method)."""
-    r = np.asarray(r, dtype=np.float64)
-    tr = np.trace(r)
-    d = np.array([1.0 + tr, 1.0 + 2.0 * r[0, 0] - tr, 1.0 + 2.0 * r[1, 1] - tr, 1.0 + 2.0 * r[2, 2] - tr])
-    i = int(np.argmax(d))
-    if i == 0:
-        w = 0.5 * np.sqrt(d[0])
-        s = 0.25 / w
-        q = np.array([w, (r[2, 1] - r[1, 2]) * s, (r[0, 2] - r[2, 0]) * s, (r[1, 0] - r[0, 1]) * s])
-    elif i == 1:
-        x = 0.5 * np.sqrt(d[1])
-        s = 0.25 / x
-        q = np.array([(r[2, 1] - r[1, 2]) * s, x, (r[0, 1] + r[1, 0]) * s, (r[0, 2] + r[2, 0]) * s])
-    elif i == 2:
-        y = 0.5 * np.sqrt(d[2])
-        s = 0.25 / y
-        q = np.array([(r[0, 2] - r[2, 0]) * s, (r[0, 1] + r[1, 0]) * s, y, (r[1, 2] + r[2, 1]) * s])
-    else:
-        z = 0.5 * np.sqrt(d[3])
-        s = 0.25 / z
-        q = np.array([(r[1, 0] - r[0, 1]) * s, (r[0, 2] + r[2, 0]) * s, (r[1, 2] + r[2, 1]) * s, z])
-    return quat_normalize(q)
-
-
 def quat_exp(r: Array) -> Array:
     """Unit quaternion of a rotation vector, small-angle safe.
 
@@ -172,18 +147,6 @@ def quat_yaw(psi: float | Array) -> Array:
     out[..., 0] = np.cos(half)
     out[..., 3] = np.sin(half)
     return out
-
-
-def random_unit_quaternion(rng: np.random.Generator, size: int | None = None) -> Array:
-    """Uniformly random rotation(s), Shoemake's subgroup method."""
-    shape = () if size is None else (size,)
-    u1, u2, u3 = rng.random((3,) + shape)
-    a, b = np.sqrt(1.0 - u1), np.sqrt(u1)
-    q = np.stack(
-        [a * np.sin(2 * np.pi * u2), a * np.cos(2 * np.pi * u2), b * np.sin(2 * np.pi * u3), b * np.cos(2 * np.pi * u3)],
-        axis=-1,
-    )
-    return quat_normalize(q)
 
 
 def skew(v: Array) -> Array:

@@ -86,16 +86,12 @@ class InvalidInitialState(ValueError):
 
 @dataclass(frozen=True)
 class OcpParams:
-    """Horizon, timing, and solver knobs."""
+    """Horizon, timing, SQP budget and tolerance, and the visibility margin."""
 
     horizon: int = 20
     dt: float = 0.05
     max_sqp_iters: int = 1
-    qp_tol: float = 1e-8
-    slack_weight: float = 200.0
     sqp_tol: float = 1e-6
-    reg: float = 1e-6
-    qp_max_iter: int = 60
     # the enforced visibility box is shrunk by this margin so the real
     # trajectory has headroom between shooting nodes
     constraint_margin: float = 0.05
@@ -103,13 +99,8 @@ class OcpParams:
     def __post_init__(self):
         if self.horizon < 1 or self.dt <= 0.0 or self.max_sqp_iters < 1:
             raise ValueError("horizon >= 1, dt > 0 and max_sqp_iters >= 1 required")
-        if self.qp_tol <= 0.0 or self.qp_max_iter < 1:
-            raise ValueError("qp_tol > 0 and qp_max_iter >= 1 required")
-        # the step QP divides by its penalty weight, which starts at slack_weight
-        if not (self.slack_weight > 0.0 and self.sqp_tol > 0.0):
-            raise ValueError("slack_weight > 0 and sqp_tol > 0 required")
-        if not (self.reg >= 0.0 and self.constraint_margin >= 0.0):
-            raise ValueError("reg >= 0 and constraint_margin >= 0 required")
+        if not (self.sqp_tol > 0.0 and self.constraint_margin >= 0.0):
+            raise ValueError("sqp_tol > 0 and constraint_margin >= 0 required")
 
 
 def _cone(problem) -> Array:
@@ -468,6 +459,13 @@ def _solve_step_qp(h_mat, g_vec, lb, ub, vis_rows, vis_base, lam, rho, tol, max_
 _HOVER_U = ControlInput.hover().as_vector()
 # the constant step box of one node in the infinity norm; thrust moves 3x faster
 _STEP_BOX = np.array([3.0, 1.0, 1.0, 1.0])
+# the step QP's stationarity tolerance and its cap on projected-Newton steps
+_QP_TOL = 1e-8
+_QP_MAX_ITER = 60
+# the L1 price of a unit of visibility violation, in the merit and the step QP
+_SLACK_WEIGHT = 200.0
+# added to the condensed Hessian's diagonal
+_REG = 1e-6
 
 
 class _Workspace:
@@ -495,7 +493,7 @@ class _Workspace:
         viol = _hinge(n_c[1:], problem.cone)
         self.viol_sum = float(np.sum(viol))
         self.viol_max = float(np.max(viol, initial=0.0))
-        self.merit = self.cost + p.slack_weight * self.viol_sum
+        self.merit = self.cost + _SLACK_WEIGHT * self.viol_sum
         self.finite = bool(np.isfinite(self.merit))
 
 
@@ -572,7 +570,7 @@ def _reduced_model(x, u, problem, outputs, stages):
         g=g_vec,
         vis_base=(n_c[1:] @ cone.T).ravel(),
         jm=jm,
-        h_diag=p.reg + 2.0 * p.dt * qu,
+        h_diag=_REG + 2.0 * p.dt * qu,
         big_m=big_m,
         dn=j_n[1:],
         cone=cone,
@@ -600,9 +598,9 @@ def solve(problem: OcpProblem, warm: Array | None = None) -> OcpSolution:
     Iterates stay on the shooting manifold: every input trajectory is
     rolled out from x0, so the shooting equalities hold exactly at each
     iterate and the merit function is the true discretized cost plus the
-    L1 visibility penalty.  Cold starts use hover inputs, and so does a
-    warm start whose rollout is not finite; a warm start of another shape
-    is ignored.  Each step QP is boxed by the
+    L1 visibility penalty.  Cold starts use hover inputs clipped to the
+    input box, and so does a warm start whose rollout is not finite; a
+    warm start of another shape is ignored.  Each step QP is boxed by the
     input box intersected with one constant step box, and the Armijo line
     search on the merit is the one globalisation.  An accepted step never
     raises the merit, so the last accepted iterate is returned, with the
@@ -633,8 +631,8 @@ def solve(problem: OcpProblem, warm: Array | None = None) -> OcpSolution:
         u = np.clip(warm, lo, hi)
         ws = _Workspace(u, problem)
     if ws is None or not ws.finite:
-        # a cold start, or a warm start whose rollout is not finite, starts once from hover
-        u = np.tile(_HOVER_U, (n, 1))
+        # a cold start, or a warm start whose rollout is not finite, starts once from hover in the box
+        u = np.tile(np.clip(_HOVER_U, lo, hi), (n, 1))
         ws = _Workspace(u, problem)
     merits = [ws.merit]
 
@@ -661,7 +659,7 @@ def solve(problem: OcpProblem, warm: Array | None = None) -> OcpSolution:
         # the last QP's multipliers start this one
         du, lam, _, lin_viol, steps = _solve_step_qp(
             model.h, model.g, lb_step, ub_step, model.vis_rows, model.vis_base, lam,
-            p.slack_weight, p.qp_tol, p.qp_max_iter,
+            _SLACK_WEIGHT, _QP_TOL, _QP_MAX_ITER,
         )
         qp_steps += steps
         if not np.all(np.isfinite(du)):
@@ -673,7 +671,7 @@ def solve(problem: OcpProblem, warm: Array | None = None) -> OcpSolution:
         if kkt_out < p.sqp_tol:
             reason = "kkt"
             break
-        descent = float(model.g @ du) - p.slack_weight * (ws.viol_sum - lin_viol)
+        descent = float(model.g @ du) - _SLACK_WEIGHT * (ws.viol_sum - lin_viol)
         if descent > -1e-12:
             reason = "no_descent"
             break

@@ -12,11 +12,11 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import ScenarioConfig, config_from_dict, config_to_dict
+from .config import ScenarioConfig
 from .costs import ReferencePoint
 from .dynamics import (
     CameraTwist,
@@ -29,6 +29,7 @@ from .geometry import (
     EZ,
     Array,
     bearing_from_image,
+    image_from_bearing,
     quat_conj,
     quat_identity,
     quat_normalize,
@@ -58,6 +59,7 @@ GATE_POSES = (
 
 SETTLE_MARGIN = 2.0  # seconds appended after a tracking profile ends
 SETTLE_RADIUS = 0.25  # per-axis settle band for convergence metrics, m
+SWEEP_JITTER = 0.1  # std of a sweep trial's start offset per axis, m
 
 
 @dataclass
@@ -116,16 +118,18 @@ def _settle_time(t: Array, x: Array, goal: float, band: float = SETTLE_RADIUS):
     return float(t[last_out + 1])
 
 
-def make_controller(cfg: ScenarioConfig, perception: bool | None = None) -> VisualPredictiveController:
+def make_controller(cfg: ScenarioConfig, perception: bool = True) -> VisualPredictiveController:
+    """A fresh controller of ``cfg``; without ``perception`` its perception weight ``q_p`` is zero."""
+    weights = cfg.weights if perception else replace(cfg.weights, q_p=np.zeros(2))
     return VisualPredictiveController(
-        weights=cfg.effective_weights(perception),
+        weights=weights,
         bounds=cfg.bounds,
         extrinsics=cfg.extrinsics,
         params=cfg.ocp,
     )
 
 
-def _fly(cfg: ScenarioConfig, plant0: PlantState, refs_fn, duration: float, seed: int, perception=None) -> RunLog:
+def _fly(cfg: ScenarioConfig, plant0: PlantState, refs_fn, duration: float, seed: int, perception=True) -> RunLog:
     """One closed-loop flight of a fresh controller from ``plant0``."""
     return run_closed_loop(
         make_controller(cfg, perception),
@@ -274,7 +278,7 @@ def gate_goal_waypoint(cfg: ScenarioConfig) -> Array:
     return lm - np.array([cfg.goal_distance, 0.0, 0.0]) - cfg.extrinsics.p_b_cb
 
 
-def _run_tracking(cfg: ScenarioConfig, arc: ArcReference, perception=None, seed=None, jitter=None) -> RunLog:
+def _run_tracking(cfg: ScenarioConfig, arc: ArcReference, perception=True, seed=None, jitter=None) -> RunLog:
     """Fly ``arc`` from its start, offset by ``jitter`` if given."""
     wp0, _, heading0 = arc.sample(0.0)
     if jitter is not None:
@@ -294,9 +298,9 @@ def scenario_hover(cfg: ScenarioConfig):
     except FeatureLost as exc:
         log = RunLog.from_ticks(cfg.ocp.dt, cfg.seed, [], [], "feature_lost", 0.0, exc.reason)
         return {"log": log, "metrics": evaluate_run(log, cfg)}
-    n = quat_rotate(meas.q_cl, EZ)
+    s_star = image_from_bearing(meas.q_cl)
     d_star = np.full(cfg.ocp.horizon + 1, meas.d)
-    ref = ReferencePoint(s_star=n[:2] / n[2], d_star=d_star, v_star=np.zeros(3), q_star=quat_yaw(heading))
+    ref = ReferencePoint(s_star=s_star, d_star=d_star, v_star=np.zeros(3), q_star=quat_yaw(heading))
     log = _fly(cfg, plant0, lambda t: ref, cfg.duration, cfg.seed)
     return {"log": log, "metrics": evaluate_run(log, cfg, goal_p=np.asarray(cfg.initial_position, float))}
 
@@ -344,12 +348,11 @@ def _sweep_run_seed(base_seed: int, speed_idx: int, mode_idx: int, trial: int) -
 
 def _sweep_trial(payload: dict) -> tuple[dict, Metrics]:
     """One seeded tracking run of a sweep cell (top level for pickling): record, metrics."""
-    cfg = config_from_dict(payload["config"])
+    cfg = payload["config"]
     speed = payload["speed"]
     perception = payload["perception"]
     run_seed = payload["run_seed"]
-    sigma = cfg.sweep.position_jitter
-    jitter = np.random.default_rng(run_seed + 13).normal(0.0, sigma, 3) if sigma > 0 else np.zeros(3)
+    jitter = np.random.default_rng(run_seed + 13).normal(0.0, SWEEP_JITTER, 3)
     log = _run_tracking(cfg, quarter_circle_arc(cfg, speed), perception, run_seed, jitter)
     m = evaluate_run(log, cfg)
     return {
@@ -371,30 +374,26 @@ def scenario_success_sweep(cfg: ScenarioConfig):
     """Seeded trials per speed, with and without the perception objective.
 
     A trial succeeds when the track completes with no feature loss and
-    no divergence.  Cells run as independent parallel processes; results
-    are collected and written by the parent only.  ``metrics`` add the
-    wall-clock solve times to the deterministic ``records``.
+    no divergence.  Trials run in a pool of one process per core, or
+    fewer when there are fewer trials; results are collected and written
+    by the parent only.  ``metrics`` add the wall-clock solve times to the
+    deterministic ``records``.
     """
-    cfg_dict = config_to_dict(cfg)
     payloads = []
     for si, speed in enumerate(cfg.sweep.speeds):
         for mi, perception in enumerate((True, False)):
             for trial in range(cfg.sweep.trials):
                 payloads.append(
                     {
-                        "config": cfg_dict,
+                        "config": cfg,
                         "speed": float(speed),
                         "perception": perception,
                         "trial": trial,
                         "run_seed": _sweep_run_seed(cfg.seed, si, mi, trial),
                     }
                 )
-    jobs = cfg.sweep.jobs if cfg.sweep.jobs > 0 else (os.cpu_count() or 1)
-    if jobs > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
-            trials = list(pool.map(_sweep_trial, payloads))
-    else:
-        trials = [_sweep_trial(p) for p in payloads]
+    with ProcessPoolExecutor(max_workers=min(os.cpu_count() or 1, len(payloads))) as pool:
+        trials = list(pool.map(_sweep_trial, payloads))
     records = [record for record, _ in trials]
 
     table: dict = {"with": {}, "without": {}}

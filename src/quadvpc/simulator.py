@@ -26,22 +26,21 @@ from .dynamics import (
 )
 from .geometry import (
     EPS_Z,
-    EZ,
     Array,
     _rotmat_cols,
     bearing_from_image,
+    image_from_bearing,
     quat_conj,
     quat_exp,
-    quat_from_rotmat,
     quat_mul,
     quat_rotate,
     quat_yaw,
 )
 
 # Forward-looking camera: optical axis (camera z) along body +x,
-# image x to the right (body -y), image y down (body -z).
-_R_BC = np.array([[0.0, 0.0, 1.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
-Q_BC_FORWARD = quat_from_rotmat(_R_BC)
+# image x to the right (body -y), image y down (body -z), so the
+# camera-to-body rotation matrix is [[0, 0, 1], [-1, 0, 0], [0, -1, 0]].
+Q_BC_FORWARD = np.array([0.5, -0.5, 0.5, -0.5])
 
 DEFAULT_EXTRINSICS = CameraExtrinsics(p_b_cb=np.array([0.1, 0.0, 0.0]), q_bc=Q_BC_FORWARD)
 
@@ -323,7 +322,7 @@ def run_closed_loop(
         u, sol = controller.step(meas, ref)
 
         ticks.append((
-            t_k, ps.p_w, ps.v_w, ps.q_wb, _project_measured(meas), meas.d, u.as_vector(),
+            t_k, ps.p_w, ps.v_w, ps.q_wb, image_from_bearing(meas.q_cl), meas.d, u.as_vector(),
             ref.s_star[0], ref.d_star[0],
             sol.solve_ms, sol.kkt, sol.sqp_iters, sol.qp_iters, sol.backtracks, sol.slack_max,
         ))
@@ -336,8 +335,3 @@ def run_closed_loop(
             break
 
     return RunLog.from_ticks(dt, seed, ticks, reason, outcome, fail_time, fail_reason)
-
-
-def _project_measured(meas: QuadVisualState) -> Array:
-    n = quat_rotate(meas.q_cl, EZ)
-    return n[:2] / n[2]

@@ -335,7 +335,6 @@ def test_criterion_09_determinism(tmp_path):
     cfg_s = default_config("success_sweep")
     cfg_s.sweep.speeds = (3.0,)
     cfg_s.sweep.trials = 2
-    cfg_s.sweep.jobs = 1
     outs = [scenario_success_sweep(cfg_s) for _ in range(2)]
     assert outs[0]["table"] == outs[1]["table"]
     assert outs[0]["records"] == outs[1]["records"]

@@ -14,6 +14,7 @@ from quadvpc.geometry import (
     skew,
     to_homogeneous,
 )
+from quadvpc.simulator import DEFAULT_EXTRINSICS
 
 from conftest import bearing_N, quat_oracle_from_axis_angle, random_quat, rotations_close, rotmat_oracle
 
@@ -191,8 +192,8 @@ class TestQuatExp:
             assert rotations_close(got, expected, tol=1e-12)
 
 
-class TestQuatFromRotmat:
-    def test_round_trip(self, rng):
-        for q in random_quat(rng, 50):
-            r = rotmat_oracle(q)
-            assert rotations_close(g.quat_from_rotmat(r), q, tol=1e-12)
+class TestCameraMounting:
+    def test_forward_camera_rotation(self):
+        # optical axis along body +x, image x along body -y, image y along body -z
+        r_bc = g.quat_to_rotmat(DEFAULT_EXTRINSICS.q_bc)
+        assert np.array_equal(r_bc, [[0.0, 0.0, 1.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -22,8 +23,11 @@ from quadvpc.config import (
 from quadvpc.scenarios import (
     GATE_POSES,
     TrapezoidProfile,
+    _sweep_run_seed,
+    _sweep_trial,
     evaluate_run,
     full_circle_arc,
+    make_controller,
     predict_compare,
     quarter_circle_arc,
     scenario_gate_reaching,
@@ -42,15 +46,15 @@ from quadvpc.outputs import (
 
 # config overrides of the wrong type, each with the dotted key it names
 BAD_VALUES = [
-    ({"perception_enabled": "false"}, "perception_enabled"),
+    ({"predict": {"kind": 1}}, "predict.kind"),
     ({"ocp": {"horizon": 20.7}}, "ocp.horizon"),
     ({"sweep": {"trials": True}}, "sweep.trials"),
     ({"duration": "5"}, "duration"),
 ]
 
 
-# config values of the right type that a dataclass check rejects, each with
-# the dotted key it names
+# config values of the right type that a check rejects (non-finite numbers,
+# wrong shapes, out-of-range values), each with the dotted key it names
 BAD_SHAPES = [
     ({"initial_position": [4.0, 0.0]}, "initial_position"),
     ({"initial_position": [4.0, float("nan"), 3.0]}, "initial_position"),
@@ -60,6 +64,12 @@ BAD_SHAPES = [
     ({"kind": "predict_compare", "predict": {"s0": [0.1]}}, "predict.s0"),
     ({"kind": "predict_compare", "predict": {"dt": 0.0}}, "predict.dt"),
     ({"kind": "predict_compare", "predict": {"duration": -1.0}}, "predict.duration"),
+    ({"kind": "hover", "duration": float("nan")}, "duration"),
+    ({"initial_heading_deg": float("nan")}, "initial_heading_deg"),
+    ({"max_ref_speed": float("nan")}, "max_ref_speed"),
+    ({"weights": {"q_s": [1.0, float("inf")]}}, "weights.q_s"),
+    ({"kind": "gate_reaching", "goal_distance": -1.0}, "goal_distance"),
+    ({"kind": "success_sweep", "sweep": {"speeds": []}}, "sweep.speeds"),
 ]
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -97,10 +107,7 @@ class TestConfig:
         cfg = default_config("quarter_circle")
         cfg.seed = 17
         cfg.max_ref_speed = 4.5
-        cfg.ocp = OcpParams(
-            horizon=7, dt=0.04, max_sqp_iters=3, qp_tol=1e-9, slack_weight=150.0,
-            sqp_tol=1e-5, reg=1e-3, qp_max_iter=30, constraint_margin=0.07,
-        )
+        cfg.ocp = OcpParams(horizon=7, dt=0.04, max_sqp_iters=3, sqp_tol=1e-5, constraint_margin=0.07)
         for f in dataclasses.fields(OcpParams):
             assert getattr(cfg.ocp, f.name) != f.default, f.name
         again = config_from_dict(json.loads(json.dumps(config_to_dict(cfg))))
@@ -121,8 +128,8 @@ class TestConfig:
 
     def test_field_checks_raise_config_error(self):
         data = config_to_dict(default_config())
-        data["ocp"]["qp_max_iter"] = 0
-        with pytest.raises(ConfigError, match="qp_max_iter >= 1"):
+        data["ocp"]["horizon"] = 0
+        with pytest.raises(ConfigError, match="horizon >= 1"):
             config_from_dict(data)
         data = config_to_dict(default_config())
         data["sweep"]["trials"] = 0
@@ -131,7 +138,7 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("slack_weight", 0.0), ("slack_weight", -1.0), ("reg", -1e-6), ("sqp_tol", 0.0), ("constraint_margin", -0.05)],
+        [("sqp_tol", 0.0), ("constraint_margin", -0.05)],
     )
     def test_config_file_with_breaking_solver_value_refused(self, tmp_path, key, value):
         data = config_to_dict(default_config("gate_reaching"))
@@ -178,18 +185,17 @@ class TestConfig:
             config_from_dict(override)
 
     def test_number_and_null_values(self):
-        cfg = config_from_dict({"duration": 7, "accel_limit": 4, "ocp": {"horizon": 8}})
-        assert (cfg.duration, cfg.accel_limit, cfg.ocp.horizon) == (7.0, 4.0, 8)
-        assert isinstance(cfg.duration, float) and isinstance(cfg.accel_limit, float)
-        assert config_from_dict({"accel_limit": None}).accel_limit is None
-        with pytest.raises(ConfigError, match="^accel_limit must be a number or null$"):
-            config_from_dict({"accel_limit": "fast"})
-        with pytest.raises(ConfigError, match="^weights.q_s must be a list of numbers$"):
+        cfg = config_from_dict({"duration": 7, "ocp": {"horizon": 8}})
+        assert (cfg.duration, cfg.ocp.horizon) == (7.0, 8)
+        assert isinstance(cfg.duration, float)
+        with pytest.raises(ConfigError, match="^duration must be a finite number$"):
+            config_from_dict({"duration": None})
+        with pytest.raises(ConfigError, match="^weights.q_s must be a list of finite numbers$"):
             config_from_dict({"weights": {"q_s": [1.0, True]}})
         with pytest.raises(ConfigError, match="^ocp must be an object$"):
             config_from_dict({"ocp": 5})
 
-    @pytest.mark.parametrize("version", [1, 99])
+    @pytest.mark.parametrize("version", [1, 2, 99])
     def test_other_schema_version_rejected(self, version):
         data = config_to_dict(default_config())
         data["schema_version"] = version
@@ -205,7 +211,7 @@ class TestConfig:
 
     def test_perception_toggle(self):
         cfg = default_config()
-        w_off = cfg.effective_weights(perception=False)
+        w_off = make_controller(cfg, False).weights
         assert np.all(w_off.q_p == 0.0)
         assert np.allclose(w_off.q_s, cfg.weights.q_s)
 
@@ -313,25 +319,33 @@ class TestPredictCompare:
 
 class TestSweep:
     def test_tiny_sweep_serial_equals_parallel(self):
+        # the pooled trials equal the same trials run in this process
         cfg = default_config("success_sweep")
         cfg.duration = 6.0
         cfg.sweep.speeds = (2.0,)
         cfg.sweep.trials = 2
-        cfg.sweep.jobs = 1
-        out_serial = scenario_success_sweep(cfg)
-        cfg.sweep.jobs = 2
-        out_parallel = scenario_success_sweep(cfg)
-        assert out_serial["table"] == out_parallel["table"]
-        key = lambda r: (r["speed"], r["mode"], r["trial"])
-        for a, b in zip(sorted(out_serial["records"], key=key), sorted(out_parallel["records"], key=key)):
-            assert a == b
+        out = scenario_success_sweep(cfg)
+        serial = [
+            _sweep_trial({
+                "config": cfg, "speed": 2.0, "perception": perception, "trial": trial,
+                "run_seed": _sweep_run_seed(cfg.seed, 0, mi, trial),
+            })[0]
+            for mi, perception in enumerate((True, False))
+            for trial in range(2)
+        ]
+        assert out["records"] == serial
+        assert out["table"] == {mode: {2.0: sum(r["success"] for r in serial if r["mode"] == mode) / 2}
+                                for mode in ("with", "without")}
+
+    def test_config_pickles_for_the_pool(self):
+        cfg = default_config("success_sweep")
+        assert dump_config(pickle.loads(pickle.dumps(cfg))) == dump_config(cfg)
 
     def test_table_shape(self):
         cfg = default_config("success_sweep")
         cfg.duration = 6.0
         cfg.sweep.speeds = (2.0,)
         cfg.sweep.trials = 2
-        cfg.sweep.jobs = 1
         out = scenario_success_sweep(cfg)
         assert set(out["table"].keys()) == {"with", "without"}
         assert set(out["table"]["with"].keys()) == {2.0}
@@ -462,7 +476,7 @@ class TestCli:
         rc = cli_main(["run", str(bad), "--out", str(tmp_path / "o"), "--quiet"])
         assert rc == 2
 
-    @pytest.mark.parametrize("key", ["qp_max_iter", "horizon"])
+    @pytest.mark.parametrize("key", ["max_sqp_iters", "horizon"])
     def test_rejected_field_value_nonzero_exit(self, tmp_path, capsys, key):
         data = config_to_dict(default_config("hover"))
         data["ocp"][key] = 0
@@ -508,7 +522,6 @@ class TestCli:
         cfg.duration = 6.0
         cfg.sweep.speeds = (2.0,)
         cfg.sweep.trials = 1
-        cfg.sweep.jobs = 1
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(dump_config(cfg))
         out = tmp_path / "out"
@@ -525,7 +538,6 @@ class TestCli:
         cfg.duration = 1.0
         cfg.sweep.speeds = (2.0,)
         cfg.sweep.trials = 1
-        cfg.sweep.jobs = 1
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(dump_config(cfg))
         runs = []
@@ -549,6 +561,14 @@ class TestCli:
         assert rc == 0
         assert (out / "prediction_errors.csv").exists()
         assert (out / "prediction_errors.svg").exists()
+
+    def test_selftest(self, capsys):
+        assert cli_main(["selftest"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "[PASS] rotation preserves norm",
+            "[PASS] bearing round trip",
+            "[PASS] hover solve near equilibrium",
+        ]
 
     def test_dump_config(self, capsys):
         rc = cli_main(["selftest", "--dump-config"])

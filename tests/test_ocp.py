@@ -82,32 +82,24 @@ class TestBuildProblem:
 
 
 class TestOcpParams:
-    @pytest.mark.parametrize("kw", [{"qp_tol": 0.0}, {"qp_tol": -1e-8}, {"qp_max_iter": 0}, {"qp_max_iter": -1}])
-    def test_rejects_invalid_qp_settings(self, kw):
-        with pytest.raises(ValueError):
-            OcpParams(**kw)
-
     @pytest.mark.parametrize(
         "kw",
         [
-            {"slack_weight": 0.0},
-            {"slack_weight": -1.0},
-            {"slack_weight": float("nan")},
-            {"reg": -1e-9},
+            {"horizon": 0},
+            {"dt": 0.0},
+            {"max_sqp_iters": 0},
             {"sqp_tol": 0.0},
             {"sqp_tol": -1e-6},
+            {"sqp_tol": float("nan")},
             {"constraint_margin": -0.01},
         ],
     )
     def test_rejects_values_that_break_the_solver(self, kw):
-        # slack_weight 0 divided by zero in the step QP (RuntimeWarnings all
-        # flight long); slack_weight -1 rewarded violating the cone
         with pytest.raises(ValueError):
             OcpParams(**kw)
 
-    def test_accepts_zero_margin_and_regularisation(self):
-        params = OcpParams(constraint_margin=0.0, reg=0.0)
-        assert params.constraint_margin == 0.0 and params.reg == 0.0
+    def test_accepts_zero_margin(self):
+        assert OcpParams(constraint_margin=0.0).constraint_margin == 0.0
 
     def test_margin_that_empties_the_cone(self):
         # the default image box is [-1, 1] on both axes
@@ -224,6 +216,15 @@ class TestHoverSolve:
         _, _, problem = hover_setup()
         sol = solve(problem)
         assert sol.slack_max == 0.0
+
+    def test_cold_start_clipped_to_the_box(self):
+        # hover thrust 9.81 lies below this box: the cold start must not return it
+        x0, ref, _ = hover_setup()
+        bounds = Bounds(c_min=10.0)
+        problem = build_problem(x0, ref, CostWeights(), bounds, DEFAULT_EXTRINSICS, OcpParams())
+        sol = solve(problem)
+        assert np.all((sol.inputs >= bounds.input_lower()) & (sol.inputs <= bounds.input_upper()))
+        assert np.all(sol.inputs[:, 0] == 10.0)
 
     def test_inputs_in_box_exactly(self):
         _, _, problem = gate_setup(max_sqp_iters=10)
@@ -480,7 +481,7 @@ class TestConvergedTick:
         jm = (j_res[1:] @ big_m).reshape(-1, n * 4)
         h_mat = 2.0 * (jm.T @ jm)
         diag = h_mat.reshape(-1)[:: n * 4 + 1].reshape(n, 4)
-        diag += p.reg + 2.0 * p.dt * problem.weights.q_u
+        diag += ocp._REG + 2.0 * p.dt * problem.weights.q_u
         return h_mat, ((_cone(problem) @ j_n[1:]) @ big_m).reshape(4 * n, n * 4)
 
     def test_converged_warm_start_skips_the_qp(self, monkeypatch):
@@ -505,7 +506,7 @@ class TestConvergedTick:
         ub = np.minimum(hi - sol.inputs, ocp._STEP_BOX).ravel()
         _, lam, _, _, _ = _solve_step_qp(
             model.h, model.g, lb, ub, model.vis_rows, model.vis_base, np.zeros(4 * n),
-            params.slack_weight, params.qp_tol, params.qp_max_iter,
+            ocp._SLACK_WEIGHT, ocp._QP_TOL, ocp._QP_MAX_ITER,
         )
         assert np.all(lam == 0.0)
         assert sol.kkt == ocp._kkt_from_model(sol.inputs, model, lam, sol.slack_max, lo, hi) > 0.0
