@@ -89,6 +89,9 @@ class Bounds:
         object.__setattr__(self, "c_max", float(self.c_max))
         object.__setattr__(self, "omega_min", _vec3(self.omega_min))
         object.__setattr__(self, "omega_max", _vec3(self.omega_max))
+        # NaN compares false, so the order checks below would let it through
+        if not np.isfinite(np.concatenate([self.s_min, self.s_max, [self.c_min, self.c_max]])).all():
+            raise ValueError("bounds must be finite")
         if np.any(self.s_min >= self.s_max) or self.c_min >= self.c_max or np.any(self.omega_min >= self.omega_max):
             raise ValueError("bounds must satisfy min < max componentwise")
         if self.c_min < 0.0:

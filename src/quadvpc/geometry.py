@@ -112,9 +112,12 @@ def _rotmat_cols(qw, qx, qy, qz):
     xx, yy, zz = qx * qx, qy * qy, qz * qz
     xy, xz, yz = qx * qy, qx * qz, qy * qz
     wx, wy, wz = qw * qx, qw * qy, qw * qz
-    c0 = (1 - 2 * (yy + zz), 2 * (xy + wz), 2 * (xz - wy))
-    c1 = (2 * (xy - wz), 1 - 2 * (xx + zz), 2 * (yz + wx))
-    c2 = (2 * (xz + wy), 2 * (yz - wx), 1 - 2 * (xx + yy))
+    # float literals: CPython's float fast path skips an int operand, and
+    # the solver's float kernel calls this twice per RK4 stage; on floats,
+    # arrays and complex numbers the values are bit for bit those of 1 and 2
+    c0 = (1.0 - 2.0 * (yy + zz), 2.0 * (xy + wz), 2.0 * (xz - wy))
+    c1 = (2.0 * (xy - wz), 1.0 - 2.0 * (xx + zz), 2.0 * (yz + wx))
+    c2 = (2.0 * (xz + wy), 2.0 * (yz - wx), 1.0 - 2.0 * (xx + yy))
     return c0, c1, c2
 
 

@@ -47,6 +47,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -97,10 +98,13 @@ class OcpParams:
     constraint_margin: float = 0.05
 
     def __post_init__(self):
-        if self.horizon < 1 or self.dt <= 0.0 or self.max_sqp_iters < 1:
-            raise ValueError("horizon >= 1, dt > 0 and max_sqp_iters >= 1 required")
-        if not (self.sqp_tol > 0.0 and self.constraint_margin >= 0.0):
-            raise ValueError("sqp_tol > 0 and constraint_margin >= 0 required")
+        # written so that NaN fails every test: it compares false
+        if not (isinstance(self.horizon, Integral) and isinstance(self.max_sqp_iters, Integral)):
+            raise ValueError("horizon and max_sqp_iters must be integers")
+        if not (self.horizon >= 1 and 0.0 < self.dt < np.inf and self.max_sqp_iters >= 1):
+            raise ValueError("horizon >= 1, finite dt > 0 and max_sqp_iters >= 1 required")
+        if not (0.0 < self.sqp_tol < np.inf and 0.0 <= self.constraint_margin < np.inf):
+            raise ValueError("finite sqp_tol > 0 and constraint_margin >= 0 required")
 
 
 def _cone(problem) -> Array:
@@ -293,7 +297,7 @@ def _rollout(x0: Array, u: Array, dt: float, ext: CameraExtrinsics, stages: list
 
 def _hinge(n: Array, cone: Array) -> Array:
     """Per-node violation of the visibility cone by the bearings ``n``, (M,) nonnegative."""
-    return np.sum(np.maximum(0.0, n @ cone.T), axis=-1)
+    return np.maximum(0.0, n @ cone.T).sum(-1)
 
 
 def _active_set_solve(h_mat, g_vec, lb, ub, vis_rows, vis_base, z, grad, f, rho):
@@ -311,20 +315,24 @@ def _active_set_solve(h_mat, g_vec, lb, ub, vis_rows, vis_base, z, grad, f, rho)
     caller tests it.
     """
     lam = np.where(f >= rho, rho, 0.0)
-    z = np.clip(z - grad, lb, ub)
+    z = (z - grad).clip(lb, ub)
     free = (z > lb) & (z < ub)
     z[free] = 0.0
     curved = (f > 0.0) & (f < rho)
-    rows = vis_rows[curved][:, free]
-    n_k = len(rows)
-    kkt = np.block([[h_mat[free][:, free], rows.T], [rows, np.zeros((n_k, n_k))]])
+    idx = np.flatnonzero(free)
+    rows = vis_rows[curved].take(idx, 1)
+    n_f, n_k = len(idx), len(rows)
+    kkt = np.zeros((n_f + n_k, n_f + n_k))
+    kkt[:n_f, :n_f] = h_mat.take(idx, 0).take(idx, 1)
+    kkt[:n_f, n_f:] = rows.T
+    kkt[n_f:, :n_f] = rows
     rhs = -np.concatenate([(h_mat @ z + g_vec + lam @ vis_rows)[free], (vis_rows @ z + vis_base)[curved]])
     try:
         sol = np.linalg.solve(kkt, rhs)
     except np.linalg.LinAlgError:
         return None
-    z[free] = sol[: len(sol) - n_k]
-    lam[curved] = sol[len(sol) - n_k :]
+    z[free] = sol[:n_f]
+    lam[curved] = sol[n_f:]
     return z, lam
 
 
@@ -341,6 +349,9 @@ def _solve_step_qp(h_mat, g_vec, lb, ub, vis_rows, vis_base, lam, rho, tol, max_
     converge to those of the exact L1 penalty from any start ``lam`` in
     ``[0, rho]``, so a caller can pass those of a QP with the same rows.
     Each inner problem is solved by projected Newton (Bertsekas, 1982).
+    Its Hessian ``h_mat + mu VᵀV`` over the curved rows ``V`` is formed
+    again only when ``mu`` or the curved set changes; the steps of a
+    pass mostly keep both.
     Its search scores all 30 trials ``alpha = 2^-i`` along the projected
     Newton step in one batch and takes the one that lowers the objective
     most; the taken trial's products (rows, penalty, gradient) carry to
@@ -367,24 +378,30 @@ def _solve_step_qp(h_mat, g_vec, lb, ub, vis_rows, vis_base, lam, rho, tol, max_
     steps.
     """
     mu = rho
-    alphas = 0.5 ** np.arange(30)
+    alphas = (0.5 ** np.arange(30))[:, None]
+    rows_t = np.ascontiguousarray(vis_rows.T)
     steps = 0
     last = np.inf
-    z = np.clip(np.zeros_like(g_vec), lb, ub)
+    h_key = None  # (mu, curved set) of h_eff
+    z = np.zeros_like(g_vec).clip(lb, ub)
     grad_q = h_mat @ z + g_vec
     t = vis_rows @ z + vis_base
     for _outer in range(12):
         z_pass = z
         f = lam + mu * t
-        fc = np.clip(f, 0.0, rho)
-        pen = np.sum(fc * (2.0 * f - fc))
+        fc = f.clip(0.0, rho)
+        pen = (fc * (2.0 * f - fc)).sum()
         for _inner in range(max_iter):
             grad = grad_q + fc @ vis_rows
-            pg = np.max(np.abs(z - np.clip(z - grad, lb, ub)))
+            pg = abs(z - (z - grad).clip(lb, ub)).max()
             if pg < tol:
                 break
-            curved = vis_rows[(f > 0.0) & (f < rho)]
-            h_eff = h_mat + mu * curved.T @ curved if len(curved) else h_mat
+            mask = (f > 0.0) & (f < rho)
+            key = (mu, mask.tobytes())
+            if key != h_key:
+                curved = vis_rows[mask]
+                h_eff = h_mat + mu * curved.T @ curved if len(curved) else h_mat
+                h_key = key
             # inputs within eps of a bound they are pushed against move onto
             # it and leave the Newton system; an input left free there can
             # only creep toward the bound by short, rejected-then-halved steps
@@ -393,11 +410,12 @@ def _solve_step_qp(h_mat, g_vec, lb, ub, vis_rows, vis_base, lam, rho, tol, max_
             at_ub = (z >= ub - eps) & (grad < 0.0)
             free = ~(at_lb | at_ub)
             dz = np.where(at_lb, lb - z, np.where(at_ub, ub - z, 0.0))
-            if np.any(free):
+            idx = np.flatnonzero(free)
+            if len(idx):
                 try:
-                    dz[free] = -np.linalg.solve(h_eff[free][:, free], grad[free])
+                    dz[idx] = -np.linalg.solve(h_eff.take(idx, 0).take(idx, 1), grad[idx])
                 except np.linalg.LinAlgError:
-                    dz[free] = -grad[free]
+                    dz[idx] = -grad[idx]
             steps += 1
             # backtracking: all 30 trials in one batch, each scored by its
             # change of the objective from z, which keeps small decreases
@@ -407,15 +425,15 @@ def _solve_step_qp(h_mat, g_vec, lb, ub, vis_rows, vis_base, lam, rho, tol, max_
             # score is taken, if that score is negative.  A NaN score (an
             # overflow, inf - inf) is never taken; a -inf one, a decrease
             # beyond the float range, can be
-            z_t = np.clip(z + alphas[:, None] * dz, lb, ub)
+            z_t = (z + alphas * dz).clip(lb, ub)
             moves = z_t - z
             h_moves = moves @ h_mat
-            f_t = f + mu * (moves @ vis_rows.T)
-            fc_t = np.clip(f_t, 0.0, rho)
-            pen_t = np.sum(fc_t * (2.0 * f_t - fc_t), axis=1)
-            delta = moves @ grad_q + 0.5 * np.sum(moves * h_moves, axis=1) + (pen_t - pen) / (2.0 * mu)
+            f_t = f + mu * (moves @ rows_t)
+            fc_t = f_t.clip(0.0, rho)
+            pen_t = (fc_t * (2.0 * f_t - fc_t)).sum(1)
+            delta = moves @ grad_q + 0.5 * (moves * h_moves).sum(1) + (pen_t - pen) / (2.0 * mu)
             delta = np.where(delta < 0.0, delta, np.inf)
-            best = int(np.argmin(delta))
+            best = int(delta.argmin())
             if delta[best] == np.inf:
                 break
             # the taken trial's products carry to the next step
@@ -423,23 +441,23 @@ def _solve_step_qp(h_mat, g_vec, lb, ub, vis_rows, vis_base, lam, rho, tol, max_
             grad_q = grad_q + h_moves[best]
         t = vis_rows @ z + vis_base
         f = lam + mu * t
-        new = np.clip(f, 0.0, rho)
-        if z is not z_pass and np.any((f > 0.0) & (f < rho)):
+        new = f.clip(0.0, rho)
+        if z is not z_pass and ((f > 0.0) & (f < rho)).any():
             cand = _active_set_solve(h_mat, g_vec, lb, ub, vis_rows, vis_base, z, grad_q + new @ vis_rows, f, rho)
             if cand is not None:
                 z_c, lam_c = cand
                 t_c = vis_rows @ z_c + vis_base
                 grad_c = h_mat @ z_c + g_vec + lam_c @ vis_rows
                 # the slack's optimality: t <= 0 at multiplier 0, t >= 0 at rho, t = 0 between
-                slack_ok = np.where(lam_c == 0.0, t_c <= 0.0, np.where(lam_c == rho, t_c >= 0.0, np.abs(t_c) < tol))
+                slack_ok = np.where(lam_c == 0.0, t_c <= 0.0, np.where(lam_c == rho, t_c >= 0.0, abs(t_c) < tol))
                 if (
-                    np.all((z_c >= lb) & (z_c <= ub))
-                    and np.all((lam_c >= 0.0) & (lam_c <= rho) & slack_ok)
-                    and np.max(np.abs(z_c - np.clip(z_c - grad_c, lb, ub))) < tol
+                    ((z_c >= lb) & (z_c <= ub)).all()
+                    and ((lam_c >= 0.0) & (lam_c <= rho) & slack_ok).all()
+                    and abs(z_c - (z_c - grad_c).clip(lb, ub)).max() < tol
                 ):
                     z, lam, t = z_c, lam_c, t_c
                     break
-        change = np.max(np.abs(new - lam), initial=0.0)
+        change = abs(new - lam).max(initial=0.0)
         lam = new
         residual = change / mu  # how far the moved bounds are from holding
         # a pass that left z where it was, with the bounds held to within
@@ -453,7 +471,7 @@ def _solve_step_qp(h_mat, g_vec, lb, ub, vis_rows, vis_base, lam, rho, tol, max_
             mu = min(10.0 * mu, 1e6 * rho)
         last = residual
     slack = np.maximum(0.0, t)
-    return z, lam, slack, float(np.sum(slack)), steps
+    return z, lam, slack, float(slack.sum()), steps
 
 
 _HOVER_U = ControlInput.hover().as_vector()
@@ -484,15 +502,15 @@ class _Workspace:
         self.x = _rollout(problem.x0.as_vector(), u, p.dt, ext, self.stages)
         self.outputs = None
         self.cost = self.viol_sum = self.viol_max = self.merit = float("nan")
-        self.finite = bool(np.all(np.isfinite(self.x)))
+        self.finite = bool(np.isfinite(self.x).all())
         if not self.finite:  # a diverged rollout is rejected unevaluated
             return
         self.outputs = res, n_c = _stage_outputs(self.x, problem.ref, problem.weights, ext.q_bc, p.dt)
         du = u - _HOVER_U
-        self.cost = float(np.sum(res**2)) + p.dt * float(np.sum(du * du * problem.weights.q_u))
+        self.cost = float((res**2).sum()) + p.dt * float((du * du * problem.weights.q_u).sum())
         viol = _hinge(n_c[1:], problem.cone)
-        self.viol_sum = float(np.sum(viol))
-        self.viol_max = float(np.max(viol, initial=0.0))
+        self.viol_sum = float(viol.sum())
+        self.viol_max = float(viol.max(initial=0.0))
         self.merit = self.cost + _SLACK_WEIGHT * self.viol_sum
         self.finite = bool(np.isfinite(self.merit))
 
@@ -588,7 +606,7 @@ def _kkt_from_model(u, model, lam, viol_max, lo, hi):
     certifies a KKT point without the model's rows.
     """
     g_total = model.g if lam is None else model.g + model.vis_rows.T @ lam
-    stat = float(np.max(np.abs(u - np.clip(u - g_total.reshape(u.shape), lo, hi))))
+    stat = float(abs(u - (u - g_total.reshape(u.shape)).clip(lo, hi)).max())
     return max(stat, viol_max)
 
 
@@ -628,11 +646,11 @@ def solve(problem: OcpProblem, warm: Array | None = None) -> OcpSolution:
 
     ws = None
     if warm is not None and warm.shape == (n, NU):
-        u = np.clip(warm, lo, hi)
+        u = warm.clip(lo, hi)
         ws = _Workspace(u, problem)
     if ws is None or not ws.finite:
         # a cold start, or a warm start whose rollout is not finite, starts once from hover in the box
-        u = np.tile(np.clip(_HOVER_U, lo, hi), (n, 1))
+        u = np.tile(_HOVER_U.clip(lo, hi), (n, 1))
         ws = _Workspace(u, problem)
     merits = [ws.merit]
 
@@ -662,7 +680,7 @@ def solve(problem: OcpProblem, warm: Array | None = None) -> OcpSolution:
             _SLACK_WEIGHT, _QP_TOL, _QP_MAX_ITER,
         )
         qp_steps += steps
-        if not np.all(np.isfinite(du)):
+        if not np.isfinite(du).all():
             reason, kkt_out = "infeasible", float("inf")
             break
 
@@ -678,7 +696,7 @@ def solve(problem: OcpProblem, warm: Array | None = None) -> OcpSolution:
 
         alpha = 1.0
         for _ls in range(12):
-            u_t = np.clip(u + alpha * du.reshape(n, NU), lo, hi)
+            u_t = (u + alpha * du.reshape(n, NU)).clip(lo, hi)
             ws_t = _Workspace(u_t, problem)
             if ws_t.finite and ws_t.merit <= ws.merit + 1e-4 * alpha * descent:
                 break

@@ -308,28 +308,139 @@ def uncompensated_stage_jacobians(x, ref, w, q_bc, dt):
     return j_res, j_n
 
 
+def reference_active_set_solve(h_mat, g_vec, lb, ub, vis_rows, vis_base, z, grad, f, rho):
+    """``ocp._active_set_solve`` before its KKT matrix was assembled without ``np.block``."""
+    lam = np.where(f >= rho, rho, 0.0)
+    z = np.clip(z - grad, lb, ub)
+    free = (z > lb) & (z < ub)
+    z[free] = 0.0
+    curved = (f > 0.0) & (f < rho)
+    rows = vis_rows[curved][:, free]
+    n_k = len(rows)
+    kkt = np.block([[h_mat[free][:, free], rows.T], [rows, np.zeros((n_k, n_k))]])
+    rhs = -np.concatenate([(h_mat @ z + g_vec + lam @ vis_rows)[free], (vis_rows @ z + vis_base)[curved]])
+    try:
+        sol = np.linalg.solve(kkt, rhs)
+    except np.linalg.LinAlgError:
+        return None
+    z[free] = sol[: len(sol) - n_k]
+    lam[curved] = sol[len(sol) - n_k :]
+    return z, lam
+
+
+def reference_solve_step_qp(h_mat, g_vec, lb, ub, vis_rows, vis_base, lam, rho, tol, max_iter):
+    """``ocp._solve_step_qp`` before its projected-Newton step was made leaner.
+
+    The same augmented-Lagrangian passes, projected-Newton steps, batched
+    trials and finishing solves, with numpy's function wrappers, the
+    curved Hessian formed at every step and the free set gathered by
+    boolean masks.  It calls :func:`reference_active_set_solve`.
+    """
+    mu = rho
+    alphas = 0.5 ** np.arange(30)
+    steps = 0
+    last = np.inf
+    z = np.clip(np.zeros_like(g_vec), lb, ub)
+    grad_q = h_mat @ z + g_vec
+    t = vis_rows @ z + vis_base
+    for _outer in range(12):
+        z_pass = z
+        f = lam + mu * t
+        fc = np.clip(f, 0.0, rho)
+        pen = np.sum(fc * (2.0 * f - fc))
+        for _inner in range(max_iter):
+            grad = grad_q + fc @ vis_rows
+            pg = np.max(np.abs(z - np.clip(z - grad, lb, ub)))
+            if pg < tol:
+                break
+            curved = vis_rows[(f > 0.0) & (f < rho)]
+            h_eff = h_mat + mu * curved.T @ curved if len(curved) else h_mat
+            # inputs within eps of a bound they are pushed against move onto
+            # it and leave the Newton system; an input left free there can
+            # only creep toward the bound by short, rejected-then-halved steps
+            eps = min(pg, 1e-6)
+            at_lb = (z <= lb + eps) & (grad > 0.0)
+            at_ub = (z >= ub - eps) & (grad < 0.0)
+            free = ~(at_lb | at_ub)
+            dz = np.where(at_lb, lb - z, np.where(at_ub, ub - z, 0.0))
+            if np.any(free):
+                try:
+                    dz[free] = -np.linalg.solve(h_eff[free][:, free], grad[free])
+                except np.linalg.LinAlgError:
+                    dz[free] = -grad[free]
+            steps += 1
+            # backtracking: all 30 trials in one batch, each scored by its
+            # change of the objective from z, which keeps small decreases
+            # above roundoff.  The Newton step overshoots the box and the
+            # row kinks, so a shorter trial often decreases the objective
+            # more than the longest decreasing one: the trial of lowest
+            # score is taken, if that score is negative.  A NaN score (an
+            # overflow, inf - inf) is never taken; a -inf one, a decrease
+            # beyond the float range, can be
+            z_t = np.clip(z + alphas[:, None] * dz, lb, ub)
+            moves = z_t - z
+            h_moves = moves @ h_mat
+            f_t = f + mu * (moves @ vis_rows.T)
+            fc_t = np.clip(f_t, 0.0, rho)
+            pen_t = np.sum(fc_t * (2.0 * f_t - fc_t), axis=1)
+            delta = moves @ grad_q + 0.5 * np.sum(moves * h_moves, axis=1) + (pen_t - pen) / (2.0 * mu)
+            delta = np.where(delta < 0.0, delta, np.inf)
+            best = int(np.argmin(delta))
+            if delta[best] == np.inf:
+                break
+            # the taken trial's products carry to the next step
+            z, f, fc, pen = z_t[best], f_t[best], fc_t[best], pen_t[best]
+            grad_q = grad_q + h_moves[best]
+        t = vis_rows @ z + vis_base
+        f = lam + mu * t
+        new = np.clip(f, 0.0, rho)
+        if z is not z_pass and np.any((f > 0.0) & (f < rho)):
+            cand = reference_active_set_solve(h_mat, g_vec, lb, ub, vis_rows, vis_base, z, grad_q + new @ vis_rows, f, rho)
+            if cand is not None:
+                z_c, lam_c = cand
+                t_c = vis_rows @ z_c + vis_base
+                grad_c = h_mat @ z_c + g_vec + lam_c @ vis_rows
+                # the slack's optimality: t <= 0 at multiplier 0, t >= 0 at rho, t = 0 between
+                slack_ok = np.where(lam_c == 0.0, t_c <= 0.0, np.where(lam_c == rho, t_c >= 0.0, np.abs(t_c) < tol))
+                if (
+                    np.all((z_c >= lb) & (z_c <= ub))
+                    and np.all((lam_c >= 0.0) & (lam_c <= rho) & slack_ok)
+                    and np.max(np.abs(z_c - np.clip(z_c - grad_c, lb, ub))) < tol
+                ):
+                    z, lam, t = z_c, lam_c, t_c
+                    break
+        change = np.max(np.abs(new - lam), initial=0.0)
+        lam = new
+        residual = change / mu  # how far the moved bounds are from holding
+        # a pass that left z where it was, with the bounds held to within
+        # tol, would only repeat the same update
+        if change < 1e-8 or (z is z_pass and residual < tol):
+            break
+        # twelve passes reach 1e-8 from rho if each cuts the change tenfold;
+        # rows that stay violated progress slower at this weight; beyond the
+        # cap the Newton matrix is too ill-conditioned for an accurate solve
+        if residual > 0.1 * last:
+            mu = min(10.0 * mu, 1e6 * rho)
+        last = residual
+    slack = np.maximum(0.0, t)
+    return z, lam, slack, float(np.sum(slack)), steps
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
 
 
-@pytest.fixture(scope="session")
-def gate_flight_qps():
-    """Every step QP of the first 12 ticks of the five default gate flights.
+def capture_step_qps(run) -> list:
+    """Every ``_solve_step_qp`` call of ``run()``, in order.
 
-    Ticks 2-10 of a gate flight take the most projected-Newton steps.
-    Captured from the solver's own calls, pose by pose and tick by tick,
-    each entry is ``(args, result)``: the dict of ``_solve_step_qp``
-    arguments and the tuple it returned.
+    Captured from the solver's own calls, each entry is ``(args, result)``:
+    the dict of ``_solve_step_qp`` arguments and the tuple it returned.
     """
     import inspect
 
     from quadvpc import ocp
-    from quadvpc.config import default_config
-    from quadvpc.scenarios import scenario_gate_reaching
 
-    cfg = default_config("gate_reaching")
-    cfg.duration = 12 * cfg.ocp.dt
     solve_qp = ocp._solve_step_qp
     calls = []
 
@@ -340,10 +451,40 @@ def gate_flight_qps():
 
     ocp._solve_step_qp = spy
     try:
-        scenario_gate_reaching(cfg)
+        run()
     finally:
         ocp._solve_step_qp = solve_qp
     return calls
+
+
+@pytest.fixture(scope="session")
+def gate_flight_qps():
+    """Every step QP of the first 12 ticks of the five default gate flights.
+
+    Ticks 2-10 of a gate flight take the most projected-Newton steps.
+    Captured pose by pose and tick by tick by :func:`capture_step_qps`.
+    """
+    from quadvpc.config import default_config
+    from quadvpc.scenarios import scenario_gate_reaching
+
+    cfg = default_config("gate_reaching")
+    cfg.duration = 12 * cfg.ocp.dt
+    return capture_step_qps(lambda: scenario_gate_reaching(cfg))
+
+
+@pytest.fixture(scope="session")
+def oracle_flight_qps():
+    """Every step QP of a 1.5 s default gate flight from pose 0 and of the
+    quarter circle at 9 m/s, by :func:`capture_step_qps`."""
+    from quadvpc.config import default_config
+    from quadvpc.scenarios import GATE_POSES, scenario_gate_reaching, scenario_quarter_circle
+
+    gate = default_config("gate_reaching")
+    gate.duration = 1.5
+    track = default_config("quarter_circle")
+    return capture_step_qps(lambda: scenario_gate_reaching(gate, poses=GATE_POSES[:1])) + capture_step_qps(
+        lambda: scenario_quarter_circle(track, 9.0)
+    )
 
 
 @pytest.fixture(scope="session")

@@ -330,6 +330,30 @@ class TestVisibilityResidual:
         assert np.all(np.isfinite(model.vis_rows)) and np.any(model.vis_rows[4:] != 0.0)
 
 
+class TestBounds:
+    # NaN compares false, so an order check alone would let it through
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {"c_min": float("nan")},
+            {"c_max": float("nan")},
+            {"c_max": float("inf")},
+            {"s_min": [float("nan"), -1.0]},
+            {"s_max": [1.0, float("nan")]},
+            {"s_min": [-float("inf"), -1.0]},
+            {"omega_max": [3.0, float("nan"), 3.0]},
+        ],
+    )
+    def test_rejects_non_finite(self, kw):
+        with pytest.raises(ValueError):
+            Bounds(**kw)
+
+    def test_rejects_empty_boxes(self):
+        for kw in ({"c_min": 20.0}, {"s_min": [1.0, -1.0]}, {"omega_min": [3.0, -3.0, -3.0]}):
+            with pytest.raises(ValueError, match="min < max"):
+                Bounds(**kw)
+
+
 class TestClampInput:
     def test_feasible_unchanged(self):
         u = ControlInput(9.81, [0.1, -0.2, 0.3])

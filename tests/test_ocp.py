@@ -30,6 +30,7 @@ from quadvpc.ocp import (
 from quadvpc.scenarios import GATE_POSES, scenario_gate_reaching
 from quadvpc.simulator import DEFAULT_EXTRINSICS, Landmark, NoiseModel, PlantState, observe, run_closed_loop
 
+import conftest
 from conftest import fd_jacobian_batch, random_quat, rk4_flat, rk4_flat_step, rk4_stages, take_reference
 
 
@@ -92,6 +93,13 @@ class TestOcpParams:
             {"sqp_tol": -1e-6},
             {"sqp_tol": float("nan")},
             {"constraint_margin": -0.01},
+            {"dt": float("nan")},
+            {"dt": float("inf")},
+            {"sqp_tol": float("inf")},
+            {"constraint_margin": float("nan")},
+            {"constraint_margin": float("inf")},
+            {"horizon": 20.5},
+            {"max_sqp_iters": 1.5},
         ],
     )
     def test_rejects_values_that_break_the_solver(self, kw):
@@ -864,6 +872,58 @@ class TestStepQpWithRows:
         z, lam, _, _, _ = _solve_step_qp(**qp, lam=np.zeros(2), tol=1e-10, max_iter=60)
         assert z == pytest.approx([1.0], abs=1e-9)
         assert lam == pytest.approx([0.5, 0.5], abs=1e-6)
+
+
+class TestStepQpByteOracle:
+    # the step QP against its earlier formulation, kept verbatim in conftest
+    # as conftest.reference_solve_step_qp: every output of every step QP of
+    # a gate flight and a fast track is equal on bytes, which also tells
+    # -0.0 from 0.0
+    @staticmethod
+    def ending(qp, result, candidates):
+        """How the reference run of ``qp`` that returned ``result`` ended."""
+        z, lam = result[:2]
+        if any(c is not None and c[0] is z for c in candidates):
+            return "finishing_solve"
+        grad = qp["h_mat"] @ z + qp["g_vec"] + lam @ qp["vis_rows"]
+        if np.max(np.abs(z - np.clip(z - grad, qp["lb"], qp["ub"]))) < qp["tol"]:
+            return "projected_gradient"
+        return "other"
+
+    def test_flight_qps_match_reference_bytes(self, oracle_flight_qps, monkeypatch):
+        candidates = []
+        finishing = conftest.reference_active_set_solve
+
+        def spy(*args):
+            candidates.append(finishing(*args))
+            return candidates[-1]
+
+        monkeypatch.setattr(conftest, "reference_active_set_solve", spy)
+        endings, steps = [], []
+        for qp, got in oracle_flight_qps:
+            candidates.clear()
+            want = conftest.reference_solve_step_qp(**qp)
+            assert [type(v) for v in got] == [type(v) for v in want]
+            for a, b in zip(got, want):
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+            endings.append(self.ending(qp, want, candidates))
+            steps.append(want[4])
+        # the capture holds QPs of every kind, so the comparison is not vacuous
+        assert endings.count("finishing_solve") > 0
+        assert endings.count("projected_gradient") > 0
+        assert max(steps) >= 10
+
+    def test_passes_alone_match_reference_bytes(self, oracle_flight_qps, monkeypatch):
+        # a finished QP's output depends only on its final sets; without the
+        # finishing solves every step of the passes, and each growth of mu,
+        # shows in the outputs
+        monkeypatch.setattr(conftest, "reference_active_set_solve", lambda *args: None)
+        monkeypatch.setattr(ocp, "_active_set_solve", lambda *args: None)
+        for qp, _ in oracle_flight_qps:
+            want = conftest.reference_solve_step_qp(**qp)
+            got = _solve_step_qp(**qp)
+            for a, b in zip(got, want):
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 class TestShiftWarmStart:
