@@ -77,9 +77,10 @@ class PredictSettings:
             raise ConfigError(f"unknown predict profile kind {self.kind!r}")
         for key, size in (("v_c", 3), ("w_c", 3), ("s0", 2)):
             _check_vector(getattr(self, key), size, f"predict.{key}")
-        for key in ("dt", "duration"):
-            if not getattr(self, key) > 0.0:
-                raise ConfigError(f"predict.{key} must be positive")
+        # written so that NaN fails every test: it compares false
+        for key in ("dt", "duration", "d0"):
+            if not 0.0 < getattr(self, key) < math.inf:
+                raise ConfigError(f"predict.{key} must be positive and finite")
 
 
 @dataclass
@@ -103,12 +104,12 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.kind not in SCENARIO_KINDS:
             raise ConfigError(f"unknown scenario kind {self.kind!r}; expected one of {SCENARIO_KINDS}")
-        if self.duration <= 0.0:
-            raise ConfigError("duration must be positive")
-        if self.max_ref_speed <= 0.0:
-            raise ConfigError("max_ref_speed must be positive")
-        if self.goal_distance <= 0.0:
-            raise ConfigError("goal_distance must be positive")
+        # written so that NaN fails every test: it compares false
+        for key in ("duration", "max_ref_speed", "goal_distance"):
+            if not 0.0 < getattr(self, key) < math.inf:
+                raise ConfigError(f"{key} must be positive and finite")
+        if not -math.inf < self.initial_heading_deg < math.inf:
+            raise ConfigError("initial_heading_deg must be finite")
         for key in ("initial_position", "landmark_position"):
             _check_vector(getattr(self, key), 3, key)
 

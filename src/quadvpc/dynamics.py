@@ -12,16 +12,17 @@ thrust plus body rates, ``u = [c, wx, wy, wz]``.
 Attitude integrates with body rates, ``dq_wb = 1/2 q_wb (x) [0, w_b]``;
 the bearing integrates with its camera-frame angular velocity on the
 left, ``dq_cl = 1/2 [0, w_bear] (x) q_cl``.  Both conventions are pinned
-by the finite-difference oracle in the test suite: the analytic rates
-must reproduce exact geometric propagation of a camera past a static
-landmark.
+by the finite-difference oracle in the test suite: the rates of the
+kernel's bearing block :func:`_bearing_f` must reproduce exact
+geometric propagation of a camera past a static landmark.
 
-The bearing rates of the prediction study take components on the last
-axis.  The solver's kernel ``_f`` takes a sequence of components, each
-a Python float (one state) or an array of one shared shape (a batch),
-and returns the tuple of its derivative components; :func:`rk4`, the
-one RK4 stage sequence, steps any such sequence and can record its
-stage derivatives.  The derivatives are exact: :func:`_f_jacobian`
+The solver's kernel ``_f`` takes a sequence of components, each a
+Python float (one state) or an array of one shared shape (a batch), and
+returns the tuple of its derivative components; its bearing block is
+the one bearing model, which the prediction study also steps.
+:func:`rk4`, the one RK4 stage sequence, steps any such sequence and
+can record its stage derivatives; the solver's step :func:`_rk4` runs
+it on floats.  The derivatives are exact: :func:`_f_jacobian`
 differentiates the kernel in matrix form, with the rotation matrix and
 the quaternion products as constant tensors taken from the kernel's own
 code, and :func:`rk4_jacobians` carries it through the recorded stages
@@ -37,9 +38,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (
-    EX,
-    EY,
-    EZ,
     Array,
     _cross,
     _rotmat_cols,
@@ -165,23 +163,6 @@ class CameraTwist:
         object.__setattr__(self, "w_c", _vec3(self.w_c))
 
 
-def _bearing_rates(q_cl: Array, d: Array, v_c: Array, w_c: Array):
-    """Tangent rate ``u_mu``, quaternion rate and distance rate of the bearing.
-
-    ``d`` carries a trailing axis of length 1 so it broadcasts against
-    the 3-vectors.
-    """
-    n = quat_rotate(q_cl, EZ)
-    t1 = quat_rotate(q_cl, EX)
-    t2 = quat_rotate(q_cl, EY)
-    w_eff = -w_c - _cross(n, v_c) / d
-    u1 = np.sum(t1 * w_eff, axis=-1, keepdims=True)
-    u2 = np.sum(t2 * w_eff, axis=-1, keepdims=True)
-    dq_cl = 0.5 * quat_prod(pure_quat(u1 * t1 + u2 * t2), q_cl)
-    dd = -np.sum(n * v_c, axis=-1, keepdims=True)
-    return np.concatenate([u1, u2], axis=-1), dq_cl, dd
-
-
 def _product_tensors():
     """The kernel's quaternion products and rotation matrix as constant tensors.
 
@@ -213,7 +194,7 @@ def _input_terms(u, p_b_cb, r_bc) -> tuple:
 
     The input ``c, w``, the lever-arm rate ``w x p_b_cb``, the camera's
     angular rate ``R_bc^T w`` and the nine entries of ``R_bc``, row by
-    row, in the form of :func:`_f`'s arguments.  They hold over an RK4
+    row, in the form of :func:`_f`'s components.  They hold over an RK4
     interval, so :func:`_rk4` computes them once for its four stages.
     """
     c, wx, wy, wz = u
@@ -226,25 +207,18 @@ def _input_terms(u, p_b_cb, r_bc) -> tuple:
     return c, wx, wy, wz, wpx, wpy, wpz, wcx, wcy, wcz, r00, r01, r02, r10, r11, r12, r20, r21, r22
 
 
-def _f(x, u, p_b_cb, r_bc) -> tuple:
+def _f(x, terms) -> tuple:
     """Flat-state derivative ``dx/dt``, the one kernel of the coupled dynamics.
 
-    ``x`` and ``u`` are sequences of the 12 state and 4 input components
-    (lists, or an array's first axis), each a Python float (one state) or
-    an array of one shared shape (a batch); the result is the tuple of the
-    12 derivative components in the same form.  Hand-expanded quaternion
-    algebra with one elementwise operation per term, so a single state
-    costs plain float arithmetic and a batch the same few hundred numpy
-    calls whatever its size; each batch column is bit-identical to the
-    state taken alone.  ``r_bc`` is the 3x3 camera-to-body rotation.
-    The input's terms come from :func:`_input_terms`, the state's from
-    :func:`_f_terms`.
+    ``x`` is a sequence of the 12 state components (a list, or an array's
+    first axis), each a Python float (one state) or an array of one shared
+    shape (a batch), and ``terms`` the :func:`_input_terms` of the input
+    in the same form; the result is the tuple of the 12 derivative
+    components.  Hand-expanded quaternion algebra with one elementwise
+    operation per term, so a single state costs plain float arithmetic
+    and a batch the same few hundred numpy calls whatever its size; each
+    batch column is bit-identical to the state taken alone.
     """
-    return _f_terms(x, _input_terms(u, p_b_cb, r_bc))
-
-
-def _f_terms(x, terms) -> tuple:
-    """:func:`_f` at the state components ``x``, given the :func:`_input_terms` of its input."""
     vx, vy, vz, qw, qx, qy, qz, bw, bx, by, bz, d = x
     c, wx_, wy_, wz_, wpx, wpy, wpz, wcx, wcy, wcz, r00, r01, r02, r10, r11, r12, r20, r21, r22 = terms
 
@@ -268,6 +242,19 @@ def _f_terms(x, terms) -> tuple:
     vcy = r01 * vbx + r11 * vby + r21 * vbz
     vcz = r02 * vbx + r12 * vby + r22 * vbz
 
+    dbw, dbx, dby, dbz, dd = _bearing_f(bw, bx, by, bz, d, vcx, vcy, vcz, wcx, wcy, wcz)
+    return dvx, dvy, dvz, dqw, dqx, dqy, dqz, dbw, dbx, dby, dbz, dd
+
+
+def _bearing_f(bw, bx, by, bz, d, vcx, vcy, vcz, wcx, wcy, wcz) -> tuple:
+    """Bearing block of :func:`_f`: ``dq_cl`` and ``dd`` under the camera twist ``v_c, w_c``.
+
+    The bearing moves with ``w_bear = T T^T w_eff``, the part of
+    ``w_eff = -w_c - (n x v_c) / d`` in the tangent plane ``T = (t1, t2)``
+    of ``n``, and ``dd = -n . v_c`` never reads ``d``.  Components as in
+    :func:`_f`: floats or arrays of one shape.  The prediction study
+    steps it alone.
+    """
     t1, t2, n = _rotmat_cols(bw, bx, by, bz)
     # w_eff = -w_c - (n x v_c) / d
     ex = -wcx - (n[1] * vcz - n[2] * vcy) / d
@@ -284,8 +271,7 @@ def _f_terms(x, terms) -> tuple:
     dby = 0.5 * (wby * bw + wbz * bx - wbx * bz)
     dbz = 0.5 * (wbz * bw + wbx * by - wby * bx)
     dd = -(n[0] * vcx + n[1] * vcy + n[2] * vcz)
-
-    return dvx, dvy, dvz, dqw, dqx, dqy, dqz, dbw, dbx, dby, dbz, dd
+    return dbw, dbx, dby, dbz, dd
 
 
 def rk4(f, x, dt: float, stages: list | None = None) -> list:
@@ -311,25 +297,18 @@ def rk4(f, x, dt: float, stages: list | None = None) -> list:
 
 
 def _rk4(x, u, dt: float, p_b_cb, r_bc, stages: list | None = None) -> tuple:
-    """RK4 step of :func:`_f`; quaternions renormalized, d floored.
+    """RK4 step of :func:`_f` on floats; quaternions renormalized, d floored.
 
     12 floats in and out, the 48 floats of the four stage derivatives
-    appended to ``stages`` when it is given (the record of :func:`rk4`);
-    or a ``(12, ...)`` array in, stepped as one stacked component (not 12:
-    fewer numpy calls), and 12 arrays out.  The float path computes the
-    input's terms once for its four stages.
+    appended to ``stages`` when it is given (the record of :func:`rk4`).
+    The input's terms are computed once for the four stages.  A zero
+    distance or quaternion norm raises ZeroDivisionError.
     """
-    if isinstance(x, np.ndarray):
-        (out,) = rk4(lambda z: (np.array(_f(z[0], u, p_b_cb, r_bc)),), (x,), dt)
-        sqrt, floor = np.sqrt, np.maximum
-    else:
-        terms = _input_terms(u, p_b_cb, r_bc)
-        out = rk4(lambda z: _f_terms(z, terms), x, dt, stages)
-        sqrt, floor = math.sqrt, max
-    v0, v1, v2, qw, qx, qy, qz, bw, bx, by, bz, d = out
-    nq = sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
-    nb = sqrt(bw * bw + bx * bx + by * by + bz * bz)
-    return v0, v1, v2, qw / nq, qx / nq, qy / nq, qz / nq, bw / nb, bx / nb, by / nb, bz / nb, floor(d, D_FLOOR)
+    terms = _input_terms(u, p_b_cb, r_bc)
+    v0, v1, v2, qw, qx, qy, qz, bw, bx, by, bz, d = rk4(lambda z: _f(z, terms), x, dt, stages)
+    nq = math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
+    nb = math.sqrt(bw * bw + bx * bx + by * by + bz * bz)
+    return v0, v1, v2, qw / nq, qx / nq, qy / nq, qz / nq, bw / nb, bx / nb, by / nb, bz / nb, max(d, D_FLOOR)
 
 
 def _quat_lmat(p: Array) -> Array:

@@ -278,10 +278,8 @@ def _rollout(x0: Array, u: Array, dt: float, ext: CameraExtrinsics, stages: list
     The steps run on Python floats; numpy scalars would cost several times
     more per operation.  Their stage derivatives are appended to ``stages``
     when it is given, flat: 48 floats a step, ``k1`` to ``k4`` in state
-    order, as :func:`rk4_jacobians` reads them.  After a float division
-    by zero the rest is stepped on arrays, whose inf/NaN equal the
-    batched kernel's; they are the result, so their warnings are
-    silenced, and no stages are recorded for them.
+    order, as :func:`rk4_jacobians` reads them.  A step that divides by
+    zero and every node after it are NaN; the stages are then incomplete.
     """
     floats = (float(dt), ext.p_b_cb.tolist(), ext.r_bc.tolist())
     states = [np.asarray(x0, dtype=np.float64).tolist()]
@@ -289,9 +287,7 @@ def _rollout(x0: Array, u: Array, dt: float, ext: CameraExtrinsics, stages: list
         for uk in u.tolist():
             states.append(_rk4(states[-1], uk, *floats, stages))
     except ZeroDivisionError:
-        with np.errstate(all="ignore"):
-            for uk in u[len(states) - 1 :]:
-                states.append(_rk4(np.array(states[-1]), uk, dt, ext.p_b_cb, ext.r_bc))
+        states += [[float("nan")] * 12] * (len(u) + 1 - len(states))
     return np.array(states)
 
 
@@ -489,8 +485,9 @@ _REG = 1e-6
 class _Workspace:
     """Evaluation of one feasible iterate: rolled-out states, their RK4 stages and stage outputs.
 
-    A rollout that divided by zero holds inf or NaN, so the stages of a
-    finite one are complete.
+    A rollout that divided by zero holds NaN from that step on, so the
+    stages of a finite one are complete; a non-finite one is rejected
+    without reading its states.
     """
 
     __slots__ = ("x", "stages", "outputs", "cost", "viol_sum", "viol_max", "merit", "finite")

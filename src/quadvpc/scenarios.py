@@ -20,7 +20,7 @@ from .config import ScenarioConfig
 from .costs import ReferencePoint
 from .dynamics import (
     CameraTwist,
-    _bearing_rates,
+    _bearing_f,
     homogeneous_image_dynamics,
     propagate_camera_pose,
     rk4,
@@ -84,23 +84,26 @@ class Metrics:
 
 def evaluate_run(log: RunLog, cfg: ScenarioConfig, goal_p: Array | None = None) -> Metrics:
     """Pure function of the run log; re-evaluable offline."""
-    alt0 = float(log.p_w[0, 2]) if log.n_ticks else 0.0
+    if not log.n_ticks:
+        nan = float("nan")
+        return Metrics(log.outcome, nan, nan, nan, log.solve_ms, nan, nan, mean_speed=0.0)
+    alt0 = float(log.p_w[0, 2])
     margin = np.minimum(log.s_c - cfg.bounds.s_min, cfg.bounds.s_max - log.s_c)
     d_err = log.d - log.ref_d
     s_err = log.s_c - log.ref_s
     settle_x = settle_y = None
-    if goal_p is not None and log.n_ticks:
+    if goal_p is not None:
         settle_x = _settle_time(log.t, log.p_w[:, 0], goal_p[0])
         settle_y = _settle_time(log.t, log.p_w[:, 1], goal_p[1])
     return Metrics(
         outcome=log.outcome,
-        rms_distance_err=float(np.sqrt(np.mean(d_err**2))) if log.n_ticks else float("nan"),
-        max_altitude_dev=float(np.max(np.abs(log.p_w[:, 2] - alt0))) if log.n_ticks else float("nan"),
-        min_border_margin=float(np.min(margin)) if log.n_ticks else float("nan"),
+        rms_distance_err=float(np.sqrt(np.mean(d_err**2))),
+        max_altitude_dev=float(np.max(np.abs(log.p_w[:, 2] - alt0))),
+        min_border_margin=float(np.min(margin)),
         solve_ms=log.solve_ms,
-        final_distance_err=float(abs(d_err[-1])) if log.n_ticks else float("nan"),
-        final_image_err=float(np.linalg.norm(s_err[-1])) if log.n_ticks else float("nan"),
-        mean_speed=float(np.mean(np.linalg.norm(log.v_w, axis=1))) if log.n_ticks else 0.0,
+        final_distance_err=float(abs(d_err[-1])),
+        final_image_err=float(np.linalg.norm(s_err[-1])),
+        mean_speed=float(np.mean(np.linalg.norm(log.v_w, axis=1))),
         settle_time_x=settle_x,
         settle_time_y=settle_y,
     )
@@ -413,15 +416,19 @@ def _twist_at(cfg: ScenarioConfig, t: float) -> CameraTwist:
     v = np.asarray(p.v_c, float)
     w = np.asarray(p.w_c, float)
     if p.kind == "sinusoid":
-        v = v * math.cos(2.0 * math.pi * t / max(p.duration, 1e-9))
-        w = w * math.sin(2.0 * math.pi * t / max(p.duration, 1e-9) + 0.4)
+        v = v * math.cos(2.0 * math.pi * t / p.duration)
+        w = w * math.sin(2.0 * math.pi * t / p.duration + 0.4)
     return CameraTwist(v_c=v, w_c=w)
 
 
 def bearing_prediction_step(q_cl: Array, d: float, twist: CameraTwist, dt: float):
-    """RK4 step of the bearing-distance feature state under a frozen twist."""
-    q, dd = rk4(lambda z: _bearing_rates(*z, twist.v_c, twist.w_c)[1:], (q_cl, np.array([d])), dt)
-    return quat_normalize(q), float(dd[0])
+    """RK4 step of the bearing-distance feature state under a frozen twist.
+
+    Steps the controller's own bearing block on floats.
+    """
+    twist_c = (*twist.v_c.tolist(), *twist.w_c.tolist())
+    *q, d = rk4(lambda z: _bearing_f(*z, *twist_c), [*np.asarray(q_cl).tolist(), float(d)], dt)
+    return quat_normalize(q), d
 
 
 def homogeneous_prediction_step(s: Array, z_depth: float, twist: CameraTwist, dt: float):

@@ -8,15 +8,17 @@ The second copy of the coupled dynamics lives here, not in the package:
 ``quad_dynamics``, ``camera_twist`` and ``image_dynamics`` compose the
 rates through the broadcasting quaternion helpers, and
 ``composed_dynamics`` builds from them a second formulation of the
-solver's hand-expanded kernel ``dynamics._f``.  ``image_dynamics`` calls
-the package's ``dynamics._bearing_rates``, which the prediction study
-runs, so its tests check that code.  ``full_dynamics`` and
-``f_jacobians`` evaluate the solver's kernel and its exact Jacobian
-``dynamics._f_jacobian`` on typed states.  ``rk4_flat`` steps the rows
-of a batch by the array path of the solver's RK4 step ``dynamics._rk4``
-(the path its rollout falls back to after a division by zero),
-``rk4_flat_step`` is one such row, and ``rk4_stages`` records the stage
-derivatives of the float-path steps as the solver's rollout does.
+solver's hand-expanded kernel ``dynamics._f``.  ``image_dynamics`` is
+the quaternion formulation of the bearing-distance rates, the oracle of
+the kernel's bearing block ``dynamics._bearing_f``, which the solver and
+the prediction study run; ``kernel_bearing_rates`` reads that block in
+the oracle's form.  ``kernel`` evaluates the solver's kernel under an
+input, and ``full_dynamics`` and ``f_jacobians`` evaluate it and its
+exact Jacobian ``dynamics._f_jacobian`` on typed states.  ``rk4_flat``
+steps the rows of a batch by ``dynamics.rk4`` over the batch kernel,
+renormalised and floored as the solver's float step ``dynamics._rk4``
+is, ``rk4_flat_step`` is one such row, and ``rk4_stages`` records the
+stage derivatives of the float steps as the solver's rollout does.
 
 The package computes no finite difference: ``fd_jacobian_batch``, with
 its relative step ``FD_STEP``, is the batched central-difference oracle
@@ -39,13 +41,16 @@ import pytest
 from quadvpc import geometry as g
 from quadvpc.costs import ReferencePoint
 from quadvpc.dynamics import (
+    D_FLOOR,
     GRAVITY_W,
     CameraTwist,
     ControlInput,
-    _bearing_rates,
+    _bearing_f,
     _f,
     _f_jacobian,
+    _input_terms,
     _rk4,
+    rk4,
 )
 from quadvpc.ocp import _stage_jacobians, _stage_outputs
 
@@ -165,20 +170,41 @@ def camera_twist(v_w, omega_b, q_wb, ext) -> CameraTwist:
 
 
 def image_dynamics(q_cl, d: float, twist: CameraTwist):
-    """Bearing and distance rates under a camera twist, by ``_bearing_rates``.
+    """Bearing and distance rates under a camera twist, in quaternion form.
 
     Returns ``(u_mu, dd)`` with ``u_mu`` the 2D tangent-space angular
     rate of the bearing, i.e. the camera-frame angular velocity of the
     bearing projected onto its tangent basis; the quaternion rate is
-    ``dq_cl = 1/2 [0, N(q_cl) u_mu] (x) q_cl``.
+    ``dq_cl = 1/2 [0, N(q_cl) u_mu] (x) q_cl``.  The bearing ``n`` sees
+    the static landmark move with ``w_eff = -w_c - (n x v_c) / d``, and
+    ``dd = -n . v_c``.
     """
-    u_mu, _, dd = _bearing_rates(q_cl, np.array([d], dtype=np.float64), twist.v_c, twist.w_c)
-    return u_mu, float(dd[0])
+    n = g.quat_rotate(q_cl, g.EZ)
+    w_eff = -twist.w_c - np.cross(n, twist.v_c) / d
+    return bearing_N(q_cl).T @ w_eff, float(-(n @ twist.v_c))
+
+
+def kernel_bearing_rates(q_cl, d: float, twist: CameraTwist):
+    """The rates ``(u_mu, dd)`` of :func:`image_dynamics`, by the kernel's bearing block ``_bearing_f``.
+
+    The block returns ``dq_cl = 1/2 [0, w_bear] (x) q_cl``; at a unit
+    ``q_cl`` that gives ``[0, w_bear] = 2 dq_cl (x) conj(q_cl)``, and
+    ``u_mu = N(q_cl)^T w_bear``.
+    """
+    q_cl = np.asarray(q_cl, dtype=np.float64)
+    *dq_cl, dd = _bearing_f(*q_cl.tolist(), float(d), *twist.v_c.tolist(), *twist.w_c.tolist())
+    w_bear = 2.0 * g.quat_prod(dq_cl, g.quat_conj(q_cl))[1:]
+    return bearing_N(q_cl).T @ w_bear, dd
+
+
+def kernel(x, u, p_b_cb, r_bc) -> tuple:
+    """The solver's kernel ``_f`` at the state components ``x`` under the input components ``u``."""
+    return _f(x, _input_terms(u, p_b_cb, r_bc))
 
 
 def full_dynamics(x, u, ext) -> np.ndarray:
     """``dx/dt`` of the solver's kernel ``_f`` as a flat 12-vector."""
-    return np.array(_f(x.as_vector(), u.as_vector(), ext.p_b_cb, g.quat_to_rotmat(ext.q_bc)))
+    return np.array(kernel(x.as_vector(), u.as_vector(), ext.p_b_cb, g.quat_to_rotmat(ext.q_bc)))
 
 
 def f_jacobians(x, u, ext):
@@ -192,8 +218,20 @@ def f_jacobians(x, u, ext):
 
 
 def rk4_flat(x, u, dt, p_b_cb, q_bc) -> np.ndarray:
-    """RK4 steps of the rows of ``x (M, 12)`` under ``u (M, 4)`` by the array path of ``dynamics._rk4``."""
-    return np.array(_rk4(x.T, u.T, dt, p_b_cb, g.quat_to_rotmat(q_bc))).T
+    """RK4 steps of the rows of ``x (M, 12)`` under ``u (M, 4)``: ``rk4`` over the batch kernel ``_f``.
+
+    Renormalised and floored as ``dynamics._rk4`` does, in the same order
+    of operations, so a finite row is bit-identical to the float step of
+    that row; where the float step divides by zero, numpy gives inf or NaN.
+    """
+    r_bc = g.quat_to_rotmat(q_bc)
+    v0, v1, v2, qw, qx, qy, qz, bw, bx, by, bz, d = rk4(lambda z: kernel(z, u.T, p_b_cb, r_bc), list(x.T), dt)
+    nq = np.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
+    nb = np.sqrt(bw * bw + bx * bx + by * by + bz * bz)
+    return np.stack(
+        [v0, v1, v2, qw / nq, qx / nq, qy / nq, qz / nq, bw / nb, bx / nb, by / nb, bz / nb, np.maximum(d, D_FLOOR)],
+        axis=-1,
+    )
 
 
 def rk4_flat_step(x, u, dt, ext) -> np.ndarray:

@@ -36,7 +36,7 @@ from conftest import (
     fd_gradient,
     fd_jacobian,
     fd_jacobian_batch,
-    image_dynamics,
+    kernel_bearing_rates,
     random_quat,
     stage_block,
     stage_block_gradient,
@@ -74,7 +74,10 @@ def quarter_results():
 
 
 def test_criterion_01_image_dynamics_oracle():
-    """Analytic bearing/distance rates of ``dynamics._bearing_rates`` vs exact geometric propagation."""
+    """Bearing/distance rates of the kernel's bearing block ``dynamics._bearing_f`` vs exact geometric propagation.
+
+    The block that the solver's kernel ``_f`` and the prediction study both run.
+    """
     rng = np.random.default_rng(101)
     delta = 1e-4
     t0 = time.perf_counter()
@@ -84,7 +87,7 @@ def test_criterion_01_image_dynamics_oracle():
         d = rng.uniform(1.0, 10.0)
         v_c = rng.uniform(-3, 3, 3)
         w_c = rng.uniform(-3, 3, 3)
-        u_mu, dd = image_dynamics(q_cl, d, CameraTwist(v_c, w_c))
+        u_mu, dd = kernel_bearing_rates(q_cl, d, CameraTwist(v_c, w_c))
         n0 = g.bearing_n(q_cl)
         ndot = np.cross(bearing_N(q_cl) @ u_mu, n0)
         lm = n0 * d

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -27,6 +28,8 @@ from conftest import (
     fd_jacobian_batch,
     full_dynamics,
     image_dynamics,
+    kernel,
+    kernel_bearing_rates,
     quad_dynamics,
     quat_oracle_from_axis_angle,
     random_quat,
@@ -118,28 +121,30 @@ class TestCameraTwist:
 
 
 class TestImageDynamics:
+    # the kernel's bearing block, dynamics._bearing_f, against hand cases,
+    # exact geometry and the quaternion formulation of conftest
     def test_pure_approach(self):
-        u_mu, dd = image_dynamics(g.quat_identity(), 2.0, CameraTwist([0, 0, 1.0], np.zeros(3)))
+        u_mu, dd = kernel_bearing_rates(g.quat_identity(), 2.0, CameraTwist([0, 0, 1.0], np.zeros(3)))
         assert np.allclose(u_mu, 0)
         assert dd == pytest.approx(-1.0)
 
     def test_lateral_translation(self):
-        u_mu, dd = image_dynamics(g.quat_identity(), 2.0, CameraTwist([1.0, 0, 0], np.zeros(3)))
+        u_mu, dd = kernel_bearing_rates(g.quat_identity(), 2.0, CameraTwist([1.0, 0, 0], np.zeros(3)))
         assert np.allclose(u_mu, [0.0, -0.5], atol=1e-12)
         assert dd == pytest.approx(0.0)
 
     def test_pure_rotation(self):
         # -N(q)^T w_c at identity with w_c = e_y
-        u_mu, dd = image_dynamics(g.quat_identity(), 7.3, CameraTwist(np.zeros(3), [0, 1.0, 0]))
+        u_mu, dd = kernel_bearing_rates(g.quat_identity(), 7.3, CameraTwist(np.zeros(3), [0, 1.0, 0]))
         assert np.allclose(u_mu, [0.0, -1.0], atol=1e-12)
         assert dd == pytest.approx(0.0)
 
     def test_distance_rate_ignores_rotation(self, rng):
         q_cl, d = random_quat(rng), 3.0
         v_c = rng.normal(size=3)
-        _, dd0 = image_dynamics(q_cl, d, CameraTwist(v_c, np.zeros(3)))
+        _, dd0 = kernel_bearing_rates(q_cl, d, CameraTwist(v_c, np.zeros(3)))
         for _ in range(10):
-            _, dd = image_dynamics(q_cl, d, CameraTwist(v_c, rng.uniform(-3, 3, 3)))
+            _, dd = kernel_bearing_rates(q_cl, d, CameraTwist(v_c, rng.uniform(-3, 3, 3)))
             assert dd == dd0
 
     def test_matches_exact_geometric_propagation(self, rng):
@@ -151,7 +156,7 @@ class TestImageDynamics:
             d = rng.uniform(1.0, 10.0)
             v_c = rng.uniform(-3, 3, 3)
             w_c = rng.uniform(-3, 3, 3)
-            u_mu, dd = image_dynamics(q_cl, d, CameraTwist(v_c, w_c))
+            u_mu, dd = kernel_bearing_rates(q_cl, d, CameraTwist(v_c, w_c))
             n0 = g.bearing_n(q_cl)
             ndot = np.cross(bearing_N(q_cl) @ u_mu, n0)
 
@@ -167,6 +172,15 @@ class TestImageDynamics:
             nm_, dm = bearing_dist(-delta)
             assert np.allclose((np_ - nm_) / (2 * delta), ndot, atol=1e-6)
             assert (dp - dm) / (2 * delta) == pytest.approx(dd, abs=1e-6)
+
+    def test_kernel_block_matches_quaternion_oracle(self, rng):
+        for _ in range(200):
+            q_cl, d = random_quat(rng), rng.uniform(0.1, 10.0)
+            twist = CameraTwist(rng.uniform(-3, 3, 3), rng.uniform(-3, 3, 3))
+            u_mu, dd = kernel_bearing_rates(q_cl, d, twist)
+            u_oracle, dd_oracle = image_dynamics(q_cl, d, twist)
+            assert np.allclose(u_mu, u_oracle, rtol=0.0, atol=1e-12 * (1.0 + 10.0 / d))
+            assert dd == pytest.approx(dd_oracle, abs=1e-13)
 
 
 class TestFullDynamics:
@@ -255,55 +269,49 @@ class TestOneKernel:
         return ext.p_b_cb.tolist(), g.quat_to_rotmat(ext.q_bc).tolist()
 
     def test_f_batch_columns_match_single_states(self, rng):
-        from quadvpc.dynamics import _f
-
         ext = DEFAULT_EXTRINSICS
         r_bc = g.quat_to_rotmat(ext.q_bc)
         x, u = self.batch(rng, 200, ext)
-        cols = np.array(_f(x.T, u.T, ext.p_b_cb, r_bc))
+        cols = np.array(kernel(x.T, u.T, ext.p_b_cb, r_bc))
         for k in range(len(x)):
-            assert np.array_equal(cols[:, k], np.array(_f(x[k], u[k], ext.p_b_cb, r_bc)))
+            assert np.array_equal(cols[:, k], np.array(kernel(x[k], u[k], ext.p_b_cb, r_bc)))
 
     def test_rk4_batch_columns_match_single_states(self, rng):
-        from quadvpc.dynamics import D_FLOOR, _rk4
+        from quadvpc.dynamics import D_FLOOR
 
         ext = DEFAULT_EXTRINSICS
-        r_bc = g.quat_to_rotmat(ext.q_bc)
         x, u = self.batch(rng, 50, ext)
-        cols = np.array(_rk4(x.T.copy(), u.T, 0.05, ext.p_b_cb, r_bc))
         rows = rk4_flat(x, u, 0.05, ext.p_b_cb, ext.q_bc)
         assert np.any(rows[:, 11] == D_FLOOR)
         for k in range(len(x)):
-            single = np.array(_rk4(x[k], u[k], 0.05, ext.p_b_cb, r_bc))
-            assert np.array_equal(cols[:, k], single)
-            assert np.array_equal(rows[k], single)
+            assert np.array_equal(rows[k], rk4_flat(x[k : k + 1], u[k : k + 1], 0.05, ext.p_b_cb, ext.q_bc)[0])
 
     def test_float_path_matches_batch_columns(self, rng):
-        from quadvpc.dynamics import D_FLOOR, _f, _rk4
+        from quadvpc.dynamics import D_FLOOR, _rk4
 
         ext = DEFAULT_EXTRINSICS
         p_b_cb, r_bc = self.floats(ext)
         x, u = self.batch(rng, 200, ext)
-        f_cols = np.array(_f(x.T, u.T, ext.p_b_cb, g.quat_to_rotmat(ext.q_bc)))
+        f_cols = np.array(kernel(x.T, u.T, ext.p_b_cb, g.quat_to_rotmat(ext.q_bc)))
         rows = rk4_flat(x, u, 0.05, ext.p_b_cb, ext.q_bc)
         assert np.any(rows[:, 11] == D_FLOOR)
         for k in range(len(x)):
             xk, uk = x[k].tolist(), u[k].tolist()
-            assert np.array_equal(np.array(_f(xk, uk, p_b_cb, r_bc)), f_cols[:, k])
+            assert np.array_equal(np.array(kernel(xk, uk, p_b_cb, r_bc)), f_cols[:, k])
             assert np.array_equal(np.array(_rk4(xk, uk, 0.05, p_b_cb, r_bc)), rows[k])
 
     def test_float_path_returns_floats(self, rng, monkeypatch):
         # a numpy scalar in the float path is several times slower per
         # operation; it must fail here, not slow the solver
         import quadvpc.ocp as ocp
-        from quadvpc.dynamics import _f, _rk4
+        from quadvpc.dynamics import _rk4
 
         ext = DEFAULT_EXTRINSICS
         p_b_cb, r_bc = self.floats(ext)
         x, u = self.batch(rng, 10, ext)
         for k in range(len(x)):
             xk, uk = x[k].tolist(), u[k].tolist()
-            assert all(type(v) is float for v in _f(xk, uk, p_b_cb, r_bc))
+            assert all(type(v) is float for v in kernel(xk, uk, p_b_cb, r_bc))
             assert all(type(v) is float for v in _rk4(xk, uk, 0.05, p_b_cb, r_bc))
         seen = []
 
@@ -321,10 +329,10 @@ class TestOneKernel:
         assert len(stages) == 48 * len(u) and all(type(v) is float for v in stages)
         # the batch kernel's stages at the same states, in that order
         h, xs, us = 0.025, states[:-1].T, u.T
-        k1 = np.array(_f(xs, us, ext.p_b_cb, ext.r_bc))
-        k2 = np.array(_f(xs + h * k1, us, ext.p_b_cb, ext.r_bc))
-        k3 = np.array(_f(xs + h * k2, us, ext.p_b_cb, ext.r_bc))
-        k4 = np.array(_f(xs + 0.05 * k3, us, ext.p_b_cb, ext.r_bc))
+        k1 = np.array(kernel(xs, us, ext.p_b_cb, ext.r_bc))
+        k2 = np.array(kernel(xs + h * k1, us, ext.p_b_cb, ext.r_bc))
+        k3 = np.array(kernel(xs + h * k2, us, ext.p_b_cb, ext.r_bc))
+        k4 = np.array(kernel(xs + 0.05 * k3, us, ext.p_b_cb, ext.r_bc))
         batch = np.stack([k1, k2, k3, k4]).transpose(2, 0, 1).ravel()
         assert np.array(stages).tobytes() == batch.tobytes()
         recorded = rk4_jacobians(states[:-1], u, stages, 0.05, ext)
@@ -334,33 +342,47 @@ class TestOneKernel:
 
     @staticmethod
     def sequential_oracle(x0, u, ext):
-        # one rk4_flat row at a time: the batch kernel's own arithmetic
-        x = np.empty((len(u) + 1, 12))
-        x[0] = x0
-        with np.errstate(all="ignore"):
-            for k in range(len(u)):
-                x[k + 1] = rk4_flat(x[k : k + 1], u[k : k + 1], 0.05, ext.p_b_cb, ext.q_bc)[0]
-        return x
+        # node by node on floats, each step from the node before; the nodes
+        # before the first step that divides by zero
+        from quadvpc.dynamics import _rk4
+
+        p_b_cb, r_bc = ext.p_b_cb.tolist(), ext.r_bc.tolist()
+        x = [x0.tolist()]
+        for uk in u.tolist():
+            try:
+                x.append(list(_rk4(x[-1], uk, 0.05, p_b_cb, r_bc)))
+            except ZeroDivisionError:
+                break
+        return np.array(x)
 
     def test_rollout_matches_sequential_flat_oracle(self, rng):
         from quadvpc.ocp import _rollout
 
         ext = DEFAULT_EXTRINSICS
-        diverged = 0
+        diverged = divided = 0
         for _ in range(120):
             x0 = random_state(rng, d_lo=0.06, d_hi=8.0).as_vector()
             u = np.array([random_input(rng).as_vector() for _ in range(20)])
             want = self.sequential_oracle(x0, u, ext)
+            got = _rollout(x0, u, 0.05, ext)
+            # bit for bit up to the dividing step, NaN from it on
+            n = len(want)
+            assert np.array_equal(got[:n], want, equal_nan=True)
+            assert np.all(np.isnan(got[n:]))
+            # each node is the batch kernel's step of the node before; at the
+            # dividing step the batch gives inf or NaN instead of raising
             with np.errstate(all="ignore"):
-                got = _rollout(x0, u, 0.05, ext)
-            assert np.array_equal(got, want, equal_nan=True)
-            diverged += int(not np.all(np.isfinite(want)))
-        # some random rollouts blow up; floats then divide by zero where
-        # numpy gives inf/NaN, and the rollout must still match
-        assert 0 < diverged < 60
+                steps = rk4_flat(want[: len(u)], u[: len(want)], 0.05, ext.p_b_cb, ext.q_bc)
+            assert np.array_equal(steps[: n - 1], want[1:], equal_nan=True)
+            if n <= len(u):
+                assert not np.all(np.isfinite(steps[-1]))
+            diverged += int(not np.all(np.isfinite(got)))
+            divided += int(n <= len(u))
+        # some random rollouts blow up, and some of those divide by zero
+        assert 0 < divided <= diverged < 60
 
     def test_nan_component_propagates_like_batch(self, rng):
-        from quadvpc.dynamics import _f, _rk4
+        from quadvpc.dynamics import _rk4
 
         ext = DEFAULT_EXTRINSICS
         p_b_cb, r_bc = self.floats(ext)
@@ -370,28 +392,33 @@ class TestOneKernel:
         for k in range(4):
             u[12 + k, k] = np.nan
         with np.errstate(invalid="ignore"):
-            f_cols = np.array(_f(x.T, u.T, ext.p_b_cb, g.quat_to_rotmat(ext.q_bc)))
+            f_cols = np.array(kernel(x.T, u.T, ext.p_b_cb, g.quat_to_rotmat(ext.q_bc)))
             rows = rk4_flat(x, u, 0.05, ext.p_b_cb, ext.q_bc)
         for k in range(16):
             xk, uk = x[k].tolist(), u[k].tolist()
-            f_k = np.array(_f(xk, uk, p_b_cb, r_bc))
+            f_k = np.array(kernel(xk, uk, p_b_cb, r_bc))
             step = np.array(_rk4(xk, uk, 0.05, p_b_cb, r_bc))
             assert np.any(np.isnan(step))
             assert np.array_equal(f_k, f_cols[:, k], equal_nan=True)
             assert np.array_equal(step, rows[k], equal_nan=True)
 
-    def test_rollout_zero_distance_matches_batch(self):
-        # an exactly zero distance divides by zero: Python floats raise
-        # where numpy returns inf/NaN; the rollout returns numpy's values
+    def test_rollout_zero_distance_fills_nan(self):
+        # an exactly zero distance divides by zero: Python floats raise where
+        # numpy returns inf/NaN; the rollout keeps x0 and is NaN after it,
+        # with no numpy warning
         from quadvpc.ocp import _rollout
 
         x0 = QuadVisualState([1.0, 0.0, 0.0], g.quat_identity(), g.quat_identity(), 1.0).as_vector()
         x0[11] = 0.0
         u = np.tile(ControlInput.hover().as_vector(), (5, 1))
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             x = _rollout(x0, u, 0.05, DEFAULT_EXTRINSICS)
-        assert not np.all(np.isfinite(x[1:]))
-        assert np.array_equal(x, self.sequential_oracle(x0, u, DEFAULT_EXTRINSICS), equal_nan=True)
+        assert x.shape == (6, 12)
+        assert np.array_equal(x[0], x0) and np.all(np.isnan(x[1:]))
+        assert np.array_equal(self.sequential_oracle(x0, u, DEFAULT_EXTRINSICS), x[:1])
+        with np.errstate(all="ignore"):
+            assert not np.all(np.isfinite(rk4_flat_step(x0, u[0], 0.05, DEFAULT_EXTRINSICS)))
 
 
 class TestDynamicsJacobians:
@@ -438,14 +465,14 @@ class TestFdJacobianBatch:
         from quadvpc.dynamics import _rk4
 
         ext = DEFAULT_EXTRINSICS
-        r_bc = g.quat_to_rotmat(ext.q_bc)
+        p_b_cb, r_bc = ext.p_b_cb.tolist(), ext.r_bc.tolist()
         for _ in range(3):
             x = np.array([random_state(rng, d_lo=1.0).as_vector() for _ in range(20)])
             u = np.array([random_input(rng).as_vector() for _ in range(20)])
             a, b = rk4_jacobians(x, u, rk4_stages(x, u, 0.05, ext), 0.05, ext)
             for k in range(20):
                 z0 = np.concatenate([x[k], u[k]])
-                jac = fd_jacobian(lambda z: _rk4(z[:12], z[12:], 0.05, ext.p_b_cb, r_bc), z0, h=1e-7)
+                jac = fd_jacobian(lambda z: _rk4(z[:12].tolist(), z[12:].tolist(), 0.05, p_b_cb, r_bc), z0, h=1e-7)
                 scale = np.maximum(np.abs(jac), 1.0)
                 assert np.max(np.abs(np.hstack([a[k], b[k]]) - jac) / scale) < 1e-5
 

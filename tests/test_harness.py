@@ -13,6 +13,7 @@ from quadvpc.config import (
     SCENARIO_KINDS,
     SCHEMA_VERSION,
     ConfigError,
+    PredictSettings,
     ScenarioConfig,
     config_from_dict,
     config_to_dict,
@@ -70,6 +71,8 @@ BAD_SHAPES = [
     ({"weights": {"q_s": [1.0, float("inf")]}}, "weights.q_s"),
     ({"kind": "gate_reaching", "goal_distance": -1.0}, "goal_distance"),
     ({"kind": "success_sweep", "sweep": {"speeds": []}}, "sweep.speeds"),
+    ({"kind": "predict_compare", "predict": {"d0": -1}}, "predict.d0"),
+    ({"kind": "predict_compare", "predict": {"d0": 0}}, "predict.d0"),
 ]
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -125,6 +128,15 @@ class TestConfig:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
             ScenarioConfig(kind="wat")
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("key", ["duration", "max_ref_speed", "goal_distance", "initial_heading_deg", "predict.d0"])
+    def test_non_finite_field_refused(self, key, value):
+        # the JSON path refuses these in _checked; a config built in Python
+        # must be refused by its own checks
+        section, _, name = key.rpartition(".")
+        with pytest.raises(ConfigError, match=f"^{key} must be "):
+            (PredictSettings if section else ScenarioConfig)(**{name: value})
 
     def test_field_checks_raise_config_error(self):
         data = config_to_dict(default_config())
@@ -604,6 +616,18 @@ class TestMetrics:
         m2 = evaluate_run(out["log"], cfg)
         assert m1 == m2
         assert m1.success == (out["log"].outcome == "success")
+
+    def test_flight_with_no_tick(self):
+        # landmark behind the camera at the start: the log has no tick
+        cfg = default_config("hover")
+        cfg.initial_position = (8.0, 0.0, 3.0)
+        log = scenario_hover(cfg)["log"]
+        assert log.n_ticks == 0
+        m = evaluate_run(log, cfg, goal_p=np.array(cfg.initial_position))
+        assert m.outcome == "feature_lost" and m.mean_speed == 0.0
+        assert m.settle_time_x is None and m.settle_time_y is None
+        values = (m.rms_distance_err, m.max_altitude_dev, m.min_border_margin, m.final_distance_err, m.final_image_err)
+        assert all(np.isnan(v) for v in values)
 
     def test_gate_pose_table_values(self):
         positions = [p for p, _ in GATE_POSES]
