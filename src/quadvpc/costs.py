@@ -16,7 +16,7 @@ All weights are diagonal and stored as vectors of diagonal entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -54,11 +54,25 @@ class CostWeights:
         object.__setattr__(self, "q_v", np.asarray(self.q_v, dtype=np.float64).reshape(3).copy())
         object.__setattr__(self, "q_q", np.asarray(self.q_q, dtype=np.float64).reshape(4).copy())
         object.__setattr__(self, "q_u", np.asarray(self.q_u, dtype=np.float64).reshape(4).copy())
+        # written so that NaN fails every test: it compares false
         for name in ("q_s", "q_p", "q_v", "q_q", "q_u"):
-            if np.any(getattr(self, name) < 0.0):
-                raise ValueError(f"{name} entries must be nonnegative")
-        if self.q_d < 0.0:
-            raise ValueError("q_d must be nonnegative")
+            value = getattr(self, name)
+            if not ((0.0 <= value) & (value < np.inf)).all():
+                raise ValueError(f"{name} entries must be nonnegative and finite")
+        if not 0.0 <= self.q_d < np.inf:
+            raise ValueError("q_d must be nonnegative and finite")
+
+    def with_q_s(self, q_s: Array) -> "CostWeights":
+        """These weights with ``q_s`` replaced by a nonnegative, finite ``(2,)`` float array.
+
+        Built without ``__post_init__``: the other weights were checked
+        when these were, and ``q_s`` is the caller's to check.  The copy
+        caches its own ``roots``.
+        """
+        out = object.__new__(CostWeights)
+        out.__dict__.update((f.name, getattr(self, f.name)) for f in fields(self))
+        out.__dict__["q_s"] = q_s
+        return out
 
     @cached_property
     def roots(self) -> dict:
@@ -162,9 +176,6 @@ def dynamic_visual_weight(d_measured: float, base: Array) -> Array:
     return np.asarray(base, dtype=np.float64) * scale
 
 
-def clamp_input(u: ControlInput, b: Bounds) -> ControlInput:
-    """Componentwise clamp of thrust and body rates into their boxes."""
-    return ControlInput(
-        float(np.clip(u.c, b.c_min, b.c_max)),
-        np.clip(u.omega_b, b.omega_min, b.omega_max),
-    )
+def clamp_input(u: Array, b: Bounds) -> ControlInput:
+    """The input ``[c, wx, wy, wz]`` clamped componentwise into the thrust and body-rate boxes."""
+    return ControlInput(float(np.clip(u[0], b.c_min, b.c_max)), np.clip(u[1:4], b.omega_min, b.omega_max))

@@ -64,12 +64,6 @@ _SERIES = tuple(
     tuple(1.0 / math.factorial(2 * n + j) for n in reversed(range(8))) for j in (2, 3, 4)
 )
 
-# Flat-state layout
-_V = slice(0, 3)
-_QWB = slice(3, 7)
-_QCL = slice(7, 11)
-_D = 11
-
 
 def _vec3(v) -> Array:
     out = np.asarray(v, dtype=np.float64).reshape(3).copy()
@@ -104,11 +98,6 @@ class QuadVisualState:
     def as_vector(self) -> Array:
         return np.concatenate([self.v_w, self.q_wb, self.q_cl, [self.d]])
 
-    @staticmethod
-    def from_vector(x: Array) -> "QuadVisualState":
-        x = np.asarray(x, dtype=np.float64)
-        return QuadVisualState(x[_V], x[_QWB], x[_QCL], float(x[_D]))
-
 
 @dataclass(frozen=True)
 class ControlInput:
@@ -119,15 +108,12 @@ class ControlInput:
 
     def __post_init__(self):
         object.__setattr__(self, "c", float(self.c))
+        if not math.isfinite(self.c):
+            raise ValueError("thrust c must be finite")
         object.__setattr__(self, "omega_b", _vec3(self.omega_b))
 
     def as_vector(self) -> Array:
         return np.concatenate([[self.c], self.omega_b])
-
-    @staticmethod
-    def from_vector(u: Array) -> "ControlInput":
-        u = np.asarray(u, dtype=np.float64)
-        return ControlInput(float(u[0]), u[1:4])
 
     @staticmethod
     def hover() -> "ControlInput":

@@ -6,11 +6,17 @@ rotates ``e_z`` onto it; the rotated ``e_x``, ``e_y`` span the 2D tangent
 plane of the bearing.  Image coordinates are normalized homogeneous
 coordinates ``(u, v)`` with the third component fixed at 1.
 
-Every function broadcasts over leading axes, so the same code path serves
-scalar calls and the batched evaluations inside the solver.
+Every public function broadcasts over leading axes, so the same code path
+serves scalar calls and the batched evaluations inside the solver.  A few
+formulas also have a twin on Python floats (suffix ``_floats``) for the
+once-per-tick work of the closed loop, where numpy's per-call overhead
+outweighs the arithmetic; each twin performs its array twin's operations
+in the same order, so its results are bit for bit the same.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -35,6 +41,13 @@ def quat_identity() -> Array:
 def quat_normalize(q: Array) -> Array:
     q = np.asarray(q, dtype=np.float64)
     return q / np.linalg.norm(q, axis=-1, keepdims=True)
+
+
+def _quat_normalize_floats(q) -> tuple:
+    """:func:`quat_normalize` of one quaternion as four floats: its norm sums the squares left to right."""
+    w, x, y, z = q
+    n = math.sqrt(w * w + x * x + y * y + z * z)
+    return w / n, x / n, y / n, z / n
 
 
 def quat_conj(q: Array) -> Array:
@@ -63,6 +76,18 @@ def quat_prod(q1: Array, q2: Array) -> Array:
     q2 = np.asarray(q2, dtype=np.float64)
     terms = q1[..., None, :] * q2[..., _PROD_IDX] * _PROD_SIGN
     return terms[..., 0] + terms[..., 1] + terms[..., 2] + terms[..., 3]
+
+
+def _quat_prod_floats(p, q) -> tuple:
+    """:func:`quat_prod` of two quaternions given as four floats each, the same signed sums."""
+    pw, px, py, pz = p
+    qw, qx, qy, qz = q
+    return (
+        pw * qw - px * qx - py * qy - pz * qz,
+        pw * qx + px * qw + py * qz - pz * qy,
+        pw * qy - px * qz + py * qw + pz * qx,
+        pw * qz + px * qy - py * qx + pz * qw,
+    )
 
 
 def quat_mul(q1: Array, q2: Array) -> Array:
@@ -105,6 +130,20 @@ def quat_rotate(q: Array, v: Array) -> Array:
     qv = q[..., 1:]
     t = 2.0 * _cross(qv, v)
     return v + q[..., :1] * t + _cross(qv, t)
+
+
+def _quat_rotate_floats(q, v) -> tuple:
+    """:func:`quat_rotate` of one vector by one quaternion, given as floats: the same two crosses."""
+    qw, qx, qy, qz = q
+    vx, vy, vz = v
+    tx = 2.0 * (qy * vz - qz * vy)
+    ty = 2.0 * (qz * vx - qx * vz)
+    tz = 2.0 * (qx * vy - qy * vx)
+    return (
+        vx + qw * tx + (qy * tz - qz * ty),
+        vy + qw * ty + (qz * tx - qx * tz),
+        vz + qw * tz + (qx * ty - qy * tx),
+    )
 
 
 def _rotmat_cols(qw, qx, qy, qz):
@@ -185,16 +224,16 @@ def bearing_from_image(s: Array) -> Array:
     ``e_z`` to it, of magnitude ``arccos(a_z)`` about ``e_z x a``, and
     exponentiates.  The result is the minimal-twist lift: no rotation
     about the bearing axis itself.  ``a_z > 0``, so the axis is defined
-    unless ``a = e_z``, where the vector is exactly zero.
+    unless ``a = e_z``, where the vector is exactly zero.  The norms are
+    numpy's 1-D dot products, as ``np.linalg.norm`` takes them.
     """
-    s = np.asarray(s, dtype=np.float64)
     v = np.array([s[0], s[1], 1.0])
-    a = v / np.linalg.norm(v)
-    dot = float(np.clip(np.dot(EZ, a), -1.0, 1.0))
-    c = np.cross(EZ, a)
-    sin = float(np.linalg.norm(c))
+    a = v / math.sqrt(v.dot(v))
+    c = _cross(EZ, a)
+    sin = math.sqrt(c.dot(c))
     if sin < 1e-16:
         return quat_exp(np.zeros(3))
+    dot = min(max(float(a[2]), -1.0), 1.0)
     # angle/sin -> 1 as the vectors align, so this stays well conditioned
     return quat_exp(c * (np.arccos(dot) / sin))
 
@@ -202,3 +241,11 @@ def bearing_from_image(s: Array) -> Array:
 def image_from_bearing(q: Array) -> Array:
     """Image coordinates of a bearing quaternion, ``[n(q)]_z``."""
     return to_homogeneous(bearing_n(q))
+
+
+def _image_from_bearing_floats(q) -> tuple:
+    """:func:`image_from_bearing` of one bearing quaternion given as four floats."""
+    x, y, z = _quat_rotate_floats(q, (0.0, 0.0, 1.0))
+    if not z > EPS_Z:
+        raise DegenerateProjection("point behind or grazing the image plane")
+    return x / z, y / z

@@ -45,8 +45,8 @@ iteration budgets.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from numbers import Integral
 
 import numpy as np
@@ -182,7 +182,8 @@ def build_problem(
         raise BadReferenceLength(f"expected a reference of leading shape ({params.horizon + 1},), got {ref.d_star.shape}")
     if not np.isfinite(x0.d) or x0.d <= 0.0 or not np.all(np.isfinite(x0.as_vector())):
         raise InvalidInitialState("initial state needs d > 0 and finite components")
-    w_eff = replace(weights, q_s=_costs.dynamic_visual_weight(x0.d, weights.q_s))
+    # the scale is in [1, D_CAP^2], so the scaled q_s stays nonnegative and finite
+    w_eff = weights.with_q_s(_costs.dynamic_visual_weight(x0.d, weights.q_s))
     return OcpProblem(x0, ref, w_eff, bounds, extrinsics, params)
 
 
@@ -193,9 +194,12 @@ def _stage_outputs(x: Array, ref: ReferencePoint, w: CostWeights, q_bc: Array, d
     ``(M, 12)`` with one row per horizon node, and ``ref`` has leading
     shape ``(M,)`` or ``()``.
     Returns the sqrt-weighted residual vector ``(M, 12)`` whose squared
-    norm is the stage cost times dt, and the unit bearing ``n_c (M, 3)``
-    that the visibility cone constrains.  The residual columns are, in
-    blocks:
+    norm is the stage cost times dt, the unit bearing ``n_c (M, 3)``
+    that the visibility cone constrains, and the intermediates that
+    :func:`_stage_jacobians` reads at the same states: the raw relative
+    attitude ``rel``, the sandwiched ``inner``, the raw compensated
+    bearing ``comp`` and its normalisation, and the attitude sign
+    ``(M,)``.  The residual columns are, in blocks:
 
     - ``0:2`` the ``xy`` error of the rotation-compensated bearing from the
       target bearing ``n* = (s*, 1) / |(s*, 1)|`` and ``2`` distance error
@@ -215,11 +219,12 @@ def _stage_outputs(x: Array, ref: ReferencePoint, w: CostWeights, q_bc: Array, d
     sdt = np.sqrt(dt)
     root = w.roots
 
-    # visual servoing: compensate by the attitude deviation from the reference
-    q_rel = quat_normalize(quat_prod(ref.q_star_conj, q_wb))
-    q_comp = quat_normalize(
-        quat_prod(quat_prod(quat_conj(q_bc), quat_prod(q_rel, q_bc)), q_cl)
-    )
+    # visual servoing: compensate by the attitude deviation from the reference,
+    # q_comp = normalize(conj(q_bc) (x) normalize(rel) (x) q_bc (x) q_cl)
+    rel = quat_prod(ref.q_star_conj, q_wb)
+    inner = quat_prod(_camera_sandwich(q_bc.tobytes())[0], quat_prod(quat_normalize(rel), q_bc))
+    comp = quat_prod(inner, q_cl)
+    q_comp = quat_normalize(comp)
     r_img = root["q_s"] * (quat_rotate(q_comp, EZ)[:, :2] - ref.n_star_xy) * sdt
     r_dist = (root["q_d"] * (d - ref.d_star) * sdt)[:, None]
 
@@ -228,37 +233,48 @@ def _stage_outputs(x: Array, ref: ReferencePoint, w: CostWeights, q_bc: Array, d
     r_per = root["q_p"] * n_c[:, :2] * sdt
 
     # action
-    sgn = np.where(np.sum(q_wb * ref.q_star, axis=-1) >= 0.0, 1.0, -1.0)[:, None]
+    sgn = np.where(np.sum(q_wb * ref.q_star, axis=-1) >= 0.0, 1.0, -1.0)
     r_vel = root["q_v"] * (v_w - ref.v_star) * sdt
-    r_att = root["q_q"] * (sgn * q_wb - ref.q_star) * sdt
+    r_att = root["q_q"] * (sgn[:, None] * q_wb - ref.q_star) * sdt
 
     res = np.concatenate([r_img, r_dist, r_per, r_vel, r_att], axis=1)
-    return res, n_c
+    return res, n_c, (rel, inner, comp, q_comp, sgn)
 
 
-def _stage_jacobians(x: Array, ref: ReferencePoint, w: CostWeights, q_bc: Array, dt: float):
+@lru_cache(maxsize=8)
+def _camera_sandwich(q_bc: bytes):
+    """``conj(q_bc)`` and the sandwich matrix ``L(conj q_bc) R(q_bc)``, read-only, once per rotation.
+
+    Keyed by the bytes of the float64 camera-to-body quaternion ``q_bc``,
+    so a signed zero is its own rotation.
+    """
+    q = np.frombuffer(q_bc)
+    q_cb = quat_conj(q)
+    sandwich = _quat_lmat(q_cb) @ _quat_rmat(q)
+    q_cb.flags.writeable = sandwich.flags.writeable = False
+    return q_cb, sandwich
+
+
+def _stage_jacobians(x: Array, ref: ReferencePoint, w: CostWeights, q_bc: Array, dt: float, parts: tuple):
     """Jacobians of the residuals and bearings of :func:`_stage_outputs` per node.
 
     ``(M, 12, 12)`` and ``(M, 3, 12)``, in closed form: each quaternion
     product is a left- or right-multiplication matrix, each
     ``quat_normalize`` its projection, and a bearing ``R(q) e_z`` the third
-    column of ``dR/dq``.  The attitude sign is held constant.
+    column of ``dR/dq``.  The attitude sign is held constant.  ``parts``
+    are the intermediates that :func:`_stage_outputs` returned for the
+    same ``x``, so the quaternion products are not taken again.
     """
     m = len(x)
-    q_wb, q_cl = x[:, 3:7], x[:, 7:11]
+    q_cl = x[:, 7:11]
+    rel, inner, comp, q_comp, sgn = parts
     sdt = np.sqrt(dt)
     root = w.roots
     q_ref = ref.q_star_conj
-    rel = quat_prod(q_ref, q_wb)
-    # q_comp = normalize(S normalize(rel) (x) q_cl), S: q -> conj(q_bc) (x) q (x) q_bc
-    q_cb = quat_conj(q_bc)
-    sandwich = _quat_lmat(q_cb) @ _quat_rmat(q_bc)
-    inner = quat_prod(q_cb, quat_prod(quat_normalize(rel), q_bc))
-    comp = quat_prod(inner, q_cl)
     d_comp = _normalize_jacobian(comp)
-    d_img = root["q_s"][:, None] * sdt * _rotmat_jacobian(quat_normalize(comp))[:, :2, 2]
+    d_img = root["q_s"][:, None] * sdt * _rotmat_jacobian(q_comp)[:, :2, 2]
     d_n = _rotmat_jacobian(q_cl)[:, :, 2]
-    sgn = np.where(np.sum(q_wb * ref.q_star, axis=-1) >= 0.0, 1.0, -1.0)[:, None, None]
+    sandwich = _camera_sandwich(q_bc.tobytes())[1]
 
     j_res = np.zeros((m, 12, 12))
     j_res[:, 0:2, 3:7] = d_img @ d_comp @ _quat_rmat(q_cl) @ sandwich @ _normalize_jacobian(rel) @ _quat_lmat(q_ref)
@@ -266,7 +282,7 @@ def _stage_jacobians(x: Array, ref: ReferencePoint, w: CostWeights, q_bc: Array,
     j_res[:, 2, 11] = root["q_d"] * sdt
     j_res[:, 3:5, 7:11] = root["q_p"][:, None] * sdt * d_n[:, :2]
     j_res[:, 5:8, 0:3] = w.root_diags["q_v"] * sdt
-    j_res[:, 8:12, 3:7] = sgn * (w.root_diags["q_q"] * sdt)
+    j_res[:, 8:12, 3:7] = sgn[:, None, None] * (w.root_diags["q_q"] * sdt)
     j_n = np.zeros((m, 3, 12))
     j_n[:, :, 7:11] = d_n
     return j_res, j_n
@@ -502,7 +518,7 @@ class _Workspace:
         self.finite = bool(np.isfinite(self.x).all())
         if not self.finite:  # a diverged rollout is rejected unevaluated
             return
-        self.outputs = res, n_c = _stage_outputs(self.x, problem.ref, problem.weights, ext.q_bc, p.dt)
+        self.outputs = res, n_c, _ = _stage_outputs(self.x, problem.ref, problem.weights, ext.q_bc, p.dt)
         du = u - _HOVER_U
         self.cost = float((res**2).sum()) + p.dt * float((du * du * problem.weights.q_u).sum())
         viol = _hinge(n_c[1:], problem.cone)
@@ -561,9 +577,9 @@ def _reduced_model(x, u, problem, outputs, stages):
     n = p.horizon
     ext = problem.extrinsics
 
+    res, n_c, parts = outputs
     a_k, b_k = rk4_jacobians(x[:-1], u, stages, p.dt, ext)
-    j_res, j_n = _stage_jacobians(x, problem.ref, problem.weights, ext.q_bc, p.dt)
-    res, n_c = outputs
+    j_res, j_n = _stage_jacobians(x, problem.ref, problem.weights, ext.q_bc, p.dt, parts)
 
     # big_m[k] maps the input moves to the deviation of node k+1; its
     # columns of inputs k+1.. are zero, so each product skips them
@@ -730,7 +746,10 @@ def solve(problem: OcpProblem, warm: Array | None = None) -> OcpSolution:
 
 def shift_warm_start(plan: Array, n: int) -> Array:
     """Receding-horizon shift: the plan's unexecuted inputs, padded to ``n`` rows by repeating the last."""
-    return np.vstack([plan, np.tile(plan[-1], (n - len(plan), 1))])
+    out = np.empty((n, NU))
+    out[: len(plan)] = plan
+    out[len(plan) :] = plan[-1]
+    return out
 
 
 class VisualPredictiveController:
@@ -764,4 +783,4 @@ class VisualPredictiveController:
             self._plan = self._plan[1:]
         else:
             u, self._plan = sol.inputs[0], sol.inputs[1:]
-        return clamp_input(ControlInput.from_vector(u), self.bounds), sol
+        return clamp_input(u, self.bounds), sol

@@ -27,9 +27,12 @@ from .dynamics import (
 from .geometry import (
     EPS_Z,
     Array,
+    _image_from_bearing_floats,
+    _quat_normalize_floats,
+    _quat_prod_floats,
+    _quat_rotate_floats,
     _rotmat_cols,
     bearing_from_image,
-    image_from_bearing,
     quat_conj,
     quat_exp,
     quat_mul,
@@ -102,9 +105,10 @@ class NoiseModel:
     sigma_px: float = 0.0
 
     def __post_init__(self):
+        # written so that NaN fails: it compares false
         for name in ("sigma_v", "sigma_att", "sigma_d_rel", "sigma_px"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be nonnegative")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be nonnegative and finite")
 
 
 def plant_step(ps: PlantState, u: ControlInput, dt: float) -> PlantState:
@@ -120,8 +124,8 @@ def plant_step(ps: PlantState, u: ControlInput, dt: float) -> PlantState:
 
     Computed on Python floats; the quaternion is renormalized.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    if not 0.0 < dt < math.inf:
+        raise ValueError("dt must be positive and finite")
     qw, qx, qy, qz = ps.q_wb.tolist()
     wx, wy, wz = u.omega_b.tolist()
     theta = math.sqrt(wx * wx + wy * wy + wz * wz)
@@ -170,27 +174,38 @@ def observe(
     Velocity and attitude are direct (optionally noisy) reads; the
     bearing comes from the projected landmark and the distance from the
     camera-to-landmark range.  Raises :class:`FeatureLost` when the
-    landmark is behind the camera or projects outside the sensor bounds.
+    landmark is behind the camera or projects outside the sensor bounds,
+    a pair of ``(2,)`` image corners.  The camera pose, the landmark's
+    camera-frame position and its image point are computed on Python
+    floats by the ``_floats`` twins of :func:`camera_pose`'s formulas,
+    bit for bit; the range is numpy's 1-D dot product, as
+    ``np.linalg.norm`` takes it.
     """
-    p_c, q_wc = camera_pose(ps.p_w, ps.q_wb, ext)
-    r = quat_rotate(quat_conj(q_wc), lm.p_w_lw - p_c)
-    if r[2] <= EPS_Z:
+    att = ps.q_wb.tolist()
+    bx, by, bz = _quat_rotate_floats(att, ext.p_b_cb.tolist())
+    px, py, pz = ps.p_w.tolist()
+    lx, ly, lz = lm.p_w_lw.tolist()
+    cw, cx, cy, cz = _quat_normalize_floats(_quat_prod_floats(att, ext.q_bc.tolist()))
+    rx, ry, rz = _quat_rotate_floats((cw, -cx, -cy, -cz), (lx - (px + bx), ly - (py + by), lz - (pz + bz)))
+    if rz <= EPS_Z:
         raise FeatureLost("behind_camera")
-    s = r[:2] / r[2]
+    su, sv = rx / rz, ry / rz
     if noise.sigma_px > 0.0:
-        s = s + rng.normal(0.0, noise.sigma_px, 2)
-    smin, smax = sensor_bounds
-    if np.any(s < smin) or np.any(s > smax):
+        nu, nv = rng.normal(0.0, noise.sigma_px, 2).tolist()
+        su, sv = su + nu, sv + nv
+    (lo_u, lo_v), (hi_u, hi_v) = sensor_bounds
+    if su < lo_u or sv < lo_v or su > hi_u or sv > hi_v:
         raise FeatureLost("out_of_fov")
 
-    d = float(np.linalg.norm(r))
+    r = np.array([rx, ry, rz])
+    d = math.sqrt(r.dot(r))
     if noise.sigma_d_rel > 0.0:
         d *= 1.0 + rng.normal(0.0, noise.sigma_d_rel)
     v = ps.v_w + (rng.normal(0.0, noise.sigma_v, 3) if noise.sigma_v > 0.0 else 0.0)
     q_wb = ps.q_wb
     if noise.sigma_att > 0.0:
         q_wb = quat_mul(q_wb, quat_exp(rng.normal(0.0, noise.sigma_att, 3)))
-    return QuadVisualState(v_w=v, q_wb=q_wb, q_cl=bearing_from_image(s), d=max(d, 1e-3))
+    return QuadVisualState(v_w=v, q_wb=q_wb, q_cl=bearing_from_image((su, sv)), d=max(d, 1e-3))
 
 
 def make_reference_from_waypoint(
@@ -322,7 +337,7 @@ def run_closed_loop(
         u, sol = controller.step(meas, ref)
 
         ticks.append((
-            t_k, ps.p_w, ps.v_w, ps.q_wb, image_from_bearing(meas.q_cl), meas.d, u.as_vector(),
+            t_k, ps.p_w, ps.v_w, ps.q_wb, _image_from_bearing_floats(meas.q_cl.tolist()), meas.d, u.as_vector(),
             ref.s_star[0], ref.d_star[0],
             sol.solve_ms, sol.kkt, sol.sqp_iters, sol.qp_iters, sol.backtracks, sol.slack_max,
         ))

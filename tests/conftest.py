@@ -30,7 +30,16 @@ solver's own stage residuals so the cost tests check the code that runs.
 renormalising it, so a batch of nodes can be compared with each node
 alone bit for bit.  ``uncompensated_stage_outputs`` and
 ``uncompensated_stage_jacobians`` are the solver's stage residuals
-without rotation compensation, for the check that compensation matters.
+without rotation compensation, for the check that compensation matters;
+``stage_jacobians`` feeds ``ocp._stage_jacobians`` the intermediates of
+``ocp._stage_outputs`` at the same states, as the solver does.
+
+The ``reference_*`` functions are byte oracles: earlier formulations of
+rewritten package code, kept verbatim, which the rewrites must match bit
+for bit (the step QP and its finishing solve; ``observe`` and
+``bearing_from_image`` before they ran on Python floats; the stage
+outputs and Jacobians before the Jacobians read the outputs'
+intermediates; the warm-start shift and the input clamp).
 """
 
 from __future__ import annotations
@@ -45,14 +54,20 @@ from quadvpc.dynamics import (
     GRAVITY_W,
     CameraTwist,
     ControlInput,
+    QuadVisualState,
     _bearing_f,
     _f,
     _f_jacobian,
     _input_terms,
+    _normalize_jacobian,
+    _quat_lmat,
+    _quat_rmat,
     _rk4,
+    _rotmat_jacobian,
     rk4,
 )
 from quadvpc.ocp import _stage_jacobians, _stage_outputs
+from quadvpc.simulator import DEFAULT_SENSOR_BOUNDS, FeatureLost, camera_pose
 
 
 def rotmat_oracle(q) -> np.ndarray:
@@ -305,7 +320,7 @@ def stage_block(x, ref, w, block, q_bc=None):
     unit bearing.
     """
     x, ref, q_bc = _stage_node(x, ref, q_bc)
-    res, n_c = _stage_outputs(x, ref, w, q_bc, 1.0)
+    res, n_c, _ = _stage_outputs(x, ref, w, q_bc, 1.0)
     r = res[0, STAGE_BLOCKS[block]]
     return float(np.sum(r * r)), r, n_c[0]
 
@@ -314,10 +329,15 @@ def stage_block_gradient(x, ref, w, block, q_bc=None):
     """The solver's gradient of ``stage_block``: ``2 J[block]^T r[block]``,
     with ``J`` from ``ocp._stage_jacobians``."""
     x, ref, q_bc = _stage_node(x, ref, q_bc)
-    res, _ = _stage_outputs(x, ref, w, q_bc, 1.0)
-    j_res, _ = _stage_jacobians(x, ref, w, q_bc, 1.0)
+    res, _, parts = _stage_outputs(x, ref, w, q_bc, 1.0)
+    j_res, _ = _stage_jacobians(x, ref, w, q_bc, 1.0, parts)
     cols = STAGE_BLOCKS[block]
     return 2.0 * j_res[0, cols].T @ res[0, cols]
+
+
+def stage_jacobians(x, ref, w, q_bc, dt):
+    """``ocp._stage_jacobians`` at ``x``, fed the intermediates of ``ocp._stage_outputs`` there, as the solver feeds it."""
+    return _stage_jacobians(x, ref, w, q_bc, dt, _stage_outputs(x, ref, w, q_bc, dt)[2])
 
 
 def uncompensated_stage_outputs(x, ref, w, q_bc, dt):
@@ -325,22 +345,23 @@ def uncompensated_stage_outputs(x, ref, w, q_bc, dt):
 
     Columns ``0:2`` compare the bearing ``n_c`` itself with the target
     bearing ``n*``, not the bearing compensated by the attitude's
-    deviation from the reference; the other columns are the package's.
+    deviation from the reference; the other columns are the package's,
+    and the intermediates are passed through.
     """
-    res, n_c = _stage_outputs(x, ref, w, q_bc, dt)
+    res, n_c, parts = _stage_outputs(x, ref, w, q_bc, dt)
     n_star = ref.s_star / np.sqrt(1.0 + np.sum(ref.s_star * ref.s_star, axis=-1, keepdims=True))
     res[:, 0:2] = np.sqrt(w.q_s) * (n_c[:, :2] - n_star) * np.sqrt(dt)
-    return res, n_c
+    return res, n_c, parts
 
 
-def uncompensated_stage_jacobians(x, ref, w, q_bc, dt):
+def uncompensated_stage_jacobians(x, ref, w, q_bc, dt, parts):
     """The Jacobians of :func:`uncompensated_stage_outputs`.
 
     Columns ``0:2`` no longer read ``q_wb``; in the ``q_cl`` block they are
     ``sqrt(q_s dt) dR(q_cl)[:2, 2]``, the first two rows of the bearing's
     Jacobian.
     """
-    j_res, j_n = _stage_jacobians(x, ref, w, q_bc, dt)
+    j_res, j_n = _stage_jacobians(x, ref, w, q_bc, dt, parts)
     j_res[:, 0:2, 3:7] = 0.0
     j_res[:, 0:2, 7:11] = np.sqrt(w.q_s)[:, None] * np.sqrt(dt) * j_n[:, :2, 7:11]
     return j_res, j_n
@@ -464,6 +485,120 @@ def reference_solve_step_qp(h_mat, g_vec, lb, ub, vis_rows, vis_base, lam, rho, 
     return z, lam, slack, float(np.sum(slack)), steps
 
 
+def reference_bearing_from_image(s):
+    """``geometry.bearing_from_image`` before it dropped ``np.cross``, ``np.dot``, ``np.clip`` and ``np.linalg.norm``."""
+    s = np.asarray(s, dtype=np.float64)
+    v = np.array([s[0], s[1], 1.0])
+    a = v / np.linalg.norm(v)
+    dot = float(np.clip(np.dot(g.EZ, a), -1.0, 1.0))
+    c = np.cross(g.EZ, a)
+    sin = float(np.linalg.norm(c))
+    if sin < 1e-16:
+        return g.quat_exp(np.zeros(3))
+    # angle/sin -> 1 as the vectors align, so this stays well conditioned
+    return g.quat_exp(c * (np.arccos(dot) / sin))
+
+
+def reference_observe(ps, lm, ext, noise, rng, sensor_bounds=DEFAULT_SENSOR_BOUNDS):
+    """``simulator.observe`` before it ran on Python floats: numpy arrays throughout.
+
+    It calls :func:`reference_bearing_from_image`.
+    """
+    p_c, q_wc = camera_pose(ps.p_w, ps.q_wb, ext)
+    r = g.quat_rotate(g.quat_conj(q_wc), lm.p_w_lw - p_c)
+    if r[2] <= g.EPS_Z:
+        raise FeatureLost("behind_camera")
+    s = r[:2] / r[2]
+    if noise.sigma_px > 0.0:
+        s = s + rng.normal(0.0, noise.sigma_px, 2)
+    smin, smax = sensor_bounds
+    if np.any(s < smin) or np.any(s > smax):
+        raise FeatureLost("out_of_fov")
+
+    d = float(np.linalg.norm(r))
+    if noise.sigma_d_rel > 0.0:
+        d *= 1.0 + rng.normal(0.0, noise.sigma_d_rel)
+    v = ps.v_w + (rng.normal(0.0, noise.sigma_v, 3) if noise.sigma_v > 0.0 else 0.0)
+    q_wb = ps.q_wb
+    if noise.sigma_att > 0.0:
+        q_wb = g.quat_mul(q_wb, g.quat_exp(rng.normal(0.0, noise.sigma_att, 3)))
+    return QuadVisualState(v_w=v, q_wb=q_wb, q_cl=reference_bearing_from_image(s), d=max(d, 1e-3))
+
+
+def reference_stage_outputs(x, ref, w, q_bc, dt):
+    """``ocp._stage_outputs`` before it returned its quaternion intermediates: ``(res, n_c)``."""
+    v_w = x[:, 0:3]
+    q_wb = x[:, 3:7]
+    q_cl = x[:, 7:11]
+    d = x[:, 11]
+
+    sdt = np.sqrt(dt)
+    root = w.roots
+
+    # visual servoing: compensate by the attitude deviation from the reference
+    q_rel = g.quat_normalize(g.quat_prod(ref.q_star_conj, q_wb))
+    q_comp = g.quat_normalize(
+        g.quat_prod(g.quat_prod(g.quat_conj(q_bc), g.quat_prod(q_rel, q_bc)), q_cl)
+    )
+    r_img = root["q_s"] * (g.quat_rotate(q_comp, g.EZ)[:, :2] - ref.n_star_xy) * sdt
+    r_dist = (root["q_d"] * (d - ref.d_star) * sdt)[:, None]
+
+    # perception
+    n_c = g.quat_rotate(q_cl, g.EZ)
+    r_per = root["q_p"] * n_c[:, :2] * sdt
+
+    # action
+    sgn = np.where(np.sum(q_wb * ref.q_star, axis=-1) >= 0.0, 1.0, -1.0)[:, None]
+    r_vel = root["q_v"] * (v_w - ref.v_star) * sdt
+    r_att = root["q_q"] * (sgn * q_wb - ref.q_star) * sdt
+
+    res = np.concatenate([r_img, r_dist, r_per, r_vel, r_att], axis=1)
+    return res, n_c
+
+
+def reference_stage_jacobians(x, ref, w, q_bc, dt):
+    """``ocp._stage_jacobians`` before it read the intermediates of ``_stage_outputs``: it takes every product again."""
+    m = len(x)
+    q_wb, q_cl = x[:, 3:7], x[:, 7:11]
+    sdt = np.sqrt(dt)
+    root = w.roots
+    q_ref = ref.q_star_conj
+    rel = g.quat_prod(q_ref, q_wb)
+    # q_comp = normalize(S normalize(rel) (x) q_cl), S: q -> conj(q_bc) (x) q (x) q_bc
+    q_cb = g.quat_conj(q_bc)
+    sandwich = _quat_lmat(q_cb) @ _quat_rmat(q_bc)
+    inner = g.quat_prod(q_cb, g.quat_prod(g.quat_normalize(rel), q_bc))
+    comp = g.quat_prod(inner, q_cl)
+    d_comp = _normalize_jacobian(comp)
+    d_img = root["q_s"][:, None] * sdt * _rotmat_jacobian(g.quat_normalize(comp))[:, :2, 2]
+    d_n = _rotmat_jacobian(q_cl)[:, :, 2]
+    sgn = np.where(np.sum(q_wb * ref.q_star, axis=-1) >= 0.0, 1.0, -1.0)[:, None, None]
+
+    j_res = np.zeros((m, 12, 12))
+    j_res[:, 0:2, 3:7] = d_img @ d_comp @ _quat_rmat(q_cl) @ sandwich @ _normalize_jacobian(rel) @ _quat_lmat(q_ref)
+    j_res[:, 0:2, 7:11] = d_img @ d_comp @ _quat_lmat(inner)
+    j_res[:, 2, 11] = root["q_d"] * sdt
+    j_res[:, 3:5, 7:11] = root["q_p"][:, None] * sdt * d_n[:, :2]
+    j_res[:, 5:8, 0:3] = w.root_diags["q_v"] * sdt
+    j_res[:, 8:12, 3:7] = sgn * (w.root_diags["q_q"] * sdt)
+    j_n = np.zeros((m, 3, 12))
+    j_n[:, :, 7:11] = d_n
+    return j_res, j_n
+
+
+def reference_shift_warm_start(plan, n):
+    """``ocp.shift_warm_start`` before it padded the plan without ``np.vstack`` and ``np.tile``."""
+    return np.vstack([plan, np.tile(plan[-1], (n - len(plan), 1))])
+
+
+def reference_clamp_input(u, b):
+    """``costs.clamp_input`` before it took the input vector: it clamps a ``ControlInput``."""
+    return ControlInput(
+        float(np.clip(u.c, b.c_min, b.c_max)),
+        np.clip(u.omega_b, b.omega_min, b.omega_max),
+    )
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
@@ -523,6 +658,33 @@ def oracle_flight_qps():
     return capture_step_qps(lambda: scenario_gate_reaching(gate, poses=GATE_POSES[:1])) + capture_step_qps(
         lambda: scenario_quarter_circle(track, 9.0)
     )
+
+
+@pytest.fixture(scope="session")
+def oracle_flight_models():
+    """The ``(x, problem)`` of every ``_reduced_model`` call of a 1.5 s default
+    gate flight from pose 0 and of the quarter circle at 9 m/s."""
+    from quadvpc import ocp
+    from quadvpc.config import default_config
+    from quadvpc.scenarios import GATE_POSES, scenario_gate_reaching, scenario_quarter_circle
+
+    gate = default_config("gate_reaching")
+    gate.duration = 1.5
+    track = default_config("quarter_circle")
+    build = ocp._reduced_model
+    seen = []
+
+    def spy(x, u, problem, outputs, stages):
+        seen.append((x, problem))
+        return build(x, u, problem, outputs, stages)
+
+    ocp._reduced_model = spy
+    try:
+        scenario_gate_reaching(gate, poses=GATE_POSES[:1])
+        scenario_quarter_circle(track, 9.0)
+    finally:
+        ocp._reduced_model = build
+    return seen
 
 
 @pytest.fixture(scope="session")

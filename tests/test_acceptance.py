@@ -374,7 +374,8 @@ def test_criterion_11_rotation_compensation(quarter_results, monkeypatch, rng):
     ref = ReferencePoint(rng.uniform(-0.5, 0.5, 2), 2.0, np.zeros(3), random_quat(rng))
     w, q_bc, dt = CostWeights(q_s=[30.0, 20.0]), DEFAULT_EXTRINSICS.q_bc, 0.05
     fd = fd_jacobian_batch(lambda z: uncompensated_stage_outputs(z, ref, w, q_bc, dt)[0], x)
-    assert np.max(np.abs(uncompensated_stage_jacobians(x, ref, w, q_bc, dt)[0] - fd)) < 1e-7
+    parts = uncompensated_stage_outputs(x, ref, w, q_bc, dt)[2]
+    assert np.max(np.abs(uncompensated_stage_jacobians(x, ref, w, q_bc, dt, parts)[0] - fd)) < 1e-7
 
     comp = by_speed[9.0]["metrics"]
     monkeypatch.setattr(ocp, "_stage_outputs", uncompensated_stage_outputs)

@@ -1,3 +1,4 @@
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,6 +17,7 @@ from quadvpc.dynamics import QuadVisualState
 from quadvpc.ocp import OcpParams, _cone, _hinge, _reduced_model, _stage_outputs, build_problem
 from quadvpc.simulator import DEFAULT_EXTRINSICS
 
+import conftest
 from conftest import (
     fd_gradient,
     quat_oracle_from_axis_angle,
@@ -253,6 +255,50 @@ class TestDynamicVisualWeight:
                 assert w_eff.root_diags[name].tobytes() == np.diag(np.sqrt(getattr(w, name))).tobytes()
 
 
+    def test_scaled_weights_match_a_checked_copy(self):
+        # build_problem scales q_s without running the weights' checks again;
+        # every field, root and diagonal is that of the checked copy
+        w = CostWeights(q_s=[4.0, 3.0], q_p=[0.5, 1.5], q_u=[0.1, 0.3, 0.2, 0.2])
+        w.roots, w.root_diags  # cached on w, and not carried to the copies
+        ref = ReferencePoint(np.zeros(2), np.full(21, 2.0), np.zeros(3), g.quat_identity())
+        for d in (0.2, 1.9, 6.0, 40.0):
+            x0 = QuadVisualState(np.zeros(3), g.quat_identity(), g.quat_identity(), d)
+            got = build_problem(x0, ref, w, Bounds(), DEFAULT_EXTRINSICS, OcpParams()).weights
+            want = replace(w, q_s=dynamic_visual_weight(d, w.q_s))
+            assert type(got) is CostWeights
+            for f in fields(CostWeights):
+                assert np.asarray(getattr(got, f.name)).tobytes() == np.asarray(getattr(want, f.name)).tobytes()
+            for name in want.roots:
+                assert np.asarray(got.roots[name]).tobytes() == np.asarray(want.roots[name]).tobytes()
+            for name in want.root_diags:
+                assert got.root_diags[name].tobytes() == want.root_diags[name].tobytes()
+
+
+class TestCostWeights:
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {"q_d": float("nan")},
+            {"q_d": float("inf")},
+            {"q_s": [float("nan"), 1.0]},
+            {"q_s": [1.0, float("inf")]},
+            {"q_p": [float("nan"), 1.0]},
+            {"q_v": [0.8, float("inf"), 0.8]},
+            {"q_q": [1.5, 1.5, 1.5, float("nan")]},
+            {"q_u": [0.1, 0.2, float("inf"), 0.2]},
+        ],
+    )
+    def test_rejects_non_finite(self, kw):
+        # a NaN weight once built, and its hover flight was infeasible on every tick
+        with pytest.raises(ValueError, match="must be nonnegative and finite"):
+            CostWeights(**kw)
+
+    @pytest.mark.parametrize("kw", [{"q_d": -1.0}, {"q_s": [-1.0, 1.0]}, {"q_u": [0.1, -0.2, 0.2, 0.2]}])
+    def test_rejects_negative(self, kw):
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            CostWeights(**kw)
+
+
 class TestReferenceConstants:
     def test_target_bearing_and_conjugate(self, rng):
         ref = ReferencePoint(rng.uniform(-0.8, 0.8, (21, 2)), np.full(21, 2.0), np.zeros(3), random_quat(rng, 21))
@@ -272,7 +318,7 @@ def visibility(q_cl, b=Bounds()):
     """
     x = QuadVisualState(np.zeros(3), g.quat_identity(), q_cl, 3.0).as_vector()[None, :]
     ref = ReferencePoint(np.zeros(2), np.full(1, 3.0), np.zeros(3), g.quat_identity())
-    _, n_c = _stage_outputs(x, ref, CostWeights(), g.quat_identity(), 1.0)
+    _, n_c, _ = _stage_outputs(x, ref, CostWeights(), g.quat_identity(), 1.0)
     cone = _cone(SimpleNamespace(params=OcpParams(constraint_margin=0.0), bounds=b))
     return -(cone @ n_c[0]), n_c[0], float(_hinge(n_c, cone)[0])
 
@@ -356,13 +402,24 @@ class TestBounds:
 
 class TestClampInput:
     def test_feasible_unchanged(self):
-        u = ControlInput(9.81, [0.1, -0.2, 0.3])
+        u = np.array([9.81, 0.1, -0.2, 0.3])
         out = clamp_input(u, Bounds())
-        assert out.c == u.c and np.allclose(out.omega_b, u.omega_b)
+        assert out.c == u[0] and np.array_equal(out.omega_b, u[1:])
 
     def test_thrust_clamped(self):
-        assert clamp_input(ControlInput(100.0, np.zeros(3)), Bounds()).c == 20.0
+        assert clamp_input(np.array([100.0, 0.0, 0.0, 0.0]), Bounds()).c == 20.0
 
     def test_rate_clamped(self):
-        out = clamp_input(ControlInput(9.81, [-10.0, 0, 0]), Bounds())
+        out = clamp_input(np.array([9.81, -10.0, 0.0, 0.0]), Bounds())
         assert out.omega_b[0] == -3.0
+
+    def test_matches_reference_bytes(self, rng):
+        # against conftest.reference_clamp_input, which clamped a ControlInput
+        # built from the vector; bounds at zero test the signed zeros too
+        zero_floor = Bounds(c_min=0.0, omega_min=[0.0, -3.0, -1.0], omega_max=[3.0, 0.0, 1.0])
+        inputs = np.concatenate([rng.uniform(-25.0, 25.0, (500, 4)), np.array([[0.0, -0.0, 0.0, -0.0], [-0.0, 0.0, -0.0, 0.0]])])
+        for b in (Bounds(), zero_floor):
+            for u in inputs:
+                got = clamp_input(u, b)
+                want = conftest.reference_clamp_input(ControlInput(float(u[0]), u[1:4]), b)
+                assert got.as_vector().tobytes() == want.as_vector().tobytes()

@@ -77,6 +77,17 @@ class TestQuadDynamics:
             assert abs(dq @ q) < 1e-12
 
 
+class TestControlInput:
+    @pytest.mark.parametrize("c", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_thrust_refused(self, c):
+        with pytest.raises(ValueError, match="thrust c must be finite"):
+            ControlInput(c, np.zeros(3))
+
+    def test_non_finite_rate_refused(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            ControlInput(9.81, [0.0, float("nan"), 0.0])
+
+
 class TestCameraExtrinsics:
     def test_rotation_follows_q_bc(self):
         # r_bc is computed at construction, so a replaced q_bc carries its own

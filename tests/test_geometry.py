@@ -16,7 +16,14 @@ from quadvpc.geometry import (
 )
 from quadvpc.simulator import DEFAULT_EXTRINSICS
 
-from conftest import bearing_N, quat_oracle_from_axis_angle, random_quat, rotations_close, rotmat_oracle
+from conftest import (
+    bearing_N,
+    quat_oracle_from_axis_angle,
+    random_quat,
+    reference_bearing_from_image,
+    rotations_close,
+    rotmat_oracle,
+)
 
 
 class TestQuatMul:
@@ -197,3 +204,67 @@ class TestCameraMounting:
         # optical axis along body +x, image x along body -y, image y along body -z
         r_bc = g.quat_to_rotmat(DEFAULT_EXTRINSICS.q_bc)
         assert np.array_equal(r_bc, [[0.0, 0.0, 1.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
+
+
+def awkward_floats(rng, shape):
+    """Floats of mixed signs and magnitudes with exact and signed zeros among them."""
+    x = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 4, shape)
+    x[rng.random(shape) < 0.1] = 0.0
+    x[rng.random(shape) < 0.1] = -0.0
+    return x
+
+
+class TestFloatTwins:
+    # each Python-float twin performs its array twin's operations in the same
+    # order: equal on bytes, signed zeros included
+    @staticmethod
+    def same_bytes(got, want):
+        return np.array(got, dtype=np.float64).tobytes() == np.asarray(want, dtype=np.float64).tobytes()
+
+    def test_quat_prod(self, rng):
+        p, q = awkward_floats(rng, (2000, 4)), awkward_floats(rng, (2000, 4))
+        for a, b in zip(p, q):
+            assert self.same_bytes(g._quat_prod_floats(a.tolist(), b.tolist()), g.quat_prod(a, b))
+
+    def test_quat_normalize(self, rng):
+        for q in np.concatenate([awkward_floats(rng, (2000, 4)), random_quat(rng, 500)]):
+            if not q.any():
+                continue
+            assert self.same_bytes(g._quat_normalize_floats(q.tolist()), g.quat_normalize(q))
+
+    def test_quat_rotate(self, rng):
+        q = np.concatenate([random_quat(rng, 1000), awkward_floats(rng, (1000, 4))])
+        v = awkward_floats(rng, (2000, 3))
+        for a, b in zip(q, v):
+            assert self.same_bytes(g._quat_rotate_floats(a.tolist(), b.tolist()), quat_rotate(a, b))
+
+    def test_image_from_bearing(self, rng):
+        qs = [bearing_from_image(s) for s in rng.uniform(-3.0, 3.0, (500, 2))] + list(random_quat(rng, 500))
+        raised = 0
+        for q in qs:
+            try:
+                want = image_from_bearing(q)
+            except DegenerateProjection:
+                with pytest.raises(DegenerateProjection):
+                    g._image_from_bearing_floats(q.tolist())
+                raised += 1
+                continue
+            assert self.same_bytes(g._image_from_bearing_floats(q.tolist()), want)
+        assert 0 < raised < len(qs)
+
+
+class TestBearingFromImageBytes:
+    # against conftest.reference_bearing_from_image, the formulation with
+    # np.cross, np.dot, np.clip and np.linalg.norm
+    def test_random_images(self, rng):
+        images = np.concatenate([rng.uniform(-1.0, 1.0, (2000, 2)), awkward_floats(rng, (2000, 2))])
+        for s in images:
+            assert bearing_from_image(s).tobytes() == reference_bearing_from_image(s).tobytes()
+            assert bearing_from_image(tuple(s.tolist())).tobytes() == reference_bearing_from_image(s).tobytes()
+
+    @pytest.mark.parametrize("s", [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (1e-20, 0.0), (0.0, -3e-17), (5e-17, 5e-17), (1e-16, 0.0)])
+    def test_aligned_branch(self, s):
+        # |e_z x a| < 1e-16 takes the zero rotation vector; 1e-16 itself does not
+        want = reference_bearing_from_image(np.array(s))
+        assert bearing_from_image(s).tobytes() == want.tobytes()
+        assert bearing_from_image(np.array(s)).tobytes() == want.tobytes()

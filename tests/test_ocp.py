@@ -20,7 +20,6 @@ from quadvpc.ocp import (
     _reduced_model,
     _rollout,
     _solve_step_qp,
-    _stage_jacobians,
     _stage_outputs,
     _Workspace,
     build_problem,
@@ -31,7 +30,7 @@ from quadvpc.scenarios import GATE_POSES, scenario_gate_reaching
 from quadvpc.simulator import DEFAULT_EXTRINSICS, Landmark, NoiseModel, PlantState, observe, run_closed_loop
 
 import conftest
-from conftest import fd_jacobian_batch, random_quat, rk4_flat, rk4_flat_step, rk4_stages, take_reference
+from conftest import fd_jacobian_batch, random_quat, rk4_flat, rk4_flat_step, rk4_stages, stage_jacobians, take_reference
 
 
 def constant_ref(d, nodes=21):
@@ -135,9 +134,9 @@ class TestStageJacobians:
         ])
         ref = ReferencePoint(rng.uniform(-0.5, 0.5, (n, 2)), rng.uniform(1, 8, n), rng.uniform(-2, 2, (n, 3)), random_quat(rng, n))
         w, q_bc, dt = CostWeights(), DEFAULT_EXTRINSICS.q_bc, 0.05
-        j_res, j_s = _stage_jacobians(x, ref, w, q_bc, dt)
+        j_res, j_s = stage_jacobians(x, ref, w, q_bc, dt)
         for k in range(n):
-            j_res_k, j_s_k = _stage_jacobians(x[k : k + 1], take_reference(ref, [k]), w, q_bc, dt)
+            j_res_k, j_s_k = stage_jacobians(x[k : k + 1], take_reference(ref, [k]), w, q_bc, dt)
             assert np.array_equal(j_res[k], j_res_k[0])
             assert np.array_equal(j_s[k], j_s_k[0])
 
@@ -159,7 +158,7 @@ class TestStageJacobians:
         n = 21
         x = np.column_stack([rng.uniform(-3, 3, (n, 3)), random_quat(rng, n), random_quat(rng, n), rng.uniform(1.0, 8.0, n)])
         ref = ReferencePoint(rng.uniform(-0.5, 0.5, (n, 2)), rng.uniform(1, 8, n), rng.uniform(-2, 2, (n, 3)), random_quat(rng, n))
-        _, j_n = _stage_jacobians(x, ref, CostWeights(), DEFAULT_EXTRINSICS.q_bc, 0.05)
+        _, j_n = stage_jacobians(x, ref, CostWeights(), DEFAULT_EXTRINSICS.q_bc, 0.05)
         assert any(self.bearing_closed_form(q)[0][2] < 0.0 for q in x[:, 7:11])
         for k in range(n):
             want = np.zeros((3, 12))
@@ -173,9 +172,9 @@ class TestStageJacobians:
         x = np.column_stack([rng.uniform(-3, 3, (n, 3)), random_quat(rng, n), random_quat(rng, n), rng.uniform(1.0, 8.0, n)])
         ref = ReferencePoint(rng.uniform(-0.5, 0.5, (n, 2)), rng.uniform(1, 8, n), rng.uniform(-2, 2, (n, 3)), random_quat(rng, n))
         w, q_bc, dt = CostWeights(q_s=[30.0, 20.0]), DEFAULT_EXTRINSICS.q_bc, 0.05
-        j_res, j_n = _stage_jacobians(x, ref, w, q_bc, dt)
+        j_res, j_n = stage_jacobians(x, ref, w, q_bc, dt)
         ref_tiled = take_reference(ref, np.tile(np.repeat(np.arange(n), 12), 2))
-        fd = fd_jacobian_batch(lambda z: np.concatenate(_stage_outputs(z, ref_tiled, w, q_bc, dt), axis=1), x)
+        fd = fd_jacobian_batch(lambda z: np.concatenate(_stage_outputs(z, ref_tiled, w, q_bc, dt)[:2], axis=1), x)
         exact = np.concatenate([j_res, j_n], axis=1)
         assert np.max(np.abs(exact - fd) / np.maximum(np.abs(fd), 1.0)) < 1e-7
 
@@ -305,7 +304,7 @@ class TestSolveProperties:
         other = solve(p2)
         assert other.inputs.shape == (12, 4)
         assert np.all((other.inputs >= bounds.input_lower()) & (other.inputs <= bounds.input_upper()))
-        _, n_c = _stage_outputs(other.states, p2.ref, p2.weights, ext.q_bc, params.dt)
+        _, n_c, _ = _stage_outputs(other.states, p2.ref, p2.weights, ext.q_bc, params.dt)
         assert other.slack_max == np.max(_hinge(n_c[1:], _cone(p2))) > 0.0
         same(solve(p1), first)
         same(solve(p1, warm), first_warm)
@@ -480,7 +479,7 @@ class TestConvergedTick:
         p, ext = problem.params, problem.extrinsics
         n = p.horizon
         a_k, b_k = rk4_jacobians(x[:-1], u, rk4_stages(x[:-1], u, p.dt, ext), p.dt, ext)
-        j_res, j_n = _stage_jacobians(x, problem.ref, problem.weights, ext.q_bc, p.dt)
+        j_res, j_n = stage_jacobians(x, problem.ref, problem.weights, ext.q_bc, p.dt)
         big_m = np.zeros((n, 12, n * 4))
         big_m[0, :, :4] = b_k[0]
         for k in range(1, n):
@@ -939,6 +938,43 @@ class TestShiftWarmStart:
         assert np.array_equal(shifted[:-1], sol.inputs[1:])
         assert np.array_equal(shifted[-1], sol.inputs[-1])
 
+    def test_matches_reference_bytes(self, rng):
+        # against conftest.reference_shift_warm_start, which padded by np.vstack and np.tile
+        plan = rng.normal(size=(20, 4))
+        plan[3] = [0.0, -0.0, 0.0, -0.0]
+        for k in range(1, 21):
+            got = shift_warm_start(plan[20 - k :], 20)
+            assert got.tobytes() == conftest.reference_shift_warm_start(plan[20 - k :], 20).tobytes()
+
+
+class TestStageByteOracle:
+    # the stage outputs and Jacobians against conftest.reference_stage_outputs
+    # and reference_stage_jacobians, which take every quaternion product
+    # again: equal on bytes at every linearised iterate of a gate flight and
+    # of a fast track, under the flown camera mounting and the identity one
+    @pytest.mark.parametrize("camera", ["flown", "identity"])
+    def test_flight_iterates_match_reference_bytes(self, oracle_flight_models, camera):
+        assert len(oracle_flight_models) > 80
+        for x, problem in oracle_flight_models:
+            q_bc = problem.extrinsics.q_bc if camera == "flown" else g.quat_identity()
+            args = (x, problem.ref, problem.weights, q_bc, problem.params.dt)
+            res, n_c, parts = _stage_outputs(*args)
+            want_res, want_n = conftest.reference_stage_outputs(*args)
+            assert res.tobytes() == want_res.tobytes()
+            assert n_c.tobytes() == want_n.tobytes()
+            for got, want in zip(ocp._stage_jacobians(*args, parts), conftest.reference_stage_jacobians(*args)):
+                assert got.tobytes() == want.tobytes()
+
+    def test_camera_constants_per_rotation(self):
+        # conj(q_bc) and the sandwich are built once per rotation, read-only,
+        # and a signed zero is a rotation of its own
+        plus, minus = np.array([1.0, 0.0, 0.0, 0.0]), np.array([1.0, -0.0, 0.0, 0.0])
+        q_cb, sandwich = ocp._camera_sandwich(plus.tobytes())
+        assert ocp._camera_sandwich(plus.tobytes())[1] is sandwich
+        assert q_cb.tobytes() == g.quat_conj(plus).tobytes()
+        assert ocp._camera_sandwich(minus.tobytes())[0].tobytes() == g.quat_conj(minus).tobytes()
+        assert not (q_cb.flags.writeable or sandwich.flags.writeable)
+
 
 class TestController:
     def controller(self):
@@ -1039,6 +1075,10 @@ DIVERGING_U = np.array([
 ])
 
 
+def diverging_state() -> QuadVisualState:
+    return QuadVisualState(DIVERGING_X0[0:3], DIVERGING_X0[3:7], DIVERGING_X0[7:11], DIVERGING_X0[11])
+
+
 class TestDivergedWarmStart:
     # a warm start whose rollout is not finite restarts once from hover,
     # whose rollout from the same state stays finite; the diverged rollout
@@ -1051,7 +1091,7 @@ class TestDivergedWarmStart:
         return bool(np.all(np.isfinite(x)))
 
     def test_solve_restarts_from_hover(self):
-        x0 = QuadVisualState.from_vector(np.array(DIVERGING_X0))
+        x0 = diverging_state()
         problem = build_problem(x0, constant_ref(2.0), CostWeights(), Bounds(), DEFAULT_EXTRINSICS, OcpParams())
         assert not self.rollout_finite(problem, DIVERGING_U)
         with warnings.catch_warnings():
@@ -1065,7 +1105,7 @@ class TestDivergedWarmStart:
 
     def test_controller_step(self):
         ctrl = VisualPredictiveController(CostWeights(), Bounds(), DEFAULT_EXTRINSICS, OcpParams())
-        x0 = QuadVisualState.from_vector(np.array(DIVERGING_X0))
+        x0 = diverging_state()
         # the last feasible solve left these inputs unapplied
         ctrl._plan = DIVERGING_U[:-1]
         problem = build_problem(x0, constant_ref(2.0), CostWeights(), Bounds(), DEFAULT_EXTRINSICS, ctrl.params)

@@ -18,6 +18,7 @@ from quadvpc.ocp import OcpParams, VisualPredictiveController
 from quadvpc.scenarios import scenario_hover
 from quadvpc.simulator import (
     DEFAULT_EXTRINSICS,
+    DEFAULT_SENSOR_BOUNDS,
     FeatureLost,
     Landmark,
     NoiseModel,
@@ -31,6 +32,7 @@ from quadvpc.simulator import (
     run_closed_loop,
 )
 
+import conftest
 from conftest import random_quat, rk4_flat_step, rotations_close, rotmat_oracle
 
 ZERO_NOISE = NoiseModel()
@@ -47,6 +49,12 @@ class TestPlantStep:
         out = plant_step(ps, hover_input(), 0.05)
         assert np.max(np.abs(out.p_w - ps.p_w)) < 1e-12
         assert np.max(np.abs(out.v_w)) < 1e-12
+
+    @pytest.mark.parametrize("dt", [float("nan"), float("inf"), 0.0, -0.05])
+    def test_non_positive_or_non_finite_dt_refused(self, dt):
+        ps = PlantState([1.0, 2.0, 3.0], np.zeros(3), g.quat_identity())
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            plant_step(ps, hover_input(), dt)
 
     def test_zero_attitude_rejected(self):
         # as QuadVisualState rejects it, rather than a NaN attitude
@@ -184,12 +192,83 @@ class TestObserve:
             r = g.quat_rotate(g.quat_conj(q_wc), lm.p_w_lw - p_c)
             assert np.max(np.abs(g.bearing_n(meas.q_cl) * meas.d - r)) < 1e-9
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["sigma_v", "sigma_att", "sigma_d_rel", "sigma_px"])
+    def test_non_finite_sigma_refused(self, name, value):
+        # a NaN sigma would compare false with 0 in observe and fly noise-free
+        with pytest.raises(ValueError, match=f"{name} must be nonnegative and finite"):
+            NoiseModel(**{name: value})
+
     def test_noise_is_seeded(self):
         noise = NoiseModel(sigma_v=0.1, sigma_px=0.01, sigma_d_rel=0.01, sigma_att=0.01)
         ps = PlantState([4.0, 0.0, 3.0], np.zeros(3), g.quat_identity())
         m1 = observe(ps, Landmark(), BARE_CAMERA, noise, np.random.default_rng(7))
         m2 = observe(ps, Landmark(), BARE_CAMERA, noise, np.random.default_rng(7))
         assert np.array_equal(m1.as_vector(), m2.as_vector())
+
+
+class TestObserveByteOracle:
+    # against conftest.reference_observe, the formulation on numpy arrays:
+    # each measurement equal on bytes, each lost feature for the same
+    # reason, and the generator left in the same state
+    NOISES = [
+        NoiseModel(),
+        NoiseModel(sigma_v=0.1),
+        NoiseModel(sigma_att=0.01),
+        NoiseModel(sigma_d_rel=0.02),
+        NoiseModel(sigma_px=0.03),
+    ]
+
+    @staticmethod
+    def outcome(fn, ps, ext, noise, seed, bounds=DEFAULT_SENSOR_BOUNDS):
+        rng = np.random.default_rng(seed)
+        try:
+            result = fn(ps, Landmark(), ext, noise, rng, bounds).as_vector().tobytes()
+        except FeatureLost as exc:
+            result = exc.reason
+        return result, rng.bit_generator.state
+
+    @staticmethod
+    def pose_grid(rng, n):
+        lm = Landmark().p_w_lw
+        for _ in range(n):
+            tilt = g.quat_exp(np.append(rng.uniform(-0.4, 0.4, 2), 0.0))
+            yield PlantState(
+                p_w=lm + np.array([rng.uniform(-8.0, 1.0), rng.uniform(-4.0, 4.0), rng.uniform(-3.0, 3.0)]),
+                v_w=rng.normal(size=3),
+                q_wb=g.quat_mul(g.quat_yaw(rng.uniform(-1.0, 1.0)), tilt),
+            )
+
+    @pytest.mark.parametrize("noise", NOISES, ids=["none", "sigma_v", "sigma_att", "sigma_d_rel", "sigma_px"])
+    def test_pose_grid(self, noise):
+        rng = np.random.default_rng(2025)
+        mounted = CameraExtrinsics(p_b_cb=rng.normal(0.0, 0.2, 3), q_bc=g.quat_mul(DEFAULT_EXTRINSICS.q_bc, g.quat_exp(rng.normal(0.0, 0.2, 3))))
+        seen = set()
+        for i, ps in enumerate(self.pose_grid(rng, 300)):
+            for ext in (DEFAULT_EXTRINSICS, BARE_CAMERA, mounted):
+                got = self.outcome(observe, ps, ext, noise, i)
+                assert got == self.outcome(conftest.reference_observe, ps, ext, noise, i)
+                seen.add(got[0] if isinstance(got[0], str) else "measured")
+        # the grid holds measurements and both ways to lose the feature
+        assert seen == {"measured", "behind_camera", "out_of_fov"}
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_sensor_border(self, axis):
+        # an image point on a bound is inside; one float beyond it is lost
+        ps = PlantState([3.0, 0.4, 2.5], np.zeros(3), g.quat_yaw(0.1))
+        p_c, q_wc = camera_pose(ps.p_w, ps.q_wb, DEFAULT_EXTRINSICS)
+        r = g.quat_rotate(g.quat_conj(q_wc), Landmark().p_w_lw - p_c)
+        s = r[:2] / r[2]
+        cases = []
+        for side, inward in ((1, -np.inf), (0, np.inf)):
+            for value, want in ((s[axis], "measured"), (np.nextafter(s[axis], inward), "out_of_fov")):
+                bounds = [s - 0.5, s + 0.5]
+                bounds[side][axis] = value
+                cases.append((tuple(bounds), want))
+        for bounds, want in cases:
+            got = self.outcome(observe, ps, DEFAULT_EXTRINSICS, ZERO_NOISE, 0, bounds)
+            assert got == self.outcome(conftest.reference_observe, ps, DEFAULT_EXTRINSICS, ZERO_NOISE, 0, bounds)
+            assert (got[0] if isinstance(got[0], str) else "measured") == want
 
 
 class TestMakeReference:
